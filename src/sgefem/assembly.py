@@ -11,7 +11,8 @@ with eps the symmetric gradient, the coupling form is
 and the pressure form is c(p, q) = [(p, q) + iota^2 (grad p, grad q)] / lambda.
 All matrices split into an iota-independent part plus iota^2 times a
 second part; the ``*_parts`` functions expose the split so parameter
-sweeps can reuse one assembly.  lambda never enters the displacement
+sweeps can reuse one assembly, and loads are assembled part by part
+for the same reason.  lambda never enters the displacement
 blocks: it only scales c, which is what makes the method locking-free.
 
 Strain tensors are built entrywise from the scalar shape-function
@@ -21,11 +22,12 @@ a stable lexicographic sort, so the result is deterministic and the
 block system is symmetric bit for bit.
 """
 
+import functools
+
 import numpy as np
-from scipy import io as spio
 from scipy.sparse import csr_matrix
 
-from .element import batched_scalar_coeff, modal_tables
+from .element import modal_tables
 from .quadrature import rule_for_degree
 
 _CHUNK = 256
@@ -53,57 +55,48 @@ class ProblemParams:
         self.iota = float(iota)
 
 
-class BasisCache:
-    """Per-mesh cache of the batched nodal coefficients and modal tables."""
+@functools.lru_cache(maxsize=None)
+def _modal(degree, order):
+    """Quadrature rule of the given degree and the modal tables at its
+    points (read-only: the cache hands them to every caller)."""
+    rule = rule_for_degree(degree)
+    tables = modal_tables(rule.points, order)
+    for t in tables if order else (tables,):
+        t.setflags(write=False)
+    return rule, tables
 
-    def __init__(self, mesh, chunk=_CHUNK):
-        self.mesh = mesh
-        self.chunk = chunk
-        self._coeff = None
-        self._modal = {}
 
-    @property
-    def coeff(self):
-        if self._coeff is None:
-            self._coeff = batched_scalar_coeff(self.mesh)
-        return self._coeff
+def chunks(num_triangles):
+    """Triangle index batches bounding the size of per-point tables."""
+    for lo in range(0, num_triangles, _CHUNK):
+        yield np.arange(lo, min(lo + _CHUNK, num_triangles))
 
-    def modal(self, degree, order):
-        key = (degree, order)
-        if key not in self._modal:
-            rule = rule_for_degree(degree)
-            self._modal[key] = (rule, modal_tables(rule.points, order))
-        return self._modal[key]
 
-    def chunks(self):
-        T = self.mesh.num_triangles
-        for lo in range(0, T, self.chunk):
-            yield np.arange(lo, min(lo + self.chunk, T))
+def scalar_tables(mesh, coeff, tris, degree, order):
+    """Nodal values/derivatives at the quadrature points of a chunk.
 
-    def scalar_tables(self, tris, degree, order):
-        """Nodal values/derivatives at the quadrature points of a chunk.
-
-        Returns (rule, tables) where tables is (val,) for order 0,
-        (val, grad) for order 1, (val, grad, hess) for order 2 with
-        shapes (Tc, q, 10), (Tc, q, 10, 2), (Tc, q, 10, 2, 2); the
-        value table is shared across the chunk (barycentric).
-        """
-        rule, modal = self.modal(degree, order)
-        C = self.coeff[tris]                        # (Tc, 10, 10)
-        G = self.mesh.bary_grads[tris]              # (Tc, 3, 2)
-        if order == 0:
-            val = modal
-            return rule, (np.einsum("qj,tji->tqi", val, C),)
-        if order == 1:
-            val, dbary = modal
-            grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C,
-                             optimize=True)
-            return rule, (np.einsum("qj,tji->tqi", val, C), grad)
-        val, dbary, d2bary = modal
-        grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C, optimize=True)
-        mh = np.einsum("qjsu,tsx,tuy->tqjxy", d2bary, G, G, optimize=True)
-        hess = np.einsum("tqjxy,tji->tqixy", mh, C)
-        return rule, (np.einsum("qj,tji->tqi", val, C), grad, hess)
+    ``coeff`` holds the nodal coefficients of all triangles (see
+    :func:`~sgefem.element.batched_scalar_coeff`).  Returns (rule,
+    tables) where tables is (val,) for order 0, (val, grad) for order 1,
+    (val, grad, hess) for order 2 with shapes (Tc, q, 10),
+    (Tc, q, 10, 2), (Tc, q, 10, 2, 2).
+    """
+    rule, modal = _modal(degree, order)
+    C = coeff[tris]                             # (Tc, 10, 10)
+    G = mesh.bary_grads[tris]                   # (Tc, 3, 2)
+    if order == 0:
+        val = modal
+        return rule, (np.einsum("qj,tji->tqi", val, C),)
+    if order == 1:
+        val, dbary = modal
+        grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C,
+                         optimize=True)
+        return rule, (np.einsum("qj,tji->tqi", val, C), grad)
+    val, dbary, d2bary = modal
+    grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C, optimize=True)
+    mh = np.einsum("qjsu,tsx,tuy->tqjxy", d2bary, G, G, optimize=True)
+    hess = np.einsum("tqjxy,tji->tqixy", mh, C)
+    return rule, (np.einsum("qj,tji->tqi", val, C), grad, hess)
 
 
 def _accumulate_csr(rows, cols, vals, shape):
@@ -168,10 +161,11 @@ def _symmetrize(k):
     return 0.5 * (k + k.swapaxes(1, 2))
 
 
-def kernel_a_parts(mesh, cache, tris):
+def kernel_a_parts(mesh, coeff, tris):
     """Element kernels of the two integrals of a_h for a batch of
     triangles: (eps, eps) and (grad eps, grad eps), each (Tc, 20, 20)."""
-    rule, (_, grad, hess) = cache.scalar_tables(tris, DEGREE_STIFFNESS, 2)
+    rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
+                                          DEGREE_STIFFNESS, 2)
     eps, deps = _vector_strain_tables(grad, hess)
     w = rule.weights[None, :] * mesh.area[tris][:, None]
     k0 = np.einsum("tq,tqiab,tqjab->tij", w, eps, eps, optimize=True)
@@ -179,15 +173,15 @@ def kernel_a_parts(mesh, cache, tris):
     return _symmetrize(k0), _symmetrize(k2)
 
 
-def assemble_a_parts(mesh, cache, vmap):
+def assemble_a_parts(mesh, coeff, vmap):
     """The two integrals of a_h without material factors:
     (eps, eps) and (grad eps, grad eps).  a_h = 2 mu (first + iota^2 second).
     """
     n = vmap.n_u
     out0 = ([], [], [])
     out2 = ([], [], [])
-    for tris in cache.chunks():
-        k0, k2 = kernel_a_parts(mesh, cache, tris)
+    for tris in chunks(mesh.num_triangles):
+        k0, k2 = kernel_a_parts(mesh, coeff, tris)
         dofs = vmap.cell_dofs[tris]
         _scatter(k0, dofs, dofs, out0)
         _scatter(k2, dofs, dofs, out2)
@@ -195,16 +189,11 @@ def assemble_a_parts(mesh, cache, vmap):
             _accumulate_csr(*out2, shape=(n, n)))
 
 
-def assemble_a(mesh, cache, vmap, params):
-    """Stiffness matrix of a_h on the free displacement DoFs (SPD)."""
-    a0, a2 = assemble_a_parts(mesh, cache, vmap)
-    return 2.0 * params.mu * (a0 + params.iota ** 2 * a2)
-
-
-def kernel_b_parts(mesh, cache, tris):
+def kernel_b_parts(mesh, coeff, tris):
     """Element kernels (Tc, 3, 20) of (div v, q) and (grad div v, grad q);
     rows are the local P1 pressure functions."""
-    rule, (_, grad, hess) = cache.scalar_tables(tris, DEGREE_COUPLING, 2)
+    rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
+                                          DEGREE_COUPLING, 2)
     lam_vals = rule.points                          # P1 basis = barycentric
     w = rule.weights[None, :] * mesh.area[tris][:, None]
     # div phi_(2s+c) = grad[..., s, c]
@@ -220,12 +209,12 @@ def kernel_b_parts(mesh, cache, tris):
     return k0, k2
 
 
-def assemble_b_parts(mesh, cache, vmap, qmap):
+def assemble_b_parts(mesh, coeff, vmap, qmap):
     """(div v, q) and (grad div v, grad q); b_h = first + iota^2 second."""
     out0 = ([], [], [])
     out2 = ([], [], [])
-    for tris in cache.chunks():
-        k0, k2 = kernel_b_parts(mesh, cache, tris)
+    for tris in chunks(mesh.num_triangles):
+        k0, k2 = kernel_b_parts(mesh, coeff, tris)
         rows = qmap.cell_dofs[tris]
         cols = vmap.cell_dofs[tris]
         _scatter(k0, rows, cols, out0)
@@ -233,12 +222,6 @@ def assemble_b_parts(mesh, cache, vmap, qmap):
     shape = (qmap.n_p, vmap.n_u)
     return (_accumulate_csr(*out0, shape=shape),
             _accumulate_csr(*out2, shape=shape))
-
-
-def assemble_b(mesh, cache, vmap, qmap, iota):
-    """Coupling matrix b_h (n_p x n_u)."""
-    b0, b2 = assemble_b_parts(mesh, cache, vmap, qmap)
-    return b0 + iota ** 2 * b2
 
 
 def assemble_pressure_parts(mesh, qmap):
@@ -261,48 +244,37 @@ def assemble_pressure_parts(mesh, qmap):
             _accumulate_csr(*outk, shape=(n, n)))
 
 
-def assemble_c(mesh, qmap, params):
-    """Pressure matrix C = (M_p + iota^2 K_p) / lambda, SPD."""
-    if params.lam <= 0:
-        raise ValueError("the mixed form needs lambda > 0")
-    mp, kp = assemble_pressure_parts(mesh, qmap)
-    return (mp + params.iota ** 2 * kp) / params.lam
+def assemble_load(mesh, coeff, vmap, load):
+    """Load vectors of the parts of a load and the Gram matrix of the parts.
 
-
-def assemble_load(mesh, cache, vmap, f, degree=DEGREE_LOAD):
-    """Load vector with entries (f, phi_i) over the free DoFs.
-
-    ``f`` maps points (npts, 2) to values (npts, 2).
+    ``load`` maps points (npts, 2) to a tuple of m part values, each
+    (npts, 2), so that one evaluation per chunk serves every part.
+    Returns F (m, n_u) with F[k, i] = (f_k, phi_i) over the free DoFs,
+    and G (m, m) with G[k, l] = (f_k, f_l).
     """
-    F = np.zeros(vmap.n_u)
-    for tris in cache.chunks():
-        rule, (val,) = cache.scalar_tables(tris, degree, 0)
+    F = G = None
+    for tris in chunks(mesh.num_triangles):
+        rule, (val,) = scalar_tables(mesh, coeff, tris, DEGREE_LOAD, 0)
         pts = np.einsum("qs,tsx->tqx", rule.points, mesh.tri_coords[tris])
-        fv = f(pts.reshape(-1, 2)).reshape(pts.shape)
+        parts = [fv.reshape(pts.shape) for fv in load(pts.reshape(-1, 2))]
+        if F is None:
+            F = np.zeros((len(parts), vmap.n_u))
+            G = np.zeros((len(parts), len(parts)))
         w = rule.weights[None, :] * mesh.area[tris][:, None]
-        loc = np.empty((len(tris), 20))
-        for c in (0, 1):
-            loc[:, c::2] = np.einsum("tq,tq,tqi->ti", w, fv[..., c], val)
         dofs = vmap.cell_dofs[tris]
         mask = dofs >= 0
-        np.add.at(F, dofs[mask], loc[mask])
-    return F
+        for k, fv in enumerate(parts):
+            loc = np.empty((len(tris), 20))
+            for c in (0, 1):
+                loc[:, c::2] = np.einsum("tq,tq,tqi->ti", w, fv[..., c], val)
+            np.add.at(F[k], dofs[mask], loc[mask])
+            for l in range(k + 1):
+                G[k, l] += float(np.einsum("tq,tqa->", w, fv * parts[l]))
+                G[l, k] = G[k, l]
+    return F, G
 
 
-def assemble_norm_grams(mesh, cache, vmap, qmap, iota):
-    """Gram matrices of the discrete norms.
-
-    G_V represents |v|_1^2 + iota^2 |v|_{2,h}^2 over displacement DoFs,
-    G_Q represents ||q||_0^2 + iota^2 |q|_1^2 over pressure DoFs.
-    """
-    g1, g2 = assemble_norm_gram_parts(mesh, cache, vmap)
-    GV = g1 + iota ** 2 * g2
-    mp, kp = assemble_pressure_parts(mesh, qmap)
-    GQ = mp + iota ** 2 * kp
-    return GV, GQ
-
-
-def assemble_norm_gram_parts(mesh, cache, vmap):
+def assemble_norm_gram_parts(mesh, coeff, vmap):
     """Gradient and second-derivative Gram matrices of the displacement
     space (the iota-split of G_V).  The second seminorm sums one term
     per second-derivative multi-index, so the mixed derivative is
@@ -310,8 +282,9 @@ def assemble_norm_gram_parts(mesh, cache, vmap):
     n = vmap.n_u
     out1 = ([], [], [])
     out2 = ([], [], [])
-    for tris in cache.chunks():
-        rule, (_, grad, hess) = cache.scalar_tables(tris, DEGREE_STIFFNESS, 2)
+    for tris in chunks(mesh.num_triangles):
+        rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
+                                              DEGREE_STIFFNESS, 2)
         w = rule.weights[None, :] * mesh.area[tris][:, None]
         k1 = _symmetrize(np.einsum("tq,tqix,tqjx->tij", w, grad, grad,
                                    optimize=True))
@@ -339,8 +312,3 @@ def mean_constraint_vector(mesh, qmap):
     contrib = np.repeat(mesh.area[:, None] / 3.0, 3, axis=1)
     np.add.at(m, dofs[mask], contrib[mask])
     return m
-
-
-def export_matrix(M, path):
-    """Write a sparse matrix in MatrixMarket coordinate format."""
-    spio.mmwrite(str(path), M)

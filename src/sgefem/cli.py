@@ -111,29 +111,28 @@ def _merge_config(args):
             raise ConfigError("unknown config keys: %s"
                               % ", ".join(sorted(unknown)))
 
-    def pick(flag, key, convert):
+    def pick(flag, key, convert, default=None):
         if flag is not None:
             return flag
         if key in file_values:
             return convert(file_values[key])
-        return None
+        return default
 
-    example = pick(args.example, "example", str) or "example1"
+    example = pick(args.example, "example", str, "example1")
     large = args.large or file_values.get("large", "") in ("1", "true",
                                                            "yes")
-    ns = pick(args.n, "n", _ints)
-    if ns is None:
-        ns = list(DEFAULT_NS) + (list(LARGE_NS) if large else [])
+    ns = pick(args.n, "n", _ints,
+              list(DEFAULT_NS) + (list(LARGE_NS) if large else []))
     return StudyConfig(
         example=example,
-        lams=pick(args.lam, "lambda", _floats) or list(DEFAULT_LAMBDAS),
-        iotas=pick(args.iota, "iota", _floats)
-        or list(DEFAULT_IOTAS[example]),
+        lams=pick(args.lam, "lambda", _floats, list(DEFAULT_LAMBDAS)),
+        iotas=pick(args.iota, "iota", _floats,
+                   list(DEFAULT_IOTAS.get(example, ()))),
         ns=ns,
-        mu=pick(args.mu, "mu", float) or 1.0,
-        tol=pick(args.tol, "tol", float) or 1e-10,
+        mu=pick(args.mu, "mu", float, 1.0),
+        tol=pick(args.tol, "tol", float, 1e-10),
         out=pick(args.out, "out", str),
-        threads=pick(args.threads, "threads", int) or 1,
+        threads=pick(args.threads, "threads", int, 1),
         large=large)
 
 
@@ -144,51 +143,28 @@ def _limit_threads(threads):
 
 
 def _study_rows(config):
-    """Solve the grid n-major (assembly reused across lambda and iota)
-    and yield results keyed (lam, iota, n)."""
-    from .assembly import (BasisCache, ProblemParams, assemble_a_parts,
-                           assemble_b_parts, assemble_load,
-                           assemble_pressure_parts, mean_constraint_vector)
-    from .linalg import SaddleSystem, SolverBreakdown, solve_saddle
-    from .manufactured import (body_force_elasticity, body_force_sge,
-                               error_norms, field_by_name)
+    """Solve the grid n-major (one discretization per mesh, reused across
+    lambda and iota) and yield results keyed (lam, iota, n)."""
+    from . import linalg
+    from .discretization import Discretization
     from .mesh import build_uniform_unit_square
-    from .space import build_qdofmap, build_vdofmap
 
-    field = field_by_name(config.example)
     results = {}
     for n in config.ns:
-        mesh = build_uniform_unit_square(n)
-        cache = BasisCache(mesh)
-        vmap = build_vdofmap(mesh)
-        qmap = build_qdofmap(mesh)
-        a0, a2 = assemble_a_parts(mesh, cache, vmap)
-        b0, b2 = assemble_b_parts(mesh, cache, vmap, qmap)
-        mp, kp = assemble_pressure_parts(mesh, qmap)
-        m = mean_constraint_vector(mesh, qmap)
+        disc = Discretization(build_uniform_unit_square(n), config.example)
+        sizes = (disc.mesh.h, disc.vmap.n_u, disc.qmap.n_p)
         for iota in config.iotas:
-            i2 = iota ** 2
-            prm = ProblemParams(config.mu, 1.0, iota)
-            if config.example == "example1":
-                f = body_force_sge(field, prm)
-            else:
-                f = body_force_elasticity(field, prm)
-            F = assemble_load(mesh, cache, vmap, f)
-            A = 2.0 * config.mu * (a0 + i2 * a2)
-            B = b0 + i2 * b2
+            fnorm = disc.load_norm(config.mu, iota)
             for lam in config.lams:
-                system = SaddleSystem(A, B, (mp + i2 * kp) / lam, m, F)
                 try:
-                    u, p, _ = solve_saddle(system, tol=config.tol)
-                    _, _, ev, epq, fnorm = error_norms(
-                        mesh, cache, vmap, u, field, iota, f=f,
-                        p_h=p, qmap=qmap, lam=lam)
-                    results[lam, iota, n] = (mesh.h, vmap.n_u, qmap.n_p,
-                                             ev / fnorm, epq / fnorm, "ok")
-                except SolverBreakdown:
-                    results[lam, iota, n] = (mesh.h, vmap.n_u, qmap.n_p,
-                                             math.nan, math.nan,
-                                             "breakdown")
+                    u, p, _ = linalg.solve_saddle(
+                        disc.system(config.mu, lam, iota), tol=config.tol)
+                    _, _, ev, epq = disc.errors(u, p, iota, lam)
+                    results[lam, iota, n] = sizes + (ev / fnorm,
+                                                     epq / fnorm, "ok")
+                except linalg.SolverBreakdown:
+                    results[lam, iota, n] = sizes + (math.nan, math.nan,
+                                                     "breakdown")
     return results
 
 
@@ -248,40 +224,23 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
 
 def run_solve(config):
     """Single solve; writes vertex-sampled (x, y, u1, u2, p) rows."""
-    from .assembly import (BasisCache, ProblemParams, assemble_a,
-                           assemble_b, assemble_c, assemble_load,
-                           mean_constraint_vector)
-    from .linalg import SaddleSystem, SolverBreakdown, solve_saddle
-    from .manufactured import (body_force_elasticity, body_force_sge,
-                               field_by_name)
+    from . import linalg
+    from .discretization import Discretization
     from .mesh import build_uniform_unit_square
-    from .space import build_qdofmap, build_vdofmap
 
     if len(config.lams) != 1 or len(config.iotas) != 1 \
             or len(config.ns) != 1:
         raise ConfigError("solve takes single lambda, iota, and n values")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
-    field = field_by_name(config.example)
-    mesh = build_uniform_unit_square(n)
-    cache = BasisCache(mesh)
-    vmap = build_vdofmap(mesh)
-    qmap = build_qdofmap(mesh)
-    prm = ProblemParams(config.mu, lam, iota)
-    if config.example == "example1":
-        f = body_force_sge(field, prm)
-    else:
-        f = body_force_elasticity(field, prm)
-    system = SaddleSystem(assemble_a(mesh, cache, vmap, prm),
-                          assemble_b(mesh, cache, vmap, qmap, iota),
-                          assemble_c(mesh, qmap, prm),
-                          mean_constraint_vector(mesh, qmap),
-                          assemble_load(mesh, cache, vmap, f))
+    disc = Discretization(build_uniform_unit_square(n), config.example)
     try:
-        u, p, _ = solve_saddle(system, tol=config.tol)
-    except SolverBreakdown as exc:
+        u, p, _ = linalg.solve_saddle(disc.system(config.mu, lam, iota),
+                                      tol=config.tol)
+    except linalg.SolverBreakdown as exc:
         sys.stderr.write("solver breakdown: %s\n" % exc)
         return 2
 
+    mesh, vmap, qmap = disc.mesh, disc.vmap, disc.qmap
     path = config.out or "solution.csv"
     with open(path, "w") as fh:
         fh.write("x,y,u1,u2,p\n")
@@ -362,6 +321,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
+            if args.threads is not None and args.threads < 1:
+                raise ConfigError("threads must be at least 1")
             _limit_threads(args.threads or 1)
             return run_verify(args.n, args.iota, args.out, seed=args.seed,
                               flip_edge=args.debug_flip_edge)

@@ -1,0 +1,106 @@
+"""The mixed method on one mesh, built once and reused across a sweep.
+
+Every matrix of the method splits as part0 + iota^2 part2 and lambda
+enters only the pressure block, so one mesh carries everything the
+(iota, lambda) cells of a study need: the nodal coefficients, the DoF
+maps, the matrix parts, the load parts F = F0 + iota^2 F2 (for mu = 1)
+and the parts of ||f||^2.  A cell then only combines parts, solves and
+measures.  Each group is computed on first use, so a caller that needs
+only some of them (the verification checks) pays only for those.
+"""
+
+import math
+from functools import cached_property, partial
+
+from .assembly import (assemble_a_parts, assemble_b_parts, assemble_load,
+                       assemble_norm_gram_parts, assemble_pressure_parts,
+                       mean_constraint_vector)
+from .element import batched_scalar_coeff
+from .linalg import SaddleSystem
+from .manufactured import error_norms, field_by_name, load_parts
+from .space import build_qdofmap, build_vdofmap
+
+
+class Discretization:
+    """The 20-DoF displacement space and P1 pressures on ``mesh``.
+
+    ``example`` names the manufactured solution (see
+    :data:`sgefem.manufactured.FIELDS`) that drives the load and the
+    error norms; the matrices need none.
+    """
+
+    def __init__(self, mesh, example=None):
+        self.mesh = mesh
+        self.example = example
+
+    @cached_property
+    def coeff(self):
+        """Nodal coefficients (T, 10, 10) of every triangle."""
+        return batched_scalar_coeff(self.mesh)
+
+    @cached_property
+    def vmap(self):
+        return build_vdofmap(self.mesh)
+
+    @cached_property
+    def qmap(self):
+        return build_qdofmap(self.mesh)
+
+    @cached_property
+    def a_parts(self):
+        """(eps, eps) and (grad eps, grad eps)."""
+        return assemble_a_parts(self.mesh, self.coeff, self.vmap)
+
+    @cached_property
+    def b_parts(self):
+        """(div v, q) and (grad div v, grad q)."""
+        return assemble_b_parts(self.mesh, self.coeff, self.vmap, self.qmap)
+
+    @cached_property
+    def pressure_parts(self):
+        """P1 mass and stiffness matrices."""
+        return assemble_pressure_parts(self.mesh, self.qmap)
+
+    @cached_property
+    def norm_gram_parts(self):
+        """Gradient and second-derivative Gram matrices of G_V."""
+        return assemble_norm_gram_parts(self.mesh, self.coeff, self.vmap)
+
+    @cached_property
+    def mean_constraint(self):
+        return mean_constraint_vector(self.mesh, self.qmap)
+
+    @cached_property
+    def load(self):
+        """(F, G): the load vectors F0, F2 and the Gram matrix of the
+        load parts f0, f2, from one jets pass over the load points."""
+        return assemble_load(self.mesh, self.coeff, self.vmap,
+                             partial(load_parts, self.example))
+
+    def system(self, mu, lam, iota):
+        """The saddle system of one (mu, lambda, iota) cell."""
+        if lam <= 0:
+            raise ValueError("the mixed form needs lambda > 0")
+        i2 = iota ** 2
+        a0, a2 = self.a_parts
+        b0, b2 = self.b_parts
+        mp, kp = self.pressure_parts
+        (F0, F2), _ = self.load
+        return SaddleSystem(2.0 * mu * (a0 + i2 * a2), b0 + i2 * b2,
+                            (mp + i2 * kp) / lam, self.mean_constraint,
+                            mu * (F0 + i2 * F2))
+
+    def load_norm(self, mu, iota):
+        """||f||_0 of the load at (mu, iota), from the parts of ||f||^2."""
+        _, G = self.load
+        i2 = iota ** 2
+        return mu * math.sqrt(G[0, 0] + 2.0 * i2 * G[0, 1]
+                              + i2 * i2 * G[1, 1])
+
+    def errors(self, u, p, iota, lam):
+        """(|e|_1, |e|_{2,h}, ||e||_{V,h}, ||e_p||_Q) of a solution
+        against the exact field (see
+        :func:`sgefem.manufactured.error_norms`)."""
+        return error_norms(self.mesh, self.coeff, self.vmap, u,
+                           field_by_name(self.example), iota, p_h=p,
+                           qmap=self.qmap, lam=lam)

@@ -34,35 +34,16 @@ MODAL_EXPONENTS = ((2, 0, 0), (0, 2, 0), (0, 0, 2),
                    (1, 1, 1), (2, 1, 1), (1, 2, 1),
                    (2, 2, 2))
 
-NUM_SCALAR_DOFS = 10
-NUM_DOFS = 20
-
 #: quadrature degrees for the DoF functionals
 _EDGE_DOF_DEGREE = 5      # normal derivative of degree-6 functions on an edge
 _MEAN_DOF_DEGREE = 6      # element mean of degree-6 functions
 
+#: largest length-scaled condition number accepted for a DoF matrix
 _COND_LIMIT = 1e10
 
 
 class SingularElementError(ValueError):
     """DoF matrix numerically singular (degenerate triangle)."""
-
-
-def dof_descriptors():
-    """The 20 vector DoFs in local order: (kind, local entity, component).
-
-    Kinds: ``vertex_value``, ``edge_midpoint_value``,
-    ``edge_mean_normal_derivative``, ``element_mean``.  Local edge s is
-    opposite local vertex s.  Component is 0 or 1.
-    """
-    kinds = (["vertex_value"] * 3 + ["edge_midpoint_value"] * 3
-             + ["edge_mean_normal_derivative"] * 3 + ["element_mean"])
-    entities = [0, 1, 2, 0, 1, 2, 0, 1, 2, 0]
-    out = []
-    for kind, ent in zip(kinds, entities):
-        for comp in (0, 1):
-            out.append((kind, ent, comp))
-    return out
 
 
 def modal_tables(bary, order):
@@ -189,155 +170,35 @@ def batched_scalar_dof_matrices(mesh, tris=None):
     return M
 
 
-def scalar_dof_matrix(frame):
-    """10x10 scalar DoF matrix of one triangle (see module docstring)."""
-    M = _UNIVERSAL_ROWS.copy()
-    gn = frame.bary_grads @ frame.edge_normal.T       # (u, e)
-    M[6:9, :] = np.einsum("egju,ue,g->ej", _EDGE_DBARY, gn, _EDGE_W)
-    return M
+def scaled_conditions(mesh):
+    """2-norm condition numbers of the length-scaled scalar DoF matrices,
+    one per triangle, from a stacked SVD.
+
+    The normal-derivative rows are multiplied by the triangle diameter so
+    that every row is dimensionless.  A triangle whose matrix is not
+    finite (zero area, non-finite vertices) or exactly singular maps to
+    inf; nothing is raised.
+    """
+    M = batched_scalar_dof_matrices(mesh)
+    M[:, 6:9] *= mesh.h_of_triangle[:, None, None]
+    cond = np.full(mesh.num_triangles, np.inf)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    sv = np.linalg.svd(M[finite], compute_uv=False)
+    regular = sv[:, -1] > 0.0
+    cond[np.flatnonzero(finite)[regular]] = sv[regular, 0] / sv[regular, -1]
+    return cond
 
 
-def _check_conditioning(M0, h):
-    scaled = M0.copy()
-    scaled[6:9] *= h
-    sv = np.linalg.svd(scaled, compute_uv=False)
-    if sv[-1] == 0.0 or sv[0] / sv[-1] > _COND_LIMIT:
+def batched_scalar_coeff(mesh):
+    """Nodal coefficients (T, 10, 10) of every triangle: column j of
+    ``coeff[t]`` expands nodal shape function j in the modal monomials.
+
+    Raises :class:`SingularElementError` when a length-scaled DoF matrix
+    has condition number above 1e10 (see :func:`scaled_conditions`).
+    """
+    cond = scaled_conditions(mesh)
+    if not np.all(cond <= _COND_LIMIT):
         raise SingularElementError(
             "DoF matrix nearly singular (condition number %.3e)"
-            % (np.inf if sv[-1] == 0.0 else sv[0] / sv[-1]))
-
-
-def dof_matrix(frame):
-    """20x20 vector DoF matrix M_ij = DoF_i(modal_j) of one triangle.
-
-    Vector DoFs and modal functions are ordered with the component
-    fastest, so M is the scalar matrix with each entry replaced by a
-    2x2 scalar block: M = kron(M_scalar, I2).  Raises
-    :class:`SingularElementError` when the length-scaled matrix has
-    condition number above 1e10.
-    """
-    M0 = scalar_dof_matrix(frame)
-    _check_conditioning(M0, frame.h)
-    return np.kron(M0, np.eye(2))
-
-
-class LocalBasis:
-    """Nodal basis of V(K): shape function j has the j-th DoF equal to 1
-    and the rest 0.  ``coeff[:, j]`` expands shape function j in the
-    modal basis; ``scalar_coeff`` is the 10x10 scalar version."""
-
-    def __init__(self, frame, scalar_coeff):
-        self.frame = frame
-        self.scalar_coeff = scalar_coeff
-
-    @property
-    def coeff(self):
-        return np.kron(self.scalar_coeff, np.eye(2))
-
-    def bary_of(self, x):
-        """Barycentric coordinates of physical points (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        centroid = self.frame.verts.mean(axis=0)
-        return 1.0 / 3.0 + (x - centroid) @ self.frame.bary_grads.T
-
-    def eval_scalar(self, bary, order):
-        """Scalar nodal values (and derivatives) at barycentric points.
-
-        Returns val (npts, 10) for order 0, adds grad (npts, 10, 2) for
-        order 1 and hess (npts, 10, 2, 2) for order 2.  Derivatives are
-        w.r.t. physical coordinates.
-        """
-        G = self.frame.bary_grads
-        C = self.scalar_coeff
-        out = modal_tables(bary, order)
-        if order == 0:
-            return out @ C
-        if order == 1:
-            val, dbary = out
-            grad = np.einsum("qjs,sx->qjx", dbary, G)
-            return val @ C, np.einsum("qjx,ji->qix", grad, C)
-        val, dbary, d2bary = out
-        grad = np.einsum("qjs,sx->qjx", dbary, G)
-        hess = np.einsum("qjsu,sx,uy->qjxy", d2bary, G, G)
-        return (val @ C,
-                np.einsum("qjx,ji->qix", grad, C),
-                np.einsum("qjxy,ji->qixy", hess, C))
-
-
-def nodal_basis(frame):
-    """Invert the DoF matrix to obtain the nodal basis of V(K)."""
-    M0 = scalar_dof_matrix(frame)
-    _check_conditioning(M0, frame.h)
-    return LocalBasis(frame, np.linalg.inv(M0))
-
-
-def batched_scalar_coeff(mesh, tris=None):
-    """Nodal coefficients (len(tris), 10, 10) for a batch of triangles;
-    the conditioning check is skipped (meshes are validated separately)."""
-    return np.linalg.inv(batched_scalar_dof_matrices(mesh, tris))
-
-
-def eval_basis(basis, x, order):
-    """Evaluate all 20 vector shape functions at physical points.
-
-    Parameters
-    ----------
-    basis : LocalBasis
-    x : (2,) or (npts, 2) physical coordinates inside the triangle
-    order : 0, 1 or 2
-
-    Returns
-    -------
-    order 0: values (..., 20, 2)
-    order 1: (values, gradients (..., 20, 2, 2)) with grad[i, a, b]
-        = d(phi_i)_a / dx_b
-    order 2: adds hessians (..., 20, 2, 2, 2), hess[i, a, b, c]
-        = d^2 (phi_i)_a / dx_b dx_c
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    bary = basis.bary_of(x.reshape(-1, 2))
-    npts = bary.shape[0]
-
-    def vectorize(scalar_table, extra_shape):
-        # scalar shape i, component c -> vector dof 2 i + c
-        out = np.zeros((npts, 20, 2) + extra_shape)
-        for c in (0, 1):
-            out[:, c::2, c] = scalar_table
-        return out[0] if single else out
-
-    tables = basis.eval_scalar(bary, order)
-    if order == 0:
-        return vectorize(tables, ())
-    if order == 1:
-        val, grad = tables
-        return vectorize(val, ()), vectorize(grad, (2,))
-    val, grad, hess = tables
-    return (vectorize(val, ()), vectorize(grad, (2,)),
-            vectorize(hess, (2, 2)))
-
-
-def local_interpolant(frame, value_fn, grad_fn):
-    """Apply the 20 DoF functionals to a smooth vector field.
-
-    ``value_fn(x)`` maps (npts, 2) points to (npts, 2) values;
-    ``grad_fn(x)`` to (npts, 2, 2) gradients with grad[i, a, b]
-    = d u_a / dx_b.  Returns the 20 DoF values in local order.
-    """
-    dofs = np.empty(20)
-    verts = frame.verts
-    mids = frame.edge_midpoint
-    dofs[0:6:2], dofs[1:6:2] = value_fn(verts).T
-    dofs[6:12:2], dofs[7:12:2] = value_fn(mids).T
-
-    t, w = _EDGE_T, _EDGE_W
-    for s in range(3):
-        a, b = verts[(s + 1) % 3], verts[(s + 2) % 3]
-        pts = np.outer(1.0 - t, a) + np.outer(t, b)
-        dn = grad_fn(pts) @ frame.edge_normal[s]      # (g, 2)
-        dofs[12 + 2 * s:14 + 2 * s] = w @ dn
-
-    rule = rule_for_degree(_MEAN_DOF_DEGREE)
-    pts = rule.points @ verts
-    dofs[18:20] = rule.weights @ value_fn(pts)
-    return dofs
+            % cond.max())
+    return np.linalg.inv(batched_scalar_dof_matrices(mesh))

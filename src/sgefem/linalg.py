@@ -1,4 +1,4 @@
-"""Dense helpers and the saddle-point solver.
+"""The saddle-point solver and the dense generalized eigenvalue helper.
 
 The discrete problem is the symmetric indefinite block system
 
@@ -15,7 +15,7 @@ fallback when the factorization fails or loses too much accuracy.
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky, eigh, lu_factor, lu_solve
+from scipy.linalg import cholesky, eigh
 from scipy.sparse.linalg import LinearOperator, minres, splu
 
 
@@ -136,38 +136,6 @@ def solve_saddle(system, tol=1e-10):
         # project out the constraint drift (exact correction direction)
         p = p - (system.m @ p) / (system.m @ system.m) * system.m
     return u, p, xi
-
-
-def dense_solve(A, b):
-    """LU solve for small dense systems; raises on numerical singularity
-    reporting the rank."""
-    A = np.asarray(A, dtype=float)
-    if A.shape[0] > 5000:
-        raise ValueError("dense_solve is for verification-scale systems")
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= 1e-14 * sv[0]:
-        rank = int(np.sum(sv > 1e-14 * sv[0]))
-        raise np.linalg.LinAlgError("numerically singular (rank %d of %d)"
-                                    % (rank, A.shape[0]))
-    return lu_solve(lu_factor(A), b)
-
-
-def dense_svd(A):
-    """Reduced singular value decomposition, values sorted ascending.
-
-    Returns (U, s, Vt) such that A = U @ diag(s) @ Vt.
-    """
-    U, s, Vt = np.linalg.svd(np.asarray(A, dtype=float),
-                             full_matrices=False)
-    return U[:, ::-1], s[::-1], Vt[::-1]
-
-
-def dense_sym_eig(A):
-    """Eigendecomposition of a symmetric matrix, values ascending."""
-    A = np.asarray(A, dtype=float)
-    if np.max(np.abs(A - A.T)) > 1e-12 * max(np.max(np.abs(A)), 1e-300):
-        raise ValueError("matrix is not symmetric")
-    return eigh(A)
 
 
 def min_generalized_eig(K, G):

@@ -23,14 +23,11 @@ class Mesh:
     vertices : (V, 2) array
         Vertex coordinates.
     triangles : (T, 3) int array
-        Vertex indices per triangle, counterclockwise.
-    edges : (E, 2) int array, optional
-        Vertex index pairs, lower first.  Derived from the triangles
-        when omitted; when given (e.g. from a file) every triangle edge
-        must appear in the list.
+        Vertex indices per triangle, counterclockwise.  The edges (vertex
+        index pairs, lower first) are derived from the triangles.
     """
 
-    def __init__(self, vertices, triangles, edges=None):
+    def __init__(self, vertices, triangles):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.triangles = np.ascontiguousarray(triangles, dtype=np.int64)
         tri = self.triangles
@@ -38,26 +35,11 @@ class Mesh:
         # edges of each triangle; local edge s is opposite local vertex s
         pairs = np.stack([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]],
                          axis=1)                     # (T, 3, 2)
-        lo = pairs.min(axis=2)
-        hi = pairs.max(axis=2)
-        sorted_pairs = np.stack([lo, hi], axis=2).reshape(-1, 2)
-
-        if edges is None:
-            self.edges = np.unique(sorted_pairs, axis=0)
-        else:
-            self.edges = np.ascontiguousarray(edges, dtype=np.int64)
-
-        # map each triangle edge to its global index
-        order = np.lexsort((self.edges[:, 1], self.edges[:, 0]))
-        keys = self.edges[order]
-        enc_keys = keys[:, 0] * (len(self.vertices) + 1) + keys[:, 1]
-        enc = sorted_pairs[:, 0] * (len(self.vertices) + 1) + sorted_pairs[:, 1]
-        pos = np.searchsorted(enc_keys, enc)
-        pos = np.clip(pos, 0, len(enc_keys) - 1)
-        if not np.all(enc_keys[pos] == enc):
-            raise ValueError("triangle references an edge absent from the "
-                             "edge list")
-        self.edge_of_triangle = order[pos].reshape(-1, 3)
+        sorted_pairs = np.stack([pairs.min(axis=2), pairs.max(axis=2)],
+                                axis=2).reshape(-1, 2)
+        self.edges, inverse = np.unique(sorted_pairs, axis=0,
+                                        return_inverse=True)
+        self.edge_of_triangle = inverse.reshape(-1, 3)
 
         # +1 when the counterclockwise traversal of the edge inside the
         # triangle runs from the lower to the higher vertex index
@@ -73,7 +55,6 @@ class Mesh:
                 if counts[e] < 2:
                     self.triangles_of_edge[e, counts[e]] = t
                 counts[e] += 1
-        self._edge_incidence = counts
 
         self.edge_is_boundary = counts == 1
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
@@ -122,41 +103,6 @@ class Mesh:
         return len(self.triangles)
 
 
-class AffineFrame:
-    """Barycentric geometry of one triangle.
-
-    Attributes: ``verts`` (3, 2), ``area``, ``h``, ``bary_grads`` (3, 2),
-    and per local edge (opposite the like-numbered vertex) ``edge_index``,
-    ``edge_length``, ``edge_midpoint``, ``edge_normal``, ``edge_tangent``,
-    ``edge_sign`` arrays indexed 0..2.
-    """
-
-    def __init__(self, mesh, k):
-        self.index = k
-        self.verts = mesh.tri_coords[k]
-        self.area = mesh.area[k]
-        self.h = mesh.h_of_triangle[k]
-        self.bary_grads = mesh.bary_grads[k]
-        e = mesh.edge_of_triangle[k]
-        self.edge_index = e
-        self.edge_length = mesh.edge_length[e]
-        self.edge_midpoint = mesh.edge_midpoint[e]
-        self.edge_normal = mesh.edge_normal[e]
-        self.edge_tangent = mesh.edge_tangent[e]
-        self.edge_sign = mesh.edge_sign[k]
-
-    def point(self, bary):
-        """Map barycentric coordinates to physical coordinates."""
-        return np.asarray(bary) @ self.verts
-
-
-def frame(mesh, k):
-    """Affine frame of triangle ``k``."""
-    if not 0 <= k < mesh.num_triangles:
-        raise IndexError("triangle index out of range")
-    return AffineFrame(mesh, k)
-
-
 def build_uniform_unit_square(n):
     """Uniform triangulation of (0,1)^2 with n x n cells, each split by
     the diagonal from its lower-left to its upper-right corner.
@@ -183,60 +129,3 @@ def build_uniform_unit_square(n):
             tris.append((ll, lr, ur))
             tris.append((ll, ur, ul))
     return Mesh(vertices, np.array(tris, dtype=np.int64))
-
-
-def validate(mesh):
-    """Check the mesh invariants; returns a list of violation messages
-    (empty when the mesh is sound)."""
-    report = []
-    if np.any(mesh.area <= 0):
-        bad = np.nonzero(mesh.area <= 0)[0]
-        report.append("non-positive area in triangles %s" % bad.tolist())
-    if np.any(mesh.edges[:, 0] >= mesh.edges[:, 1]):
-        report.append("edge endpoints not stored lower index first")
-
-    counts = np.zeros(mesh.num_edges, dtype=int)
-    for t in range(mesh.num_triangles):
-        for s in range(3):
-            counts[mesh.edge_of_triangle[t, s]] += 1
-    if np.any(counts > 2) or np.any(counts == 0):
-        bad = np.nonzero((counts > 2) | (counts == 0))[0]
-        report.append("nonconforming edges (incidence not in {1,2}): %s"
-                      % bad.tolist())
-
-    V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
-    if V - E + T != 1:
-        report.append("Euler relation V-E+T=1 violated: %d-%d+%d=%d"
-                      % (V, E, T, V - E + T))
-
-    return report
-
-
-def write_mesh(mesh, path):
-    """Write the mesh as text: header "V E T", then vertex coordinates,
-    edge pairs and triangle triples, one entity per line, 0-based."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("%d %d %d\n" % (mesh.num_vertices, mesh.num_edges,
-                                 mesh.num_triangles))
-        for x, y in mesh.vertices:
-            fh.write("%.17g %.17g\n" % (x, y))
-        for a, b in mesh.edges:
-            fh.write("%d %d\n" % (a, b))
-        for a, b, c in mesh.triangles:
-            fh.write("%d %d %d\n" % (a, b, c))
-
-
-def read_mesh(path):
-    """Read a mesh written by :func:`write_mesh`."""
-    with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    V, E, T = (int(t) for t in tokens[:3])
-    need = 3 + 2 * V + 2 * E + 3 * T
-    if len(tokens) != need:
-        raise ValueError("mesh file has %d fields, expected %d"
-                         % (len(tokens), need))
-    vals = np.array(tokens[3:], dtype=object)
-    verts = vals[:2 * V].astype(float).reshape(V, 2)
-    edges = vals[2 * V:2 * V + 2 * E].astype(np.int64).reshape(E, 2)
-    tris = vals[2 * V + 2 * E:].astype(np.int64).reshape(T, 3)
-    return Mesh(verts, tris, edges=edges)

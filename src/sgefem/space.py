@@ -19,7 +19,6 @@ class VDofMap:
     n_u : number of free (global) displacement DoFs
     cell_dofs : (T, 20) int, global index per local DoF, -1 if eliminated
     vertex_dofs : (V, 2) int, global index of each vertex-value DoF
-    num_eliminated : number of eliminated scalar entities (both components)
     """
 
     def __init__(self, mesh):
@@ -30,9 +29,7 @@ class VDofMap:
                                np.ones(T, dtype=bool)])     # cell means
         scalar_index = np.full(free.shape, -1, dtype=np.int64)
         scalar_index[free] = np.arange(free.sum())
-        self._scalar_index = scalar_index
         self.n_u = int(2 * free.sum())
-        self.num_eliminated = int(2 * (~free).sum())
 
         tri = mesh.triangles
         etri = mesh.edge_of_triangle
@@ -55,9 +52,7 @@ class QDofMap:
     """Pressure DoF map (P1 at interior vertices).
 
     Attributes: ``n_p``, ``vertex_index`` (V,) with -1 at boundary
-    vertices, ``cell_dofs`` (T, 3) per local vertex, and
-    ``needs_mean_constraint`` (always True: the zero-mean condition is
-    enforced by a Lagrange multiplier).
+    vertices, and ``cell_dofs`` (T, 3) per local vertex.
     """
 
     def __init__(self, mesh):
@@ -70,7 +65,6 @@ class QDofMap:
         self.n_p = int(interior.sum())
         self.vertex_index = idx
         self.cell_dofs = idx[mesh.triangles]
-        self.needs_mean_constraint = True
 
 
 def build_vdofmap(mesh):

@@ -14,13 +14,12 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, null_space
 
-from .assembly import (BasisCache, assemble_b_parts, assemble_norm_gram_parts,
-                       assemble_pressure_parts, mean_constraint_vector)
-from .element import SingularElementError, modal_tables, scalar_dof_matrix
+from .discretization import Discretization
+from .element import (batched_scalar_dof_matrices, modal_tables,
+                      scaled_conditions)
 from .linalg import min_generalized_eig
-from .mesh import Mesh, build_uniform_unit_square, frame
+from .mesh import Mesh, build_uniform_unit_square
 from .quadrature import edge_rule
-from .space import build_qdofmap, build_vdofmap
 
 #: regression bound on the length-scaled DoF-matrix condition number of
 #: shape-regular triangles (aspect <= 5); the reference triangle sits
@@ -91,25 +90,19 @@ class VerificationReport:
                             "true" if e.passed else "false"))
 
 
-def scaled_condition(verts):
-    """Condition number of the length-scaled DoF matrix; inf when the
-    triangle is degenerate or the matrix is numerically singular."""
-    verts = np.asarray(verts, dtype=float)
-    d1 = verts[1] - verts[0]
-    d2 = verts[2] - verts[0]
-    area2 = d1[0] * d2[1] - d1[1] * d2[0]
-    if not np.all(np.isfinite(verts)) or area2 == 0.0:
-        return np.inf
-    if area2 < 0.0:
-        verts = verts[[0, 2, 1]]
-    try:
-        fr = frame(Mesh(verts, np.array([[0, 1, 2]])), 0)
-        M0 = scalar_dof_matrix(fr)
-    except SingularElementError:
-        return np.inf
-    M0[6:9] *= fr.h
-    sv = np.linalg.svd(M0, compute_uv=False)
-    return np.inf if sv[-1] == 0.0 else float(sv[0] / sv[-1])
+_REFERENCE_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
+
+
+def _triangle_set_mesh(triangles):
+    """One mesh holding every triangle of a (k, 3, 2) vertex array as its
+    own component, each oriented counterclockwise."""
+    verts = np.array(triangles, dtype=float)
+    d1 = verts[:, 1] - verts[:, 0]
+    d2 = verts[:, 2] - verts[:, 0]
+    clockwise = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0.0
+    verts[clockwise] = verts[clockwise][:, [0, 2, 1]]
+    return Mesh(verts.reshape(-1, 2),
+                np.arange(3 * len(verts)).reshape(-1, 3))
 
 
 def random_shape_regular_triangles(count, seed=0, aspect_limit=5.0):
@@ -140,10 +133,14 @@ def check_unisolvence(triangles=None, count=100, seed=0):
     """
     if triangles is None:
         triangles = random_shape_regular_triangles(count, seed)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # degenerate triangles give non-finite geometry, reported as inf
+        conds = scaled_conditions(_triangle_set_mesh(
+            np.concatenate([[_REFERENCE_TRIANGLE],
+                            np.reshape(triangles, (-1, 3, 2))])))
+    ref, conds = conds[0], conds[1:]
     report = VerificationReport()
-    ref = scaled_condition([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
     report.add("unisolvence_reference_cond", ref, UNISOLVENCE_COND_BOUND)
-    conds = np.array([scaled_condition(v) for v in triangles])
     singular = int(np.sum(~np.isfinite(conds)))
     report.add("unisolvence_singular_count", singular, 0.5)
     finite = conds[np.isfinite(conds)]
@@ -162,13 +159,12 @@ def check_weak_continuity(mesh, flip_edge=None, label=""):
     adjacent to that edge before inverting; it exists to demonstrate
     that the check catches orientation-sign bugs.
     """
-    cache = BasisCache(mesh)
-    coeff = cache.coeff
+    coeff = Discretization(mesh).coeff
     if flip_edge is not None:
         coeff = coeff.copy()
         k = int(mesh.triangles_of_edge[flip_edge, 0])
         s = int(np.where(mesh.edge_of_triangle[k] == flip_edge)[0][0])
-        M0 = scalar_dof_matrix(frame(mesh, k))
+        M0 = batched_scalar_dof_matrices(mesh, [k])[0]
         M0[6 + s] *= -1.0
         coeff[k] = np.linalg.inv(M0)
 
@@ -206,17 +202,12 @@ def check_weak_continuity(mesh, flip_edge=None, label=""):
 
 
 def _infsup_parts(mesh):
-    cache = BasisCache(mesh)
-    vmap = build_vdofmap(mesh)
-    qmap = build_qdofmap(mesh)
-    if qmap.n_p < 2:
+    disc = Discretization(mesh)
+    if disc.qmap.n_p < 2:
         raise ValueError("inf-sup estimation needs at least two pressure "
                          "unknowns (n >= 3)")
-    b0, b2 = assemble_b_parts(mesh, cache, vmap, qmap)
-    g1, g2 = assemble_norm_gram_parts(mesh, cache, vmap)
-    mp, kp = assemble_pressure_parts(mesh, qmap)
-    Z = null_space(mean_constraint_vector(mesh, qmap)[None, :])
-    return (b0, b2), (g1, g2), (mp, kp), Z
+    Z = null_space(disc.mean_constraint[None, :])
+    return disc.b_parts, disc.norm_gram_parts, disc.pressure_parts, Z
 
 
 def _infsup_from_parts(parts, iota):

@@ -1,14 +1,21 @@
 """Independent reference computations used as test oracles.
 
-Everything here deliberately avoids the code paths of the package under
-test: exact barycentric moments come from the factorial formula, and the
-reference quadrature is a conical-product Gauss-Jacobi rule built from
-scipy's Jacobi nodes instead of the symmetric triangle tables.
+The quadrature and calculus oracles deliberately avoid the code paths of
+the package under test: exact barycentric moments come from the
+factorial formula, and the reference quadrature is a conical-product
+Gauss-Jacobi rule built from scipy's Jacobi nodes instead of the
+symmetric triangle tables.  The per-point basis evaluator and the local
+interpolant take only the nodal coefficients from the package; they
+evaluate one triangle at arbitrary physical points and apply the DoF
+functionals by their own quadrature, where the package works on batches
+at fixed quadrature points.
 """
 
 import numpy as np
 from math import factorial
 from scipy.special import roots_jacobi, roots_legendre
+
+from sgefem.element import batched_scalar_coeff, modal_tables
 
 
 def bary_moment(a, b, c):
@@ -74,3 +81,67 @@ def fd_derivative(f, x, y, ix, iy, h=1e-2, levels=4):
         table = [(fac * table[i + 1] - table[i]) / (fac - 1.0)
                  for i in range(len(table) - 1)]
     return table[0]
+
+
+def eval_basis(mesh, k, x, order):
+    """Evaluate the 20 vector shape functions of triangle ``k`` at
+    physical points x (2,) or (npts, 2).
+
+    order 0: values (..., 20, 2); order 1 adds gradients (..., 20, 2, 2)
+    with grad[i, a, b] = d(phi_i)_a / dx_b; order 2 adds Hessians
+    (..., 20, 2, 2, 2) with hess[i, a, b, c] = d^2 (phi_i)_a / dx_b dx_c.
+    """
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    G = mesh.bary_grads[k]
+    C = batched_scalar_coeff(mesh)[k]
+    centroid = mesh.tri_coords[k].mean(axis=0)
+    bary = 1.0 / 3.0 + (x.reshape(-1, 2) - centroid) @ G.T
+    tables = modal_tables(bary, order)
+    if order == 0:
+        tables = (tables,)
+    scalar = [tables[0] @ C]
+    if order >= 1:
+        grad = np.einsum("qjs,sx->qjx", tables[1], G)
+        scalar.append(np.einsum("qjx,ji->qix", grad, C))
+    if order == 2:
+        hess = np.einsum("qjsu,sx,uy->qjxy", tables[2], G, G)
+        scalar.append(np.einsum("qjxy,ji->qixy", hess, C))
+
+    out = []
+    for table in scalar:
+        # scalar shape i, component c -> vector dof 2 i + c
+        vec = np.zeros((len(bary), 20, 2) + table.shape[2:])
+        for c in (0, 1):
+            vec[:, c::2, c] = table
+        out.append(vec[0] if single else vec)
+    return out[0] if order == 0 else tuple(out)
+
+
+def local_interpolant(mesh, k, value_fn, grad_fn):
+    """Apply the 20 DoF functionals of triangle ``k`` to a smooth vector
+    field, with Gauss-Legendre edge means and the conical-product rule
+    for the element mean.
+
+    ``value_fn(x)`` maps (npts, 2) points to (npts, 2) values;
+    ``grad_fn(x)`` to (npts, 2, 2) gradients with grad[i, a, b]
+    = d u_a / dx_b.  Returns the 20 DoF values in local order.
+    """
+    verts = mesh.tri_coords[k]
+    dofs = np.empty(20)
+    dofs[0:6:2], dofs[1:6:2] = value_fn(verts).T
+    mids = 0.5 * (verts[[1, 2, 0]] + verts[[2, 0, 1]])
+    dofs[6:12:2], dofs[7:12:2] = value_fn(mids).T
+
+    t, w = roots_legendre(4)
+    t, w = (t + 1.0) / 2.0, w / 2.0
+    normals = mesh.edge_normal[mesh.edge_of_triangle[k]]
+    for s in range(3):
+        a, b = verts[(s + 1) % 3], verts[(s + 2) % 3]
+        pts = np.outer(1.0 - t, a) + np.outer(t, b)
+        dn = grad_fn(pts) @ normals[s]                # (g, 2)
+        dofs[12 + 2 * s:14 + 2 * s] = w @ dn
+
+    pts, wts = conical_rule(5)                        # exact to degree 9
+    dofs[18:20] = wts @ value_fn(pts @ verts)
+    return dofs

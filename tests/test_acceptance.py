@@ -225,30 +225,13 @@ def _check_force_vs_fd():
 
 def _check_saddle_and_energy():
     """Tiny solve against a dense oracle plus the energy identity."""
-    from sgefem.assembly import (BasisCache, assemble_a_parts,
-                                 assemble_b_parts, assemble_load,
-                                 assemble_pressure_parts,
-                                 mean_constraint_vector)
-    from sgefem.linalg import SaddleSystem, solve_saddle
+    from sgefem.discretization import Discretization
+    from sgefem.linalg import solve_saddle
     from sgefem.mesh import build_uniform_unit_square
-    from sgefem.space import build_qdofmap, build_vdofmap
 
     mu, lam, iota = 1.0, 1e4, 1e-2
-    mesh = build_uniform_unit_square(2)
-    cache = BasisCache(mesh)
-    vmap = build_vdofmap(mesh)
-    qmap = build_qdofmap(mesh)
-    a0, a2 = assemble_a_parts(mesh, cache, vmap)
-    b0, b2 = assemble_b_parts(mesh, cache, vmap, qmap)
-    mp, kp = assemble_pressure_parts(mesh, qmap)
-    m = mean_constraint_vector(mesh, qmap)
-    i2 = iota ** 2
-    f = body_force_elasticity(FIELDS["example2"],
-                              ProblemParams(mu, lam, iota))
-    F = assemble_load(mesh, cache, vmap, f)
-    A = 2.0 * mu * (a0 + i2 * a2)
-    C = (mp + i2 * kp) / lam
-    system = SaddleSystem(A, b0 + i2 * b2, C, m, F)
+    system = Discretization(build_uniform_unit_square(2),
+                            "example2").system(mu, lam, iota)
     u, p, xi = solve_saddle(system)
 
     S = system.block_matrix().toarray()
@@ -257,8 +240,8 @@ def _check_saddle_and_energy():
     oracle_rel = (np.linalg.norm(got - dense)
                   / np.linalg.norm(dense))
 
-    work = float(F @ u)
-    energy = float(u @ (A @ u) + p @ (C @ p))
+    work = float(system.rhs_u @ u)
+    energy = float(u @ (system.A @ u) + p @ (system.C @ p))
     energy_rel = abs(energy - work) / abs(work)
     return oracle_rel, energy_rel
 

@@ -2,32 +2,26 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from sgefem.assembly import (BasisCache, ProblemParams, assemble_a,
-                             assemble_a_parts, assemble_b, assemble_b_parts,
-                             assemble_c, assemble_load, assemble_norm_grams,
-                             assemble_pressure_parts, export_matrix,
-                             kernel_a_parts, kernel_b_parts,
-                             mean_constraint_vector)
-from sgefem.element import eval_basis, nodal_basis
-from sgefem.mesh import build_uniform_unit_square, frame
-from sgefem.space import build_qdofmap, build_vdofmap
-from oracles import conical_rule
+from sgefem.assembly import (ProblemParams, assemble_load,
+                             assemble_pressure_parts, kernel_a_parts,
+                             kernel_b_parts, mean_constraint_vector)
+from sgefem.discretization import Discretization
+from sgefem.mesh import build_uniform_unit_square
+from oracles import conical_rule, eval_basis
 
 
 def setup(n):
-    mesh = build_uniform_unit_square(n)
-    return (mesh, BasisCache(mesh), build_vdofmap(mesh),
-            build_qdofmap(mesh))
+    """Discretization of the n x n mesh with the example2 load (the
+    matrices do not depend on it)."""
+    return Discretization(build_uniform_unit_square(n), "example2")
 
 
 def oracle_kernel_a(mesh, k, mu, iota, p=7):
     """Naive per-point kernel via eval_basis and a Gauss-Jacobi rule
     (exact to degree 2p-1 = 13)."""
-    fr = frame(mesh, k)
-    basis = nodal_basis(fr)
     pts, wts = conical_rule(p)
-    xy = pts @ fr.verts
-    _, grad, hess = eval_basis(basis, xy, 2)
+    xy = pts @ mesh.tri_coords[k]
+    _, grad, hess = eval_basis(mesh, k, xy, 2)
     K = np.zeros((20, 20))
     for q in range(len(wts)):
         eps = 0.5 * (grad[q] + grad[q].swapaxes(1, 2))
@@ -40,134 +34,133 @@ def oracle_kernel_a(mesh, k, mu, iota, p=7):
                                               + hess[q][:, b, z, a])
         term = (np.einsum("iab,jab->ij", eps, eps)
                 + iota ** 2 * np.einsum("izab,jzab->ij", deps, deps))
-        K += 2.0 * mu * wts[q] * fr.area * term
+        K += 2.0 * mu * wts[q] * mesh.area[k] * term
     return K
 
 
 def oracle_kernel_b(mesh, k, iota, p=7):
-    fr = frame(mesh, k)
-    basis = nodal_basis(fr)
     pts, wts = conical_rule(p)
-    xy = pts @ fr.verts
-    _, grad, hess = eval_basis(basis, xy, 2)
+    xy = pts @ mesh.tri_coords[k]
+    _, grad, hess = eval_basis(mesh, k, xy, 2)
     K = np.zeros((3, 20))
     for q in range(len(wts)):
         div = grad[q, :, 0, 0] + grad[q, :, 1, 1]
         gdiv = hess[q, :, 0, 0, :] + hess[q, :, 1, 1, :]
         for l in range(3):
-            K[l] += wts[q] * fr.area * (div * pts[q, l]
-                                        + iota ** 2 * gdiv @ fr.bary_grads[l])
+            K[l] += wts[q] * mesh.area[k] * (
+                div * pts[q, l] + iota ** 2 * gdiv @ mesh.bary_grads[k, l])
     return K
 
 
 def test_kernel_a_matches_oracle():
-    mesh, cache, vmap, qmap = setup(2)
+    d = setup(2)
     mu, iota = 1.0, 0.3
-    k0, k2 = kernel_a_parts(mesh, cache, np.array([3]))
+    k0, k2 = kernel_a_parts(d.mesh, d.coeff, np.array([3]))
     production = 2.0 * mu * (k0[0] + iota ** 2 * k2[0])
-    oracle = oracle_kernel_a(mesh, 3, mu, iota)
+    oracle = oracle_kernel_a(d.mesh, 3, mu, iota)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(production - oracle)) / scale < 1e-12
 
 
 def test_kernel_a_elasticity_limit():
     # iota = 0 drops the strain-gradient term entirely
-    mesh, cache, vmap, qmap = setup(2)
-    k0, _ = kernel_a_parts(mesh, cache, np.array([5]))
-    oracle = oracle_kernel_a(mesh, 5, 0.5, 0.0)
+    d = setup(2)
+    k0, _ = kernel_a_parts(d.mesh, d.coeff, np.array([5]))
+    oracle = oracle_kernel_a(d.mesh, 5, 0.5, 0.0)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(2.0 * 0.5 * k0[0] - oracle)) / scale < 1e-12
 
 
 def test_kernel_b_matches_oracle():
-    mesh, cache, vmap, qmap = setup(2)
+    d = setup(2)
     iota = 0.15
-    k0, k2 = kernel_b_parts(mesh, cache, np.array([4]))
+    k0, k2 = kernel_b_parts(d.mesh, d.coeff, np.array([4]))
     production = k0[0] + iota ** 2 * k2[0]
-    oracle = oracle_kernel_b(mesh, 4, iota)
+    oracle = oracle_kernel_b(d.mesh, 4, iota)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(production - oracle)) / scale < 1e-12
 
 
 def test_a_symmetric_and_positive():
-    mesh, cache, vmap, qmap = setup(3)
-    A = assemble_a(mesh, cache, vmap, ProblemParams(mu=1.0, lam=1.0,
-                                                    iota=0.1))
+    d = setup(3)
+    A = d.system(1.0, 1.0, 0.1).A
     diff = (A - A.T).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
     rng = np.random.default_rng(3)
     for _ in range(20):
-        x = rng.standard_normal(vmap.n_u)
+        x = rng.standard_normal(d.vmap.n_u)
         assert x @ (A @ x) > 0
 
 
 def test_a_iota_linearity():
-    mesh, cache, vmap, qmap = setup(2)
-    params = lambda i: ProblemParams(mu=1.0, lam=1.0, iota=i)
-    A0 = assemble_a(mesh, cache, vmap, params(0.0)).toarray()
-    A1 = assemble_a(mesh, cache, vmap, params(1.0)).toarray()
-    Ai = assemble_a(mesh, cache, vmap, params(0.37)).toarray()
+    d = setup(2)
+    A0 = d.system(1.0, 1.0, 0.0).A.toarray()
+    A1 = d.system(1.0, 1.0, 1.0).A.toarray()
+    Ai = d.system(1.0, 1.0, 0.37).A.toarray()
     recon = (1 - 0.37 ** 2) * A0 + 0.37 ** 2 * A1
     assert np.max(np.abs(Ai - recon)) < 1e-14 * np.max(np.abs(A1))
 
 
 def test_b_iota_split_is_exact():
-    mesh, cache, vmap, qmap = setup(2)
-    b0 = assemble_b(mesh, cache, vmap, qmap, 0.0).toarray()
-    bi = assemble_b(mesh, cache, vmap, qmap, 0.2).toarray()
-    p0, p2 = assemble_b_parts(mesh, cache, vmap, qmap)
+    d = setup(2)
+    b0 = d.system(1.0, 1.0, 0.0).B.toarray()
+    bi = d.system(1.0, 1.0, 0.2).B.toarray()
+    p0, p2 = d.b_parts
     assert np.max(np.abs(b0 - p0.toarray())) == 0.0
     recon = p0.toarray() + 0.04 * p2.toarray()
     assert np.max(np.abs(bi - recon)) < 1e-15 * np.max(np.abs(bi))
 
 
 def test_b_full_row_rank():
-    mesh, cache, vmap, qmap = setup(4)
-    B = assemble_b(mesh, cache, vmap, qmap, 0.01).toarray()
+    B = setup(4).system(1.0, 1.0, 0.01).B.toarray()
     sv = np.linalg.svd(B, compute_uv=False)
     assert sv[-1] > 1e-10
 
 
 def test_c_scaling_and_spd():
-    mesh, cache, vmap, qmap = setup(3)
-    C1 = assemble_c(mesh, qmap, ProblemParams(mu=1, lam=2.0, iota=0.1))
-    C2 = assemble_c(mesh, qmap, ProblemParams(mu=1, lam=4.0, iota=0.1))
+    d = setup(3)
+    C1 = d.system(1.0, 2.0, 0.1).C
+    C2 = d.system(1.0, 4.0, 0.1).C
     assert np.max(np.abs((C1 - 2.0 * C2).toarray())) < 1e-18
     rng = np.random.default_rng(11)
-    x = rng.standard_normal(qmap.n_p)
+    x = rng.standard_normal(d.qmap.n_p)
     assert x @ (C1 @ x) > 0
     diff = (C1 - C1.T).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
 
 
 def test_c_rejects_nonpositive_lambda():
-    mesh, cache, vmap, qmap = setup(2)
     with pytest.raises(ValueError):
-        assemble_c(mesh, qmap, ProblemParams(mu=1.0, lam=0.0, iota=0.1))
+        setup(2).system(1.0, 0.0, 0.1)
 
 
 def test_pressure_mass_against_closed_form():
     # P1 mass kernel is |K|/12 * (2 on the diagonal, 1 off); n=2 has a
     # single interior vertex supported on 6 triangles of area 1/8
-    mesh, cache, vmap, qmap = setup(2)
-    mp, kp = assemble_pressure_parts(mesh, qmap)
+    d = setup(2)
+    mp, kp = assemble_pressure_parts(d.mesh, d.qmap)
     assert mp.shape == (1, 1)
     assert abs(mp[0, 0] - 6 * 2 * (1.0 / 8.0) / 12.0) < 1e-15
-    m = mean_constraint_vector(mesh, qmap)
+    m = mean_constraint_vector(d.mesh, d.qmap)
     assert abs(m[0] - 6 * (1.0 / 8.0) / 3.0) < 1e-15
 
 
+def load_vector(d, f):
+    """Load vector of a single-part load ``f``."""
+    F, _ = assemble_load(d.mesh, d.coeff, d.vmap, lambda x: (f(x),))
+    return F[0]
+
+
 def test_load_zero():
-    mesh, cache, vmap, qmap = setup(2)
-    F = assemble_load(mesh, cache, vmap,
-                      lambda x: np.zeros((len(x), 2)))
+    d = setup(2)
+    F = load_vector(d, lambda x: np.zeros((len(x), 2)))
     assert np.all(F == 0.0)
 
 
 def test_load_constant_hits_element_means():
-    mesh, cache, vmap, qmap = setup(2)
-    F = assemble_load(mesh, cache, vmap,
-                      lambda x: np.tile([1.0, 0.0], (len(x), 1)))
+    d = setup(2)
+    mesh, vmap = d.mesh, d.vmap
+    F = load_vector(d, lambda x: np.tile([1.0, 0.0], (len(x), 1)))
     expect = np.zeros(vmap.n_u)
     for t in range(mesh.num_triangles):
         expect[vmap.cell_dofs[t, 18]] = mesh.area[t]
@@ -176,72 +169,65 @@ def test_load_constant_hits_element_means():
 
 def test_load_polynomial_matches_high_degree_oracle():
     # degree-5 polynomial force times degree-6 shapes: degree-11 integrand
-    mesh, cache, vmap, qmap = setup(2)
+    d = setup(2)
+    mesh, vmap = d.mesh, d.vmap
 
     def f(x):
         x1, x2 = x[:, 0], x[:, 1]
         return np.stack([x1 ** 2 * x2 ** 3, x1 ** 5 - x2 ** 4], axis=1)
 
-    F = assemble_load(mesh, cache, vmap, f)
+    F = load_vector(d, f)
 
     pts, wts = conical_rule(7)          # exact to degree 13
     expect = np.zeros(vmap.n_u)
     for t in range(mesh.num_triangles):
-        fr = frame(mesh, t)
-        basis = nodal_basis(fr)
-        xy = pts @ fr.verts
-        vals = eval_basis(basis, xy, 0)          # (q, 20, 2)
+        xy = pts @ mesh.tri_coords[t]
+        vals = eval_basis(mesh, t, xy, 0)        # (q, 20, 2)
         fv = f(xy)
-        loc = fr.area * np.einsum("q,qic,qc->i", wts, vals, fv)
+        loc = mesh.area[t] * np.einsum("q,qic,qc->i", wts, vals, fv)
         dofs = vmap.cell_dofs[t]
         mask = dofs >= 0
         expect[dofs[mask]] += loc[mask]
     assert np.max(np.abs(F - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
+def norm_grams(d, iota):
+    """G_V and G_Q at iota from the parts."""
+    (g1, g2), (mp, kp) = d.norm_gram_parts, d.pressure_parts
+    return g1 + iota ** 2 * g2, mp + iota ** 2 * kp
+
+
 def test_norm_grams_shapes_and_gq_matches_lambda_c():
-    mesh, cache, vmap, qmap = setup(3)
+    d = setup(3)
     iota = 0.05
-    GV, GQ = assemble_norm_grams(mesh, cache, vmap, qmap, iota)
+    GV, GQ = norm_grams(d, iota)
     lam = 7.0
-    C = assemble_c(mesh, qmap, ProblemParams(mu=1, lam=lam, iota=iota))
+    C = d.system(1.0, lam, iota).C
     assert np.max(np.abs((GQ - lam * C).toarray())) \
         < 1e-14 * np.max(np.abs(GQ.toarray()))
     rng = np.random.default_rng(5)
-    x = rng.standard_normal(vmap.n_u)
-    g1 = assemble_norm_grams(mesh, cache, vmap, qmap, 0.0)[0]
+    x = rng.standard_normal(d.vmap.n_u)
+    g1 = norm_grams(d, 0.0)[0]
     assert x @ (GV @ x) >= x @ (g1 @ x) - 1e-12
 
 
 def test_coercivity_constant_against_korn_bound():
     # min eigenvalue of A x = theta (2 mu G_V) x stays above 1 - 1/sqrt(2)
-    mesh, cache, vmap, qmap = setup(4)
+    d = setup(4)
+    mu = 1.0
     for iota in (1.0, 1e-2):
-        params = ProblemParams(mu=1.0, lam=1.0, iota=iota)
-        A = assemble_a(mesh, cache, vmap, params).toarray()
-        GV = assemble_norm_grams(mesh, cache, vmap, qmap, iota)[0].toarray()
-        theta = eigh(A, 2.0 * params.mu * GV, eigvals_only=True)[0]
+        A = d.system(mu, 1.0, iota).A.toarray()
+        GV = norm_grams(d, iota)[0].toarray()
+        theta = eigh(A, 2.0 * mu * GV, eigvals_only=True)[0]
         assert theta >= 1.0 - 1.0 / np.sqrt(2.0) - 1e-9
 
 
 def test_block_system_symmetric_bit_for_bit():
-    mesh, cache, vmap, qmap = setup(3)
-    params = ProblemParams(mu=1.0, lam=100.0, iota=0.1)
-    A = assemble_a(mesh, cache, vmap, params)
-    C = assemble_c(mesh, qmap, params)
+    system = setup(3).system(1.0, 100.0, 0.1)
+    A, C = system.A, system.C
     for M in (A, C):
         diff = (M - M.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
-
-
-def test_export_matrix_roundtrip(tmp_path):
-    from scipy import io as spio
-    mesh, cache, vmap, qmap = setup(2)
-    C = assemble_c(mesh, qmap, ProblemParams(mu=1, lam=1.0, iota=0.2))
-    path = tmp_path / "c.mtx"
-    export_matrix(C, path)
-    back = spio.mmread(path).tocsr()
-    assert np.max(np.abs((C - back).toarray())) < 1e-15
 
 
 def test_params_validation():

@@ -100,10 +100,28 @@ def test_bad_flag_exits_3(capsys):
     assert exc.value.code == 3
 
 
-def test_bad_config_value_returns_3(tmp_path, capsys):
-    out = str(tmp_path / "t.csv")
-    assert run(["convergence", "--n", "1", "--out", out]) == 3
-    assert "at least 2" in capsys.readouterr().err
+@pytest.mark.parametrize("args, config_text, message", [
+    (["convergence", "--n", "1"], None, "at least 2"),
+    (["convergence", "--mu", "0"], None, "mu must be positive"),
+    (["convergence", "--tol", "0"], None, "tol must lie"),
+    (["convergence", "--threads", "0"], None, "threads must be at least 1"),
+    (["verify", "--n", "2", "--threads", "0"], None,
+     "threads must be at least 1"),
+    (["convergence", "--lambda", ""], None, "nonempty"),
+    (["convergence", "--iota", ""], None, "nonempty"),
+    (["convergence"], "mu = 0\n", "mu must be positive"),
+], ids=["n", "mu", "tol", "threads", "verify-threads", "lambda-empty",
+        "iota-empty", "config-mu"])
+def test_bad_config_value_returns_3(tmp_path, capsys, args, config_text,
+                                    message):
+    # an explicit value is validated, never replaced by the default
+    argv = args + ["--out", str(tmp_path / "t.csv")]
+    if config_text is not None:
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(config_text)
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 3
+    assert message in capsys.readouterr().err
 
 
 def test_convergence_table_shape_and_determinism(tmp_path):

@@ -2,23 +2,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgefem.mesh import Mesh, build_uniform_unit_square, frame
-from sgefem.element import (MODAL_EXPONENTS, SingularElementError,
-                            batched_scalar_coeff, batched_scalar_dof_matrices,
-                            dof_descriptors, dof_matrix, eval_basis,
-                            local_interpolant, modal_tables, nodal_basis,
-                            scalar_dof_matrix)
+from sgefem.mesh import Mesh, build_uniform_unit_square
+from sgefem.element import (SingularElementError, batched_scalar_coeff,
+                            batched_scalar_dof_matrices, modal_tables,
+                            scaled_conditions)
+from oracles import eval_basis, local_interpolant
 
 
-def reference_frame():
-    m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-             np.array([[0, 1, 2]]))
-    return frame(m, 0)
+def triangle_mesh(verts):
+    return Mesh(np.asarray(verts, dtype=float), np.array([[0, 1, 2]]))
 
 
-def triangle_frame(verts):
-    m = Mesh(np.asarray(verts, dtype=float), np.array([[0, 1, 2]]))
-    return frame(m, 0)
+def reference_mesh():
+    return triangle_mesh([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 
 
 def bary_setup(verts):
@@ -34,41 +30,26 @@ def bary_setup(verts):
 
 
 def test_dof_matrix_invertible_on_reference():
-    M = dof_matrix(reference_frame())
-    assert M.shape == (20, 20)
+    M = batched_scalar_dof_matrices(reference_mesh())[0]
+    assert M.shape == (10, 10)
     assert abs(np.linalg.det(M)) > 0
 
 
-def test_dof_matrix_component_block_structure():
-    M = dof_matrix(reference_frame())
-    desc = dof_descriptors()
-    for i, (_, _, comp_i) in enumerate(desc):
-        for j in range(20):
-            comp_j = j % 2
-            if comp_i != comp_j:
-                assert M[i, j] == 0.0
-
-
 def test_condition_number_regression():
-    # dense SVD on the length-scaled matrix; frozen baseline
-    fr = reference_frame()
-    M0 = scalar_dof_matrix(fr)
-    M0[6:9] *= fr.h
-    sv = np.linalg.svd(M0, compute_uv=False)
-    cond = sv[0] / sv[-1]
+    # SVD of the length-scaled matrix; frozen baseline
+    cond = scaled_conditions(reference_mesh())[0]
     assert cond == pytest.approx(7232.2082, rel=1e-4)
 
 
 def test_duality_through_interpolation():
     # apply the DoF functionals (via local_interpolant, which goes through
     # physical-space quadrature) to each nodal shape function
-    fr = reference_frame()
-    basis = nodal_basis(fr)
+    m = reference_mesh()
     worst = 0.0
     for j in range(20):
-        vals = lambda x: eval_basis(basis, x, 0)[:, j, :]
-        grads = lambda x: eval_basis(basis, x, 1)[1][:, j, :, :]
-        d = local_interpolant(fr, vals, grads)
+        vals = lambda x: eval_basis(m, 0, x, 0)[:, j, :]
+        grads = lambda x: eval_basis(m, 0, x, 1)[1][:, j, :, :]
+        d = local_interpolant(m, 0, vals, grads)
         target = np.zeros(20)
         target[j] = 1.0
         worst = max(worst, np.max(np.abs(d - target)))
@@ -76,19 +57,18 @@ def test_duality_through_interpolation():
 
 
 def test_constant_field_reproduction():
-    fr = triangle_frame([[0.1, 0.2], [0.9, 0.3], [0.4, 1.1]])
-    basis = nodal_basis(fr)
+    m = triangle_mesh([[0.1, 0.2], [0.9, 0.3], [0.4, 1.1]])
     const = np.array([2.5, -1.25])
-    d = local_interpolant(fr, lambda x: np.tile(const, (len(x), 1)),
+    d = local_interpolant(m, 0, lambda x: np.tile(const, (len(x), 1)),
                           lambda x: np.zeros((len(x), 2, 2)))
     pts = np.array([[0.5, 0.5], [0.4, 0.6], [0.45, 0.55]])
-    rec = np.einsum("qjc,j->qc", eval_basis(basis, pts, 0), d)
+    rec = np.einsum("qjc,j->qc", eval_basis(m, 0, pts, 0), d)
     assert np.max(np.abs(rec - const)) < 1e-12
 
 
 def test_p2_field_reproduction():
-    fr = triangle_frame([[0.0, 0.0], [2.0, 0.2], [0.5, 1.5]])
-    basis = nodal_basis(fr)
+    m = triangle_mesh([[0.0, 0.0], [2.0, 0.2], [0.5, 1.5]])
+    verts = m.tri_coords[0]
 
     def v(x):
         x1, x2 = x[:, 0], x[:, 1]
@@ -104,17 +84,16 @@ def test_p2_field_reproduction():
         g[:, 1, 1] = 3.0
         return g
 
-    d = local_interpolant(fr, v, gv)
-    pts = fr.verts.mean(axis=0) + 0.3 * (fr.verts - fr.verts.mean(axis=0))
-    rec = np.einsum("qjc,j->qc", eval_basis(basis, pts, 0), d)
+    d = local_interpolant(m, 0, v, gv)
+    pts = verts.mean(axis=0) + 0.3 * (verts - verts.mean(axis=0))
+    rec = np.einsum("qjc,j->qc", eval_basis(m, 0, pts, 0), d)
     assert np.max(np.abs(rec - v(pts))) < 1e-10
 
 
 def test_bubble_field_reproduction():
     # b_K (alpha + beta l1) e1 + gamma b_K^2 e2, gradients derived by hand
     verts = np.array([[0.2, 0.1], [1.1, 0.4], [0.3, 0.9]])
-    fr = triangle_frame(verts)
-    basis = nodal_basis(fr)
+    m = triangle_mesh(verts)
     bary, grads = bary_setup(verts)
     alpha, beta, gamma = 0.7, -1.3, 2.1
 
@@ -138,40 +117,38 @@ def test_bubble_field_reproduction():
         g[:, 1, :] = 2.0 * b[:, None] * gb * gamma
         return g
 
-    d = local_interpolant(fr, v, gv)
+    d = local_interpolant(m, 0, v, gv)
     pts = verts.mean(axis=0) + np.array([[0.0, 0.0], [0.05, -0.02],
                                          [-0.04, 0.06]])
-    rec = np.einsum("qjc,j->qc", eval_basis(basis, pts, 0), d)
+    rec = np.einsum("qjc,j->qc", eval_basis(m, 0, pts, 0), d)
     assert np.max(np.abs(rec - v(pts))) < 1e-10
 
 
 def test_gradient_matches_finite_differences():
-    fr = triangle_frame([[0.0, 0.0], [1.0, 0.1], [0.3, 0.8]])
-    basis = nodal_basis(fr)
+    m = triangle_mesh([[0.0, 0.0], [1.0, 0.1], [0.3, 0.8]])
     pts = np.array([[0.4, 0.3], [0.35, 0.25]])
-    _, grad = eval_basis(basis, pts, 1)
-    step = 1e-5 * fr.h
+    _, grad = eval_basis(m, 0, pts, 1)
+    step = 1e-5 * m.h
     for d in range(2):
         dx = np.zeros(2)
         dx[d] = step
-        vp = eval_basis(basis, pts + dx, 0)
-        vm = eval_basis(basis, pts - dx, 0)
+        vp = eval_basis(m, 0, pts + dx, 0)
+        vm = eval_basis(m, 0, pts - dx, 0)
         fd = (vp - vm) / (2 * step)
         scale = np.max(np.abs(grad[..., d])) + 1.0
         assert np.max(np.abs(fd - grad[..., d])) / scale < 1e-6
 
 
 def test_hessian_matches_finite_differences():
-    fr = triangle_frame([[0.0, 0.0], [1.0, 0.1], [0.3, 0.8]])
-    basis = nodal_basis(fr)
+    m = triangle_mesh([[0.0, 0.0], [1.0, 0.1], [0.3, 0.8]])
     pts = np.array([[0.4, 0.3]])
-    _, grad, hess = eval_basis(basis, pts, 2)
-    step = 1e-5 * fr.h
+    _, grad, hess = eval_basis(m, 0, pts, 2)
+    step = 1e-5 * m.h
     for d in range(2):
         dx = np.zeros(2)
         dx[d] = step
-        _, gp = eval_basis(basis, pts + dx, 1)
-        _, gm = eval_basis(basis, pts - dx, 1)
+        _, gp = eval_basis(m, 0, pts + dx, 1)
+        _, gm = eval_basis(m, 0, pts - dx, 1)
         fd = (gp - gm) / (2 * step)
         scale = np.max(np.abs(hess[..., d])) + 1.0
         assert np.max(np.abs(fd - hess[..., d])) / scale < 1e-5
@@ -179,8 +156,7 @@ def test_hessian_matches_finite_differences():
 
 def test_p2_modal_hessians_constant():
     # the 6 quadratic monomials have constant second derivatives
-    fr = triangle_frame([[0.0, 0.0], [1.3, 0.2], [0.4, 1.1]])
-    G = fr.bary_grads
+    G = triangle_mesh([[0.0, 0.0], [1.3, 0.2], [0.4, 1.1]]).bary_grads[0]
     pts = np.array([[0.2, 0.3, 0.5], [0.6, 0.1, 0.3], [0.1, 0.8, 0.1]])
     _, _, d2 = modal_tables(pts, 2)
     hess = np.einsum("qjsu,sx,uy->qjxy", d2, G, G)
@@ -194,22 +170,20 @@ def test_trace_single_valued_across_shared_edge():
     m = build_uniform_unit_square(2)
     e = int(np.nonzero(~m.edge_is_boundary)[0][0])
     t0, t1 = m.triangles_of_edge[e]
-    f0, f1 = frame(m, t0), frame(m, t1)
-    b0, b1 = nodal_basis(f0), nodal_basis(f1)
     va, vb = m.edges[e]
     t = np.linspace(0.05, 0.95, 7)
     pts = np.outer(1 - t, m.vertices[va]) + np.outer(t, m.vertices[vb])
 
-    def local_value_dofs(tri_idx, fr):
+    def local_value_dofs(tri_idx):
         tri = list(m.triangles[tri_idx])
         le = list(m.edge_of_triangle[tri_idx]).index(e)
         return {"lo": tri.index(va), "hi": tri.index(vb), "mid": 3 + le,
                 "nd": 6 + le}
 
-    l0 = local_value_dofs(t0, f0)
-    l1 = local_value_dofs(t1, f1)
-    v0 = eval_basis(b0, pts, 0)
-    v1 = eval_basis(b1, pts, 0)
+    l0 = local_value_dofs(t0)
+    l1 = local_value_dofs(t1)
+    v0 = eval_basis(m, t0, pts, 0)
+    v1 = eval_basis(m, t1, pts, 0)
     for key in ("lo", "hi", "mid", "nd"):
         for comp in (0, 1):
             tr0 = v0[:, 2 * l0[key] + comp, :]
@@ -219,16 +193,17 @@ def test_trace_single_valued_across_shared_edge():
 
 def test_normal_derivative_mean_is_kronecker():
     # independent edge quadrature of grad(phi_j) . n over each edge
-    fr = triangle_frame([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
-    basis = nodal_basis(fr)
+    m = triangle_mesh([[0.0, 0.0], [1.0, 0.0], [0.2, 0.9]])
+    verts = m.tri_coords[0]
+    normals = m.edge_normal[m.edge_of_triangle[0]]
     tg, wg = np.polynomial.legendre.leggauss(4)
     tg = (tg + 1) / 2
     wg = wg / 2
     for s in range(3):
-        a, b = fr.verts[(s + 1) % 3], fr.verts[(s + 2) % 3]
+        a, b = verts[(s + 1) % 3], verts[(s + 2) % 3]
         pts = np.outer(1 - tg, a) + np.outer(tg, b)
-        _, grad = eval_basis(basis, pts, 1)
-        dn = np.einsum("qjab,b->qja", grad, fr.edge_normal[s])
+        _, grad = eval_basis(m, 0, pts, 1)
+        dn = np.einsum("qjab,b->qja", grad, normals[s])
         mean = np.einsum("q,qja->ja", wg, dn)
         for j in range(20):
             expect = 1.0 if j // 2 == 6 + s else 0.0
@@ -238,9 +213,9 @@ def test_normal_derivative_mean_is_kronecker():
 
 
 def test_degenerate_triangle_raises():
-    fr = triangle_frame([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-14]])
+    m = triangle_mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-14]])
     with pytest.raises(SingularElementError):
-        dof_matrix(fr)
+        batched_scalar_coeff(m)
 
 
 def test_batched_matches_single():
@@ -248,7 +223,7 @@ def test_batched_matches_single():
     batched = batched_scalar_dof_matrices(m)
     coeff = batched_scalar_coeff(m)
     for k in (0, 7, 12):
-        M0 = scalar_dof_matrix(frame(m, k))
+        M0 = batched_scalar_dof_matrices(m, [k])[0]
         assert np.max(np.abs(batched[k] - M0)) < 1e-14
         assert np.max(np.abs(coeff[k] @ M0 - np.eye(10))) < 1e-9
 
@@ -271,9 +246,6 @@ def test_unisolvence_random_shape_regular(seed):
         inradius = area / (0.5 * lens.sum())
         if lens.max() / (2 * inradius) <= 5.0:
             break
-    fr = triangle_frame(verts)
-    M0 = scalar_dof_matrix(fr)
-    M0[6:9] *= fr.h
-    sv = np.linalg.svd(M0, compute_uv=False)
-    assert sv[-1] > 0
-    assert sv[0] / sv[-1] < 1e6
+    cond = scaled_conditions(triangle_mesh(verts))[0]
+    assert np.isfinite(cond)
+    assert cond < 1e6

@@ -1,29 +1,15 @@
 import numpy as np
 import pytest
 
-from sgefem.assembly import (BasisCache, ProblemParams, assemble_a,
-                             assemble_b, assemble_c, assemble_load,
-                             mean_constraint_vector)
-from sgefem.linalg import (SaddleSystem, SolverBreakdown, dense_solve,
-                           dense_svd, dense_sym_eig, min_generalized_eig,
+from sgefem.discretization import Discretization
+from sgefem.linalg import (SaddleSystem, SolverBreakdown, min_generalized_eig,
                            solve_saddle)
-from sgefem.manufactured import FIELDS, body_force_elasticity
 from sgefem.mesh import build_uniform_unit_square
-from sgefem.space import build_qdofmap, build_vdofmap
 
 
 def example2_system(n=2, mu=1.0, lam=1.0, iota=1e-2):
-    mesh = build_uniform_unit_square(n)
-    cache = BasisCache(mesh)
-    vmap = build_vdofmap(mesh)
-    qmap = build_qdofmap(mesh)
-    prm = ProblemParams(mu, lam, iota)
-    f = body_force_elasticity(FIELDS["example2"], prm)
-    return SaddleSystem(assemble_a(mesh, cache, vmap, prm),
-                        assemble_b(mesh, cache, vmap, qmap, iota),
-                        assemble_c(mesh, qmap, prm),
-                        mean_constraint_vector(mesh, qmap),
-                        assemble_load(mesh, cache, vmap, f))
+    disc = Discretization(build_uniform_unit_square(n), "example2")
+    return disc.system(mu, lam, iota)
 
 
 def test_homogeneous_rhs_gives_zero():
@@ -118,55 +104,6 @@ def test_breakdown_signaled_for_singular_system():
         solve_saddle(sys_)
 
 
-def test_dense_solve_matches_numpy():
-    rng = np.random.default_rng(0)
-    A = rng.standard_normal((40, 40))
-    b = rng.standard_normal(40)
-    assert np.allclose(dense_solve(A, b), np.linalg.solve(A, b),
-                       rtol=1e-10, atol=1e-12)
-
-
-def test_dense_solve_reports_rank_of_singular_matrix():
-    A = np.ones((4, 4))
-    with pytest.raises(np.linalg.LinAlgError, match="rank 1 of 4"):
-        dense_solve(A, np.ones(4))
-
-
-def test_identity_singular_values():
-    _, s, _ = dense_svd(np.eye(7))
-    assert np.allclose(s, 1.0)
-
-
-def test_svd_sorted_ascending_and_reconstructs():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((8, 5))
-    U, s, Vt = dense_svd(A)
-    assert np.all(np.diff(s) >= 0)
-    assert np.allclose(U * s @ Vt, A, atol=1e-12)
-
-
-def test_closed_form_eigenvalues():
-    vals, _ = dense_sym_eig(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert np.allclose(vals, [1.0, 3.0], atol=1e-14)
-
-
-def test_sym_eig_rejects_asymmetric_input():
-    with pytest.raises(ValueError, match="symmetric"):
-        dense_sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_spd_reconstruction_from_eigendecomposition():
-    rng = np.random.default_rng(2)
-    M = rng.standard_normal((50, 50))
-    A = M @ M.T + 50 * np.eye(50)
-    vals, vecs = dense_sym_eig(A)
-    assert np.all(np.diff(vals) >= 0)
-    assert np.linalg.norm(vecs * vals @ vecs.T - A) < 1e-10 * np.linalg.norm(A)
-    # per-pair eigen residual
-    res = A @ vecs - vecs * vals
-    assert np.max(np.abs(res)) <= 1e-10 * np.linalg.norm(A)
-
-
 def test_min_generalized_eig_trivial_cases():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((10, 10))
@@ -192,7 +129,7 @@ def test_min_generalized_eig_residual():
     theta = min_generalized_eig(K, G)
     assert theta >= 0.0
     # the null vector of (K - theta G) certifies the pair
-    _, s, Vt = dense_svd(K - theta * G)
-    v = Vt[0]
+    _, s, Vt = np.linalg.svd(K - theta * G)
+    v = Vt[-1]
     assert np.linalg.norm(K @ v - theta * (G @ v)) \
         <= 1e-9 * np.linalg.norm(K)

@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sgefem.assembly import (BasisCache, ProblemParams, assemble_norm_grams)
-from sgefem.element import local_interpolant
+from sgefem.assembly import ProblemParams, assemble_load
+from sgefem.discretization import Discretization
+from sgefem.element import batched_scalar_coeff
 from sgefem.manufactured import (FIELDS, AnalyticField, Jet2,
                                  body_force_elasticity, body_force_sge,
-                                 error_norms, field_by_name, jet_eval)
-from sgefem.mesh import build_uniform_unit_square, frame
-from sgefem.space import build_qdofmap, build_vdofmap
-from oracles import fd_derivative, quad_triangle
+                                 error_norms, field_by_name)
+from sgefem.mesh import build_uniform_unit_square
+from oracles import fd_derivative, local_interpolant, quad_triangle
 
 
 def jet_of_poly(coeffs, x):
@@ -118,7 +118,7 @@ def test_example1_partials_match_finite_differences():
         return (3.0 * (np.exp(np.cos(2 * np.pi * x)) - np.e) ** 2
                 * np.sin(2 * np.pi * y) * np.sin(np.pi * y))
 
-    j1, _ = jet_eval(FIELDS["example1"], np.array([0.3, 0.7]))
+    j1, _ = FIELDS["example1"].jets(np.array([0.3, 0.7]))
     for ix in range(5):
         for iy in range(5 - ix):
             got = j1.partial(ix, iy)
@@ -292,40 +292,32 @@ def test_error_norms_reproduce_quadratic_field():
     u_full = np.zeros(fmap.n_u)
     for k in range(mesh.num_triangles):
         u_full[fmap.cell_dofs[k]] = local_interpolant(
-            frame(mesh, k), p2.value, gradf)
-    cache = BasisCache(mesh)
-    e1, e2, ev, epq, _ = error_norms(mesh, cache, fmap, u_full, p2, 0.5)
+            mesh, k, p2.value, gradf)
+    coeff = batched_scalar_coeff(mesh)
+    e1, e2, ev, epq = error_norms(mesh, coeff, fmap, u_full, p2, 0.5)
     assert e1 < 1e-10 and e2 < 1e-10 and ev < 1e-10 and epq == 0.0
 
 
 def test_error_norms_match_gram_matrices_for_zero_field():
-    mesh = build_uniform_unit_square(4)
-    cache = BasisCache(mesh)
-    vmap = build_vdofmap(mesh)
-    qmap = build_qdofmap(mesh)
+    d = Discretization(build_uniform_unit_square(4))
+    vmap, qmap = d.vmap, d.qmap
     iota = 0.3
-    GV, GQ = assemble_norm_grams(mesh, cache, vmap, qmap, iota)
+    (g1, g2), (mp, kp) = d.norm_gram_parts, d.pressure_parts
+    GV, GQ = g1 + iota ** 2 * g2, mp + iota ** 2 * kp
     rng = np.random.default_rng(5)
     u_h = rng.standard_normal(vmap.n_u)
     p_h = rng.standard_normal(qmap.n_p)
     zero = AnalyticField("zero", lambda x1, x2: (0.0 * x1, 0.0 * x2),
                          divergence_free=True)
-    _, _, ev, epq, _ = error_norms(mesh, cache, vmap, u_h, zero, iota,
-                                   p_h=p_h, qmap=qmap)
+    _, _, ev, epq = error_norms(d.mesh, d.coeff, vmap, u_h, zero, iota,
+                                p_h=p_h, qmap=qmap)
     assert ev == pytest.approx(math.sqrt(u_h @ (GV @ u_h)), rel=1e-10)
     assert epq == pytest.approx(math.sqrt(p_h @ (GQ @ p_h)), rel=1e-10)
 
 
 def test_error_norms_load_normalization():
-    mesh = build_uniform_unit_square(2)
-    cache = BasisCache(mesh)
-    vmap = build_vdofmap(mesh)
-    prm = ProblemParams(1.0, 1.0, 1e-6)
-    f = body_force_elasticity(FIELDS["example2"], prm)
-    zero = AnalyticField("zero", lambda x1, x2: (0.0 * x1, 0.0 * x2),
-                         divergence_free=True)
-    *_, fnorm = error_norms(mesh, cache, vmap, np.zeros(vmap.n_u),
-                            zero, 1e-6, f=f)
+    d = Discretization(build_uniform_unit_square(2), "example2")
+    fnorm = d.load_norm(1.0, 1e-6)
 
     c1, c2 = example2_poly_coeffs()
     want = 0.0
@@ -343,12 +335,28 @@ def test_error_norms_load_normalization():
 
 
 def test_error_norms_combination_identity():
-    mesh = build_uniform_unit_square(2)
-    cache = BasisCache(mesh)
-    vmap = build_vdofmap(mesh)
+    d = Discretization(build_uniform_unit_square(2), "example1")
     rng = np.random.default_rng(9)
-    u_h = rng.standard_normal(vmap.n_u)
+    u_h = rng.standard_normal(d.vmap.n_u)
     iota = 0.2
-    e1, e2, ev, _, _ = error_norms(mesh, cache, vmap, u_h,
-                                   FIELDS["example1"], iota)
+    e1, e2, ev, _ = d.errors(u_h, None, iota, 1.0)
     assert ev == pytest.approx(math.hypot(e1, iota * e2), rel=1e-14)
+
+
+def test_load_split_matches_direct_assembly():
+    # F = mu (F0 + iota^2 F2) and ||f|| from the parts against assembling
+    # and integrating the unsplit body force of each iota directly
+    mu = 1.3
+    d1 = Discretization(build_uniform_unit_square(4), "example1")
+    for iota in (1.0, 1e-1, 1e-8):
+        force = body_force_sge(FIELDS["example1"],
+                               ProblemParams(mu, 1.0, iota))
+        F, G = assemble_load(d1.mesh, d1.coeff, d1.vmap,
+                             lambda x: (force(x),))
+        split = d1.system(mu, 1.0, iota).rhs_u
+        assert np.max(np.abs(split - F[0])) <= 1e-13 * np.max(np.abs(F[0]))
+        assert d1.load_norm(mu, iota) == pytest.approx(math.sqrt(G[0, 0]),
+                                                       rel=1e-13)
+    d2 = Discretization(build_uniform_unit_square(4), "example2")
+    (_, F2), G2 = d2.load
+    assert np.all(F2 == 0.0) and G2[0, 1] == G2[1, 1] == 0.0

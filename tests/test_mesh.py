@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgefem.mesh import (Mesh, build_uniform_unit_square, frame, validate,
-                         read_mesh, write_mesh)
+from sgefem.mesh import Mesh, build_uniform_unit_square
 
 
 def test_smallest_mesh_counts():
@@ -54,12 +53,11 @@ def test_areas_sum_to_one():
 def test_frame_reference_like_triangle():
     m = Mesh(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
              np.array([[0, 1, 2]]))
-    fr = frame(m, 0)
-    assert abs(fr.area - 0.5) < 1e-15
+    assert abs(m.area[0] - 0.5) < 1e-15
     # barycentric gradients: lambda_0 = 1-x-y etc.
-    assert np.allclose(fr.bary_grads[0], [-1.0, -1.0])
-    assert np.allclose(fr.bary_grads[1], [1.0, 0.0])
-    assert np.allclose(fr.bary_grads[2], [0.0, 1.0])
+    assert np.allclose(m.bary_grads[0, 0], [-1.0, -1.0])
+    assert np.allclose(m.bary_grads[0, 1], [1.0, 0.0])
+    assert np.allclose(m.bary_grads[0, 2], [0.0, 1.0])
 
 
 def test_bary_grads_sum_to_zero():
@@ -69,13 +67,13 @@ def test_bary_grads_sum_to_zero():
 
 def test_bary_partition_of_unity_at_vertices():
     m = build_uniform_unit_square(2)
-    fr = frame(m, 3)
+    verts, grads = m.tri_coords[3], m.bary_grads[3]
     # lambda_s(vertex t) = delta_st: check by affine reconstruction
     for s in range(3):
         for t in range(3):
             # affine form: lambda_s(x) = lambda_s(centroid) + grad . (x-c)
-            c = fr.verts.mean(axis=0)
-            val = (1.0 / 3.0) + fr.bary_grads[s] @ (fr.verts[t] - c)
+            c = verts.mean(axis=0)
+            val = (1.0 / 3.0) + grads[s] @ (verts[t] - c)
             assert abs(val - (1.0 if s == t else 0.0)) < 1e-13
 
 
@@ -103,55 +101,8 @@ def test_outward_normal_orientation():
     # sign * global normal must point out of the triangle
     m = build_uniform_unit_square(3)
     for k in (0, 5, 11):
-        fr = frame(m, k)
-        centroid = fr.verts.mean(axis=0)
+        centroid = m.tri_coords[k].mean(axis=0)
         for s in range(3):
-            out = fr.edge_sign[s] * fr.edge_normal[s]
-            assert out @ (fr.edge_midpoint[s] - centroid) > 0
-
-
-def test_validate_clean_mesh():
-    assert validate(build_uniform_unit_square(4)) == []
-
-
-def test_validate_flags_clockwise_triangle():
-    m = build_uniform_unit_square(2)
-    tris = m.triangles.copy()
-    tris[0] = tris[0][::-1]
-    bad = Mesh(m.vertices, tris)
-    assert any("area" in msg for msg in validate(bad))
-
-
-def test_validate_flags_duplicate_triangle():
-    m = build_uniform_unit_square(2)
-    tris = np.vstack([m.triangles, m.triangles[:1]])
-    bad = Mesh(m.vertices, tris)
-    assert any("nonconforming" in msg for msg in validate(bad))
-
-
-def test_frame_index_bounds():
-    m = build_uniform_unit_square(2)
-    with pytest.raises(IndexError):
-        frame(m, 8)
-
-
-def test_text_roundtrip(tmp_path):
-    m = build_uniform_unit_square(3)
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, path)
-    m2 = read_mesh(path)
-    assert np.array_equal(m.triangles, m2.triangles)
-    assert np.array_equal(m.edges, m2.edges)
-    assert np.allclose(m.vertices, m2.vertices)
-    assert np.array_equal(m.edge_of_triangle, m2.edge_of_triangle)
-    assert validate(m2) == []
-
-
-def test_read_rejects_truncated_file(tmp_path):
-    m = build_uniform_unit_square(2)
-    path = tmp_path / "mesh.txt"
-    write_mesh(m, path)
-    text = path.read_text().splitlines()
-    path.write_text("\n".join(text[:-1]))
-    with pytest.raises(ValueError):
-        read_mesh(path)
+            e = m.edge_of_triangle[k, s]
+            out = m.edge_sign[k, s] * m.edge_normal[e]
+            assert out @ (m.edge_midpoint[e] - centroid) > 0

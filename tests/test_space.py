@@ -100,7 +100,6 @@ def test_qdof_rejects_no_interior_vertex():
 def test_qdof_cell_map_consistent():
     m = build_uniform_unit_square(4)
     qmap = build_qdofmap(m)
-    assert qmap.needs_mean_constraint
     for t in range(m.num_triangles):
         for lv in range(3):
             v = m.triangles[t, lv]

@@ -8,7 +8,7 @@ from sgefem.verify import (UNISOLVENCE_COND_BOUND, VerificationReport,
                            _infsup_from_parts, _infsup_parts,
                            check_unisolvence, check_weak_continuity,
                            estimate_infsup, random_shape_regular_triangles,
-                           run_verification, scaled_condition)
+                           run_verification)
 
 REFERENCE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
@@ -16,7 +16,10 @@ REFERENCE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 def test_reference_triangle_condition_regression():
     # frozen on the first verified run; a drift means the element
     # construction changed
-    assert scaled_condition(REFERENCE) == pytest.approx(7232.2082, rel=1e-4)
+    report = check_unisolvence(triangles=np.empty((0, 3, 2)))
+    by_name = {e.name: e for e in report.entries}
+    assert by_name["unisolvence_reference_cond"].value \
+        == pytest.approx(7232.2082, rel=1e-4)
 
 
 def test_random_shape_regular_sample_passes():
@@ -119,11 +122,10 @@ def test_infsup_needs_interior_pressure_space():
 def test_traces_single_valued_at_gauss_points():
     # C0 conformity: values from both sides of every interior edge
     # agree pointwise, for every basis function
-    from sgefem.assembly import BasisCache
-    from sgefem.element import modal_tables
+    from sgefem.element import batched_scalar_coeff, modal_tables
 
     mesh = build_uniform_unit_square(2)
-    cache = BasisCache(mesh)
+    coeff = batched_scalar_coeff(mesh)
     t, _ = edge_rule(5)
     V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
     etri = mesh.edge_of_triangle
@@ -138,7 +140,7 @@ def test_traces_single_valued_at_gauss_points():
             G = mesh.bary_grads[k]
             centroid = mesh.tri_coords[k].mean(axis=0)
             bary = 1.0 / 3.0 + (pts - centroid) @ G.T
-            val = modal_tables(bary, 0) @ cache.coeff[k]
+            val = modal_tables(bary, 0) @ coeff[k]
             for j in range(10):
                 g = int(entities[k, j])
                 if g in traces:
