@@ -40,23 +40,8 @@ DEGREE_COUPLING = 6
 DEGREE_LOAD = 12
 
 
-class ProblemParams:
-    """Material parameters mu > 0, lambda >= 0, 0 <= iota <= 1."""
-
-    def __init__(self, mu=1.0, lam=1.0, iota=1.0):
-        if not mu > 0:
-            raise ValueError("mu must be positive")
-        if not 0 <= lam <= 1e12:
-            raise ValueError("lambda must lie in [0, 1e12]")
-        if not 0.0 <= iota <= 1.0:
-            raise ValueError("iota must lie in [0, 1]")
-        self.mu = float(mu)
-        self.lam = float(lam)
-        self.iota = float(iota)
-
-
 @functools.lru_cache(maxsize=None)
-def _modal(degree, order):
+def modal_rule(degree, order):
     """Quadrature rule of the given degree and the modal tables at its
     points (read-only: the cache hands them to every caller)."""
     rule = rule_for_degree(degree)
@@ -81,7 +66,7 @@ def scalar_tables(mesh, coeff, tris, degree, order):
     (val, grad, hess) for order 2 with shapes (Tc, q, 10),
     (Tc, q, 10, 2), (Tc, q, 10, 2, 2).
     """
-    rule, modal = _modal(degree, order)
+    rule, modal = modal_rule(degree, order)
     C = coeff[tris]                             # (Tc, 10, 10)
     G = mesh.bary_grads[tris]                   # (Tc, 3, 2)
     if order == 0:

@@ -99,6 +99,16 @@ def load_config_file(path):
 
 _CONFIG_KEYS = ("example", "lambda", "iota", "n", "mu", "tol", "out",
                 "threads", "large")
+_BOOLEANS = {"1": True, "true": True, "yes": True,
+             "0": False, "false": False, "no": False}
+
+
+def _boolean(text):
+    try:
+        return _BOOLEANS[text]
+    except KeyError:
+        raise ConfigError("not a boolean (1/true/yes or 0/false/no): %r"
+                          % text)
 
 
 def _merge_config(args):
@@ -114,13 +124,15 @@ def _merge_config(args):
     def pick(flag, key, convert, default=None):
         if flag is not None:
             return flag
-        if key in file_values:
+        if key not in file_values:
+            return default
+        try:
             return convert(file_values[key])
-        return default
+        except ValueError as exc:
+            raise ConfigError("config key %s: %s" % (key, exc))
 
     example = pick(args.example, "example", str, "example1")
-    large = args.large or file_values.get("large", "") in ("1", "true",
-                                                           "yes")
+    large = pick(args.large or None, "large", _boolean, False)
     ns = pick(args.n, "n", _ints,
               list(DEFAULT_NS) + (list(LARGE_NS) if large else []))
     return StudyConfig(

@@ -3,10 +3,13 @@
 Every matrix of the method splits as part0 + iota^2 part2 and lambda
 enters only the pressure block, so one mesh carries everything the
 (iota, lambda) cells of a study need: the nodal coefficients, the DoF
-maps, the matrix parts, the load parts F = F0 + iota^2 F2 (for mu = 1)
-and the parts of ||f||^2.  A cell then only combines parts, solves and
-measures.  Each group is computed on first use, so a caller that needs
-only some of them (the verification checks) pays only for those.
+maps, the matrix parts, the load parts F = F0 + iota^2 F2 (for mu = 1),
+the parts of ||f||^2, and the exact field's gradient and second
+derivatives at the error quadrature points.  A cell then only combines
+parts, solves and measures.  Each group is computed on first use, so a
+caller that needs only some of them (the verification checks) pays only
+for those, and the exact tables of a study are built by its first
+error measurement, after the first solve, rather than held through it.
 """
 
 import math
@@ -17,7 +20,8 @@ from .assembly import (assemble_a_parts, assemble_b_parts, assemble_load,
                        mean_constraint_vector)
 from .element import batched_scalar_coeff
 from .linalg import SaddleSystem
-from .manufactured import error_norms, field_by_name, load_parts
+from .manufactured import (error_norms, exact_tables, field_by_name,
+                           load_parts)
 from .space import build_qdofmap, build_vdofmap
 
 
@@ -77,6 +81,12 @@ class Discretization:
         return assemble_load(self.mesh, self.coeff, self.vmap,
                              partial(load_parts, self.example))
 
+    @cached_property
+    def exact(self):
+        """The exact field's derivatives at the error points (see
+        :func:`sgefem.manufactured.exact_tables`), from one jets pass."""
+        return exact_tables(self.mesh, field_by_name(self.example))
+
     def system(self, mu, lam, iota):
         """The saddle system of one (mu, lambda, iota) cell."""
         if lam <= 0:
@@ -100,7 +110,7 @@ class Discretization:
     def errors(self, u, p, iota, lam):
         """(|e|_1, |e|_{2,h}, ||e||_{V,h}, ||e_p||_Q) of a solution
         against the exact field (see
-        :func:`sgefem.manufactured.error_norms`)."""
-        return error_norms(self.mesh, self.coeff, self.vmap, u,
-                           field_by_name(self.example), iota, p_h=p,
-                           qmap=self.qmap, lam=lam)
+        :func:`sgefem.manufactured.error_norms`), measured with the
+        exact tables of this mesh."""
+        return error_norms(self.mesh, self.coeff, self.vmap, u, self.exact,
+                           iota, p_h=p, qmap=self.qmap, lam=lam)

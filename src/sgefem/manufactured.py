@@ -10,10 +10,12 @@ jets at every quadrature point of a mesh chunk at once.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from .assembly import DEGREE_LOAD, chunks, scalar_tables
+from .assembly import DEGREE_LOAD, chunks, modal_rule
+from .quadrature import rule_for_degree
 
 _DEG = 4
 _PAIRS = tuple((i, j) for i in range(_DEG + 1) for j in range(_DEG + 1)
@@ -132,19 +134,6 @@ class AnalyticField:
         x1, x2 = Jet2.variables(x)
         return self._builder(x1, x2)
 
-    def value(self, x):
-        j1, j2 = self.jets(x)
-        return np.stack([j1.value, j2.value], axis=-1)
-
-    def gradient(self, x):
-        """du_a/dx_b at x, shape (..., 2, 2)."""
-        jets = self.jets(x)
-        g = np.empty(np.asarray(x).shape[:-1] + (2, 2))
-        for a, j in enumerate(jets):
-            g[..., a, 0] = j.partial(1, 0)
-            g[..., a, 1] = j.partial(0, 1)
-        return g
-
 
 def _example1(x1, x2):
     # smooth, divergence-free, clamped: u and its normal derivative
@@ -180,76 +169,16 @@ def field_by_name(name):
                          % (name, ", ".join(sorted(FIELDS))))
 
 
-def _divergence_parts(j1, j2):
-    """grad(div u) and grad(laplace(div u)) from component jets."""
-    gdiv = (j1.partial(2, 0) + j2.partial(1, 1),
-            j1.partial(1, 1) + j2.partial(0, 2))
-    glapdiv = (j1.partial(4, 0) + j2.partial(3, 1)
-               + j1.partial(2, 2) + j2.partial(1, 3),
-               j1.partial(3, 1) + j2.partial(2, 2)
-               + j1.partial(1, 3) + j2.partial(0, 4))
-    return gdiv, glapdiv
-
-
-def body_force_sge(field, params):
-    """f = -div sigma(u) + iota^2 div(laplace(sigma(u))) as a callable.
-
-    With sigma(u) = 2 mu eps(u) + lambda (div u) I this expands to
-    -mu lap(u) - (mu+lambda) grad(div u) plus iota^2 times the
-    bilaplacian counterpart; for divergence-free fields the grad(div)
-    terms are dropped identically, so lambda never enters.
-    """
-    mu, lam, i2 = params.mu, params.lam, params.iota ** 2
-
-    def f(x):
-        j1, j2 = field.jets(x)
-        out = np.empty(np.asarray(x).shape[:-1] + (2,))
-        for a, j in enumerate((j1, j2)):
-            lap = j.partial(2, 0) + j.partial(0, 2)
-            bilap = (j.partial(4, 0) + 2.0 * j.partial(2, 2)
-                     + j.partial(0, 4))
-            out[..., a] = -mu * lap + i2 * mu * bilap
-        if not field.divergence_free:
-            gdiv, glapdiv = _divergence_parts(j1, j2)
-            for a in (0, 1):
-                out[..., a] += (mu + lam) * (-gdiv[a] + i2 * glapdiv[a])
-        return out
-
-    return f
-
-
-def body_force_elasticity(field, params):
-    """f = -mu lap(u) - (mu+lambda) grad(div u); the classical limit load.
-
-    For a divergence-free field this is -mu lap(u), independent of both
-    lambda and iota.
-    """
-    mu, lam = params.mu, params.lam
-
-    def f(x):
-        j1, j2 = field.jets(x)
-        out = np.empty(np.asarray(x).shape[:-1] + (2,))
-        out[..., 0] = -mu * (j1.partial(2, 0) + j1.partial(0, 2))
-        out[..., 1] = -mu * (j2.partial(2, 0) + j2.partial(0, 2))
-        if not field.divergence_free:
-            gdiv, _ = _divergence_parts(j1, j2)
-            for a in (0, 1):
-                out[..., a] -= (mu + lam) * gdiv[a]
-        return out
-
-    return f
-
-
 def load_parts(example, x):
     """The study load of ``example`` at points x (..., 2), split as
     f = mu (f0 + iota^2 f2) and returned as (f0, f2) from one jets call.
 
-    example1 is driven by the strain gradient load (f0 = -lap u,
-    f2 = bilap u, as in :func:`body_force_sge`), example2 by the
-    elasticity limit load (f0 = -lap u, f2 = 0, as in
-    :func:`body_force_elasticity`), the limit its boundary layer is
-    measured against.  Both fields are divergence free, so lambda does
-    not enter.
+    example1 is driven by the strain gradient load
+    f = -div sigma(u) + iota^2 div(lap sigma(u)), so f0 = -lap u and
+    f2 = bilap u; example2 by the elasticity limit load
+    f = -div sigma(u), so f0 = -lap u and f2 = 0, the limit its
+    boundary layer is measured against.  Both fields are divergence
+    free, so the grad(div u) terms vanish and lambda does not enter.
     """
     j1, j2 = field_by_name(example).jets(x)
     f0 = np.empty(np.asarray(x).shape[:-1] + (2,))
@@ -262,7 +191,38 @@ def load_parts(example, x):
     return f0, f2
 
 
-def error_norms(mesh, coeff, vmap, u_h, field, iota, p_h=None, qmap=None,
+class ExactTables(NamedTuple):
+    """Derivatives of an exact field at the error quadrature points.
+
+    ``chunks`` holds one (grad, hess) pair per batch of
+    :func:`~sgefem.assembly.chunks`: grad (Tc, q, 2, 2) with
+    grad[..., a, b] = du_a/dx_b, and hess (Tc, q, 2, 3) with the
+    distinct second derivatives (xx, xy, yy) of each component u_a.
+    """
+    chunks: tuple
+    divergence_free: bool
+
+
+def exact_tables(mesh, field):
+    """The :class:`ExactTables` of ``field`` at the degree-12 points of
+    ``mesh``, from one jets call per chunk of triangles."""
+    rule = rule_for_degree(DEGREE_LOAD)
+    out = []
+    for tris in chunks(mesh.num_triangles):
+        pts = np.einsum("qs,tsx->tqx", rule.points, mesh.tri_coords[tris])
+        shape = pts.shape[:2]
+        grad = np.empty(shape + (2, 2))
+        hess = np.empty(shape + (2, 3))
+        for a, j in enumerate(field.jets(pts.reshape(-1, 2))):
+            for k, (dx, dy) in enumerate(((1, 0), (0, 1))):
+                grad[..., a, k] = j.partial(dx, dy).reshape(shape)
+            for k, (dx, dy) in enumerate(((2, 0), (1, 1), (0, 2))):
+                hess[..., a, k] = j.partial(dx, dy).reshape(shape)
+        out.append((grad, hess))
+    return ExactTables(tuple(out), field.divergence_free)
+
+
+def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h=None, qmap=None,
                 lam=1.0):
     """Discrete errors of a solve against an exact field.
 
@@ -270,52 +230,53 @@ def error_norms(mesh, coeff, vmap, u_h, field, iota, p_h=None, qmap=None,
     ||e||_{V,h}^2 = |e|_1^2 + iota^2 |e|_{2,h}^2, and the pressure error
     is measured against p = lambda div u in the norm
     (||.||_0^2 + iota^2 |.|_1^2)^{1/2}.  ``coeff`` holds the nodal
-    coefficients of all triangles.  Pressure terms are zero unless both
-    ``p_h`` and ``qmap`` are given.  The broken seminorm |e|_{2,h} sums
-    one squared term per second-derivative multi-index (the mixed
-    derivative counts once).  The exact field is evaluated once per
-    chunk of triangles.
+    coefficients of all triangles; ``exact`` holds the field's
+    derivatives from :func:`exact_tables`, so the field itself is not
+    evaluated here and one table serves every solve on the mesh.
+    Pressure terms are zero unless both ``p_h`` and ``qmap`` are given.
+    The broken seminorm |e|_{2,h} sums one squared term per
+    second-derivative multi-index (the mixed derivative counts once).
+
+    Per chunk, the local DoFs are first turned into modal coefficients
+    M = C u_loc, so the derivatives of u_h come from the modal tables
+    and the barycentric gradients by a few batched products, without
+    tabulating the 10 shape functions at every point.
     """
+    rule, (_, dbary, d2bary) = modal_rule(DEGREE_LOAD, 2)
+    q = rule.npts
+    # (q*3, 10) and (q*9, 10): barycentric derivatives of the monomials
+    d1 = dbary.transpose(0, 2, 1).reshape(-1, 10)
+    d2 = d2bary.transpose(0, 2, 3, 1).reshape(-1, 10)
     uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
+    pressure = p_h is not None and qmap is not None
+    if pressure:
+        pext = np.concatenate([np.asarray(p_h, dtype=float), [0.0]])
     s1 = s2 = sp0 = sp1 = 0.0
-    for tris in chunks(mesh.num_triangles):
-        rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
-                                              DEGREE_LOAD, 2)
+    for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact.chunks,
+                              strict=True):
+        Tc = len(tris)
+        G = mesh.bary_grads[tris]                               # (Tc, 3, 2)
+        M = coeff[tris] @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
+        db = (d1 @ M).reshape(Tc, q, 3, 2)                      # [s, a]
+        gh = db.swapaxes(2, 3) @ G[:, None]                     # [a, x]
+        hb = (d2 @ M).reshape(Tc, q, 3, 3, 2).transpose(0, 1, 4, 2, 3)
+        hh = G.swapaxes(1, 2)[:, None, None] @ hb @ G[:, None, None]
+        e1 = gh - ge
+        e2 = hh[..., (0, 0, 1), (0, 1, 1)] - he                 # xx, xy, yy
         w = rule.weights[None, :] * mesh.area[tris][:, None]
-        pts = np.einsum("qs,tsx->tqx", rule.points, mesh.tri_coords[tris])
-        shape = pts.shape[:2]
-        j1, j2 = field.jets(pts.reshape(-1, 2))
-
-        ge = np.empty(shape + (2, 2))
-        he = np.empty(shape + (2, 2, 2))
-        for a, j in enumerate((j1, j2)):
-            ge[..., a, 0] = j.partial(1, 0).reshape(shape)
-            ge[..., a, 1] = j.partial(0, 1).reshape(shape)
-            he[..., a, 0, 0] = j.partial(2, 0).reshape(shape)
-            he[..., a, 0, 1] = j.partial(1, 1).reshape(shape)
-            he[..., a, 1, 0] = he[..., a, 0, 1]
-            he[..., a, 1, 1] = j.partial(0, 2).reshape(shape)
-
-        locr = uext[vmap.cell_dofs[tris]].reshape(len(tris), 10, 2)
-        e1 = np.einsum("tqjb,tja->tqab", grad, locr) - ge
-        e2 = np.einsum("tqjbc,tja->tqabc", hess, locr, optimize=True) - he
         s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
-        s2 += float(np.einsum("tq,tqabc->", w, e2 ** 2)
-                    - np.einsum("tq,tqa->", w, e2[..., 0, 1] ** 2))
+        s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))
 
-        if p_h is not None and qmap is not None:
-            pext = np.concatenate([np.asarray(p_h, dtype=float), [0.0]])
+        if pressure:
             pl = pext[qmap.cell_dofs[tris]]
             ep = np.einsum("qs,ts->tq", rule.points, pl)
-            gep = np.einsum("ts,tsx->tx", pl, mesh.bary_grads[tris])
-            gep = np.broadcast_to(gep[:, None, :], shape + (2,)).copy()
-            if not field.divergence_free:
-                ep = ep - lam * (j1.partial(1, 0)
-                                 + j2.partial(0, 1)).reshape(shape)
-                gep[..., 0] -= lam * (j1.partial(2, 0)
-                                      + j2.partial(1, 1)).reshape(shape)
-                gep[..., 1] -= lam * (j1.partial(1, 1)
-                                      + j2.partial(0, 2)).reshape(shape)
+            gep = np.einsum("ts,tsx->tx", pl, G)
+            gep = np.broadcast_to(gep[:, None, :], (Tc, q, 2)).copy()
+            if not exact.divergence_free:
+                # p = lambda div u and its gradient, from the same tables
+                ep = ep - lam * (ge[..., 0, 0] + ge[..., 1, 1])
+                gep[..., 0] -= lam * (he[..., 0, 0] + he[..., 1, 1])
+                gep[..., 1] -= lam * (he[..., 0, 1] + he[..., 1, 2])
             sp0 += float(np.einsum("tq,tq->", w, ep ** 2))
             sp1 += float(np.einsum("tq,tqx->", w, gep ** 2))
 

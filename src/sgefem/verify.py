@@ -226,15 +226,6 @@ def _infsup_from_parts(parts, iota):
     return math.sqrt(max(theta, 0.0))
 
 
-def estimate_infsup(mesh, iota):
-    """The discrete inf-sup constant beta_h at the given iota.
-
-    beta_h^2 is the smallest eigenvalue of (B G_V^{-1} B^T) q
-    = theta G_Q q on the mean-zero pressure subspace, computed densely.
-    """
-    return _infsup_from_parts(_infsup_parts(mesh), iota)
-
-
 def run_verification(seed=0, flip_edge=None, continuity_ns=(2, 4, 8),
                      infsup_ns=(4, 8), infsup_iotas=INFSUP_IOTAS):
     """The full check suite: unisolvence survey, weak continuity, and

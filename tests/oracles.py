@@ -9,6 +9,11 @@ interpolant take only the nodal coefficients from the package; they
 evaluate one triangle at arbitrary physical points and apply the DoF
 functionals by their own quadrature, where the package works on batches
 at fixed quadrature points.
+
+The unsplit body forces (with their material parameters), pointwise
+field values and gradients, and the inf-sup constant of one mesh and
+iota are the references the package's split and batched forms are
+checked against; no production path needs them.
 """
 
 import numpy as np
@@ -16,6 +21,7 @@ from math import factorial
 from scipy.special import roots_jacobi, roots_legendre
 
 from sgefem.element import batched_scalar_coeff, modal_tables
+from sgefem.verify import _infsup_from_parts, _infsup_parts
 
 
 def bary_moment(a, b, c):
@@ -145,3 +151,103 @@ def local_interpolant(mesh, k, value_fn, grad_fn):
     pts, wts = conical_rule(5)                        # exact to degree 9
     dofs[18:20] = wts @ value_fn(pts @ verts)
     return dofs
+
+
+class ProblemParams:
+    """Material parameters mu > 0, lambda >= 0, 0 <= iota <= 1."""
+
+    def __init__(self, mu=1.0, lam=1.0, iota=1.0):
+        if not mu > 0:
+            raise ValueError("mu must be positive")
+        if not 0 <= lam <= 1e12:
+            raise ValueError("lambda must lie in [0, 1e12]")
+        if not 0.0 <= iota <= 1.0:
+            raise ValueError("iota must lie in [0, 1]")
+        self.mu = float(mu)
+        self.lam = float(lam)
+        self.iota = float(iota)
+
+
+def field_value(field, x):
+    """u at points x (..., 2), shape (..., 2)."""
+    j1, j2 = field.jets(x)
+    return np.stack([j1.value, j2.value], axis=-1)
+
+
+def field_gradient(field, x):
+    """du_a/dx_b at points x (..., 2), shape (..., 2, 2)."""
+    jets = field.jets(x)
+    g = np.empty(np.asarray(x).shape[:-1] + (2, 2))
+    for a, j in enumerate(jets):
+        g[..., a, 0] = j.partial(1, 0)
+        g[..., a, 1] = j.partial(0, 1)
+    return g
+
+
+def _divergence_parts(j1, j2):
+    """grad(div u) and grad(laplace(div u)) from component jets."""
+    gdiv = (j1.partial(2, 0) + j2.partial(1, 1),
+            j1.partial(1, 1) + j2.partial(0, 2))
+    glapdiv = (j1.partial(4, 0) + j2.partial(3, 1)
+               + j1.partial(2, 2) + j2.partial(1, 3),
+               j1.partial(3, 1) + j2.partial(2, 2)
+               + j1.partial(1, 3) + j2.partial(0, 4))
+    return gdiv, glapdiv
+
+
+def body_force_sge(field, params):
+    """f = -div sigma(u) + iota^2 div(laplace(sigma(u))) as a callable.
+
+    With sigma(u) = 2 mu eps(u) + lambda (div u) I this expands to
+    -mu lap(u) - (mu+lambda) grad(div u) plus iota^2 times the
+    bilaplacian counterpart; for divergence-free fields the grad(div)
+    terms are dropped identically, so lambda never enters.
+    """
+    mu, lam, i2 = params.mu, params.lam, params.iota ** 2
+
+    def f(x):
+        j1, j2 = field.jets(x)
+        out = np.empty(np.asarray(x).shape[:-1] + (2,))
+        for a, j in enumerate((j1, j2)):
+            lap = j.partial(2, 0) + j.partial(0, 2)
+            bilap = (j.partial(4, 0) + 2.0 * j.partial(2, 2)
+                     + j.partial(0, 4))
+            out[..., a] = -mu * lap + i2 * mu * bilap
+        if not field.divergence_free:
+            gdiv, glapdiv = _divergence_parts(j1, j2)
+            for a in (0, 1):
+                out[..., a] += (mu + lam) * (-gdiv[a] + i2 * glapdiv[a])
+        return out
+
+    return f
+
+
+def body_force_elasticity(field, params):
+    """f = -mu lap(u) - (mu+lambda) grad(div u); the classical limit load.
+
+    For a divergence-free field this is -mu lap(u), independent of both
+    lambda and iota.
+    """
+    mu, lam = params.mu, params.lam
+
+    def f(x):
+        j1, j2 = field.jets(x)
+        out = np.empty(np.asarray(x).shape[:-1] + (2,))
+        out[..., 0] = -mu * (j1.partial(2, 0) + j1.partial(0, 2))
+        out[..., 1] = -mu * (j2.partial(2, 0) + j2.partial(0, 2))
+        if not field.divergence_free:
+            gdiv, _ = _divergence_parts(j1, j2)
+            for a in (0, 1):
+                out[..., a] -= (mu + lam) * gdiv[a]
+        return out
+
+    return f
+
+
+def estimate_infsup(mesh, iota):
+    """The discrete inf-sup constant beta_h at the given iota.
+
+    beta_h^2 is the smallest eigenvalue of (B G_V^{-1} B^T) q
+    = theta G_Q q on the mean-zero pressure subspace, computed densely.
+    """
+    return _infsup_from_parts(_infsup_parts(mesh), iota)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from sgefem.assembly import (ProblemParams, assemble_load,
-                             assemble_pressure_parts, kernel_a_parts,
-                             kernel_b_parts, mean_constraint_vector)
+from sgefem.assembly import (assemble_load, assemble_pressure_parts,
+                             kernel_a_parts, kernel_b_parts,
+                             mean_constraint_vector)
 from sgefem.discretization import Discretization
 from sgefem.mesh import build_uniform_unit_square
-from oracles import conical_rule, eval_basis
+from oracles import ProblemParams, conical_rule, eval_basis
 
 
 def setup(n):

@@ -79,7 +79,7 @@ def test_unknown_config_key_rejected(tmp_path):
         _merge_config(Args())
 
 
-def test_default_grid_with_and_without_large():
+def test_default_grid_with_and_without_large(tmp_path):
     class Args:
         example = "example1"
         lam = iota = n = mu = tol = out = threads = None
@@ -92,6 +92,13 @@ def test_default_grid_with_and_without_large():
     assert config.iotas == [1.0, 1e-1, 1e-8]
     Args.large = True
     assert _merge_config(Args()).ns == [16, 32, 64, 128, 256]
+    # a config file switches the tail on or off with 1/true/yes, 0/false/no
+    Args.large = False
+    Args.config = str(tmp_path / "study.cfg")
+    for text, ns in (("no", [16, 32, 64]), ("0", [16, 32, 64]),
+                     ("yes", [16, 32, 64, 128, 256])):
+        (tmp_path / "study.cfg").write_text("large = %s\n" % text)
+        assert _merge_config(Args()).ns == ns
 
 
 def test_bad_flag_exits_3(capsys):
@@ -110,8 +117,12 @@ def test_bad_flag_exits_3(capsys):
     (["convergence", "--lambda", ""], None, "nonempty"),
     (["convergence", "--iota", ""], None, "nonempty"),
     (["convergence"], "mu = 0\n", "mu must be positive"),
+    (["convergence"], "mu = abc\n", "config key mu"),
+    (["convergence"], "threads = 1.5\n", "config key threads"),
+    (["convergence"], "large = maybe\n", "not a boolean"),
 ], ids=["n", "mu", "tol", "threads", "verify-threads", "lambda-empty",
-        "iota-empty", "config-mu"])
+        "iota-empty", "config-mu", "config-mu-text", "config-threads-float",
+        "config-large"])
 def test_bad_config_value_returns_3(tmp_path, capsys, args, config_text,
                                     message):
     # an explicit value is validated, never replaced by the default

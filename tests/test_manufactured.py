@@ -6,14 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
-from sgefem.assembly import ProblemParams, assemble_load
+from sgefem.assembly import assemble_load
 from sgefem.discretization import Discretization
 from sgefem.element import batched_scalar_coeff
-from sgefem.manufactured import (FIELDS, AnalyticField, Jet2,
-                                 body_force_elasticity, body_force_sge,
-                                 error_norms, field_by_name)
+from sgefem.manufactured import (FIELDS, AnalyticField, Jet2, error_norms,
+                                 exact_tables, field_by_name)
 from sgefem.mesh import build_uniform_unit_square
-from oracles import fd_derivative, local_interpolant, quad_triangle
+from oracles import (ProblemParams, body_force_elasticity, body_force_sge,
+                     conical_rule, fd_derivative, field_gradient,
+                     field_value, local_interpolant, quad_triangle)
 
 
 def jet_of_poly(coeffs, x):
@@ -140,16 +141,16 @@ def test_divergence_free_at_random_points():
 def test_example1_is_clamped():
     pts, nrm = boundary_samples(100)
     field = FIELDS["example1"]
-    vals = field.value(pts)
-    dn = np.einsum("nab,nb->na", field.gradient(pts), nrm)
+    vals = field_value(field, pts)
+    dn = np.einsum("nab,nb->na", field_gradient(field, pts), nrm)
     assert np.max(np.abs(vals)) + np.max(np.abs(dn)) < 1e-12
 
 
 def test_example2_slips_on_the_boundary():
     pts, nrm = boundary_samples(100)
     field = FIELDS["example2"]
-    assert np.max(np.abs(field.value(pts))) < 1e-12
-    dn = np.einsum("nab,nb->na", field.gradient(pts), nrm)
+    assert np.max(np.abs(field_value(field, pts))) < 1e-12
+    dn = np.einsum("nab,nb->na", field_gradient(field, pts), nrm)
     assert np.max(np.abs(dn)) > 1e-3
 
 
@@ -284,17 +285,21 @@ def test_error_norms_reproduce_quadratic_field():
         "p2", lambda x1, x2: (x1 ** 2 + 0.5 * x1 * x2, x2 ** 2 - x1),
         divergence_free=False)
 
+    def valuef(x):
+        return field_value(p2, x)
+
     def gradf(x):
-        return p2.gradient(x)
+        return field_gradient(p2, x)
 
     mesh = build_uniform_unit_square(3)
     fmap = _FullMap(mesh)
     u_full = np.zeros(fmap.n_u)
     for k in range(mesh.num_triangles):
         u_full[fmap.cell_dofs[k]] = local_interpolant(
-            mesh, k, p2.value, gradf)
+            mesh, k, valuef, gradf)
     coeff = batched_scalar_coeff(mesh)
-    e1, e2, ev, epq = error_norms(mesh, coeff, fmap, u_full, p2, 0.5)
+    e1, e2, ev, epq = error_norms(mesh, coeff, fmap, u_full,
+                                  exact_tables(mesh, p2), 0.5)
     assert e1 < 1e-10 and e2 < 1e-10 and ev < 1e-10 and epq == 0.0
 
 
@@ -309,7 +314,8 @@ def test_error_norms_match_gram_matrices_for_zero_field():
     p_h = rng.standard_normal(qmap.n_p)
     zero = AnalyticField("zero", lambda x1, x2: (0.0 * x1, 0.0 * x2),
                          divergence_free=True)
-    _, _, ev, epq = error_norms(d.mesh, d.coeff, vmap, u_h, zero, iota,
+    _, _, ev, epq = error_norms(d.mesh, d.coeff, vmap, u_h,
+                                exact_tables(d.mesh, zero), iota,
                                 p_h=p_h, qmap=qmap)
     assert ev == pytest.approx(math.sqrt(u_h @ (GV @ u_h)), rel=1e-10)
     assert epq == pytest.approx(math.sqrt(p_h @ (GQ @ p_h)), rel=1e-10)
@@ -360,3 +366,60 @@ def test_load_split_matches_direct_assembly():
     d2 = Discretization(build_uniform_unit_square(4), "example2")
     (_, F2), G2 = d2.load
     assert np.all(F2 == 0.0) and G2[0, 1] == G2[1, 1] == 0.0
+
+
+def test_errors_evaluate_exact_field_once_per_mesh(monkeypatch):
+    # the exact tables are shared by every cell measured on a mesh
+    calls = []
+    jets = AnalyticField.jets
+
+    def counting(self, x):
+        calls.append(len(x))
+        return jets(self, x)
+
+    monkeypatch.setattr(AnalyticField, "jets", counting)
+    mesh = build_uniform_unit_square(4)
+    rng = np.random.default_rng(4)
+    cells = [(1.0, 1.0), (1e-1, 1e4), (1e-8, 1e8)]
+    counts = []
+    for num_cells in (1, 3):
+        d = Discretization(mesh, "example1")
+        u_h = rng.standard_normal(d.vmap.n_u)
+        p_h = rng.standard_normal(d.qmap.n_p)
+        del calls[:]
+        for iota, lam in cells[:num_cells]:
+            d.errors(u_h, p_h, iota, lam)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_error_norms_pressure_of_compressible_field():
+    # the exact pressure p = lambda div u and its gradient come from the
+    # tables; compare with direct quadrature of the jets per triangle
+    field = AnalyticField(
+        "compressible", lambda x1, x2: (x1 ** 2 * x2, x1 * x2 + x2 ** 3),
+        divergence_free=False)
+    d = Discretization(build_uniform_unit_square(3))
+    mesh, qmap = d.mesh, d.qmap
+    rng = np.random.default_rng(6)
+    u_h = rng.standard_normal(d.vmap.n_u)
+    p_h = rng.standard_normal(qmap.n_p)
+    lam, iota = 7.0, 0.4
+    _, _, _, epq = error_norms(mesh, d.coeff, d.vmap, u_h,
+                               exact_tables(mesh, field), iota, p_h=p_h,
+                               qmap=qmap, lam=lam)
+
+    pext = np.append(p_h, 0.0)
+    bary, wts = conical_rule(8)
+    s0 = s1 = 0.0
+    for k in range(mesh.num_triangles):
+        j1, j2 = field.jets(bary @ mesh.tri_coords[k])
+        div = j1.partial(1, 0) + j2.partial(0, 1)
+        gdiv = (j1.partial(2, 0) + j2.partial(1, 1),
+                j1.partial(1, 1) + j2.partial(0, 2))
+        pl = pext[qmap.cell_dofs[k]]
+        gp = pl @ mesh.bary_grads[k]
+        s0 += mesh.area[k] * wts @ (bary @ pl - lam * div) ** 2
+        s1 += mesh.area[k] * wts @ sum((gp[x] - lam * gdiv[x]) ** 2
+                                       for x in (0, 1))
+    assert epq == pytest.approx(math.sqrt(s0 + iota ** 2 * s1), rel=1e-12)
