@@ -15,28 +15,35 @@ sweeps can reuse one assembly, and loads are assembled part by part
 for the same reason.  lambda never enters the displacement
 blocks: it only scales c, which is what makes the method locking-free.
 
-Strain tensors are built entrywise from the scalar shape-function
-gradients and Hessians and contracted over all components with einsum;
-element kernels are scattered into COO triplets and reduced to CSR with
-a stable lexicographic sort, so the result is deterministic and the
-block system is symmetric bit for bit.
+Every scalar modal function is a barycentric monomial and the
+triangles are affine, so each stiffness and coupling integral is a
+triangle-independent reference moment of the monomials' barycentric
+derivatives (:func:`reference_moments`, exact for its rule).  Per chunk
+of triangles the moments are contracted with the barycentric gradients
+and then with the nodal coefficients C as C^T Q C, giving the scalar
+Grams of first and second derivatives; the 20 x 20 vector kernels are
+filled from them (Kirby, Knepley, Logg and Scott, SIAM J. Sci. Comput.
+27, 2005).  No quadrature-point axis enters the per-element work.
+
+Kernels reach CSR through a :class:`ScatterPlan` built once per
+assembly call for its (row map, column map) and shared by both parts:
+one stable argsort of the entry keys, then a sum per run.  The result is
+deterministic and the block system is symmetric bit for bit.
 """
 
 import functools
+import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .element import modal_tables
+from .element import MODAL_EXPONENTS, modal_tables
 from .quadrature import rule_for_degree
 
 _CHUNK = 256
 
-#: quadrature degrees; the (eps, eps) integrand multiplies two degree-5
-#: gradients, so the stiffness needs degree 10, and Example-2 style
-#: polynomial loads f . phi reach degree 11, so loads use degree 12
-DEGREE_STIFFNESS = 10
-DEGREE_COUPLING = 6
+#: quadrature degree of loads and errors: Example-2 style polynomial
+#: loads f . phi reach degree 11
 DEGREE_LOAD = 12
 
 
@@ -52,110 +59,229 @@ def modal_rule(degree, order):
 
 
 def chunks(num_triangles):
-    """Triangle index batches bounding the size of per-point tables."""
+    """Triangle index batches bounding the size of per-chunk temporaries."""
     for lo in range(0, num_triangles, _CHUNK):
         yield np.arange(lo, min(lo + _CHUNK, num_triangles))
 
 
-def scalar_tables(mesh, coeff, tris, degree, order):
-    """Nodal values/derivatives at the quadrature points of a chunk.
+# the six distinct barycentric pairs (s, u), s <= u, and the three
+# distinct physical second derivatives (xx, xy, yy)
+_PAIR_S = np.array([0, 1, 2, 0, 0, 1])
+_PAIR_U = np.array([0, 1, 2, 1, 2, 2])
+_HESS_X = np.array([0, 0, 1])
+_HESS_Y = np.array([0, 1, 1])
 
-    ``coeff`` holds the nodal coefficients of all triangles (see
-    :func:`~sgefem.element.batched_scalar_coeff`).  Returns (rule,
-    tables) where tables is (val,) for order 0, (val, grad) for order 1,
-    (val, grad, hess) for order 2 with shapes (Tc, q, 10),
-    (Tc, q, 10, 2), (Tc, q, 10, 2, 2).
+
+#: k! for the exponents of products of two modal derivatives
+_FACTORIAL = np.array([math.factorial(k) for k in range(15)], dtype=float)
+
+
+def _modal_derivatives(pairs):
+    """Barycentric derivatives of the modal monomials as monomials:
+    coefficients (10, k) and exponent triples (10, k, 3), one per tuple
+    of partials in ``pairs``; a vanishing derivative has coefficient 0."""
+    exps = np.repeat(np.array(MODAL_EXPONENTS)[:, None], len(pairs), axis=1)
+    coef = np.ones(exps.shape[:2])
+    for k, partials in enumerate(pairs):
+        for s in partials:
+            coef[:, k] *= exps[:, k, s]
+            exps[:, k, s] -= 1
+    return coef, np.maximum(exps, 0)
+
+
+def _moments(coef, exps):
+    """coef * (1/|K|) int_K l1^a l2^b l3^c = coef 2 a! b! c! / (a+b+c+2)!;
+    numerator and denominator are exact integers below 2^53, so the one
+    division rounds the exact value correctly."""
+    return (coef * 2.0 * _FACTORIAL[exps].prod(axis=-1)
+            / _FACTORIAL[exps.sum(axis=-1) + 2])
+
+
+@functools.lru_cache(maxsize=None)
+def reference_moments():
+    """Triangle-independent moments of the modal monomials' barycentric
+    derivatives, over the reference triangle with unit measure.
+
+    With d_s the barycentric partials and a = (s, u) a distinct pair:
+
+    - r1 (100, 9):  r1[(m, n), (s, u)] = int d_s psi_m d_u psi_n
+    - r2 (100, 36): r2[(m, n), (a, b)] = int d2_a psi_m d2_b psi_n
+    - b1 (30, 3):   b1[(l, m), s] = int lambda_l d_s psi_m
+    - b2 (10, 6):   b2[m, a] = int d2_a psi_m
+
+    Each integrand is a barycentric polynomial, so the moments are
+    exact rationals (correctly rounded here) rather than quadrature sums.
+    Built on first use and read-only.
     """
-    rule, modal = modal_rule(degree, order)
-    C = coeff[tris]                             # (Tc, 10, 10)
-    G = mesh.bary_grads[tris]                   # (Tc, 3, 2)
-    if order == 0:
-        val = modal
-        return rule, (np.einsum("qj,tji->tqi", val, C),)
-    if order == 1:
-        val, dbary = modal
-        grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C,
-                         optimize=True)
-        return rule, (np.einsum("qj,tji->tqi", val, C), grad)
-    val, dbary, d2bary = modal
-    grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C, optimize=True)
-    mh = np.einsum("qjsu,tsx,tuy->tqjxy", d2bary, G, G, optimize=True)
-    hess = np.einsum("tqjxy,tji->tqixy", mh, C)
-    return rule, (np.einsum("qj,tji->tqi", val, C), grad, hess)
+    c1, e1 = _modal_derivatives([(0,), (1,), (2,)])
+    c2, e2 = _modal_derivatives(list(zip(_PAIR_S, _PAIR_U)))
+    r1 = _moments(c1[:, None, :, None] * c1[None, :, None, :],
+                  e1[:, None, :, None] + e1[None, :, None, :])
+    r2 = _moments(c2[:, None, :, None] * c2[None, :, None, :],
+                  e2[:, None, :, None] + e2[None, :, None, :])
+    b1 = _moments(c1[None], e1[None] + np.eye(3, dtype=int)[:, None, None])
+    b2 = _moments(c2, e2)
+    tables = (r1.reshape(100, 9), r2.reshape(100, 36), b1.reshape(30, 3), b2)
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
-def _accumulate_csr(rows, cols, vals, shape):
-    """Deterministic COO -> CSR: stable sort by (row, col), then sum runs.
+def _hessian_map(G):
+    """P (Tc, 6, 3) taking the distinct barycentric second partials of a
+    function to its physical (xx, xy, yy) ones: D_k f = sum_a d2_a f
+    P[a, k], the off-diagonal pairs counting both orders."""
+    a = G[:, _PAIR_S][..., _HESS_X] * G[:, _PAIR_U][..., _HESS_Y]
+    b = G[:, _PAIR_U][..., _HESS_X] * G[:, _PAIR_S][..., _HESS_Y]
+    return np.where((_PAIR_S == _PAIR_U)[:, None], a, a + b)
 
-    Emission order is preserved inside each (row, col) group, so entries
-    at (r, c) and (c, r) of a symmetric assembly see their summands in
-    the same order and the result is symmetric bit for bit.
+
+def _scalar_grams(mesh, coeff, tris):
+    """Element Gram matrices of the scalar nodal functions of a chunk.
+
+    Returns S (Tc, 2, 2, 10, 10) with S[x, y, i, j] = int d_x phi_i
+    d_y phi_j, and H (Tc, 3, 3, 10, 10) with H[k, l, i, j] = int D_k
+    phi_i D_l phi_j over the second derivatives D = (xx, xy, yy).  The
+    reference moments are contracted with the barycentric gradients by
+    one product each (Q), then with the nodal coefficients as C^T Q C.
     """
-    rows = np.concatenate(rows) if isinstance(rows, list) else rows
-    cols = np.concatenate(cols) if isinstance(cols, list) else cols
-    vals = np.concatenate(vals) if isinstance(vals, list) else vals
-    order = np.lexsort((cols, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-    starts = np.nonzero(first)[0]
-    data = np.add.reduceat(vals, starts)
-    urows = rows[starts]
-    ucols = cols[starts]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
-    np.add.at(indptr, urows + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return csr_matrix((data, ucols, indptr), shape=shape)
-
-
-def _scatter(kernels, row_dofs, col_dofs, out):
-    """Append masked COO triplets of a batch of dense kernels."""
-    Tc, nr, nc = kernels.shape
-    r = np.repeat(row_dofs[:, :, None], nc, axis=2)
-    c = np.repeat(col_dofs[:, None, :], nr, axis=1)
-    mask = (r >= 0) & (c >= 0)
-    out[0].append(r[mask])
-    out[1].append(c[mask])
-    out[2].append(kernels[mask])
-
-
-def _vector_strain_tables(grad, hess=None):
-    """Entrywise strain tensors of the 20 vector shape functions.
-
-    eps[t, q, i, a, b] = (d_a phi_b + d_b phi_a)/2 for vector DoF
-    i = 2 * scalar + component, from the scalar tables; deps adds the
-    leading derivative index when a Hessian table is given.
-    """
-    Tc, q = grad.shape[:2]
-    g = np.zeros((Tc, q, 20, 2, 2))
-    for c in (0, 1):
-        g[:, :, c::2, c, :] = grad
-    eps = 0.5 * (g + g.swapaxes(3, 4))
-    if hess is None:
-        return eps
-    gg = np.zeros((Tc, q, 20, 2, 2, 2))
-    for c in (0, 1):
-        gg[:, :, c::2, :, c, :] = hess
-    deps = 0.5 * (gg + gg.swapaxes(4, 5))
-    return eps, deps
+    r1, r2, _, _ = reference_moments()
+    Tc = len(tris)
+    area = mesh.area[tris][:, None, None, None, None]
+    G = mesh.bary_grads[tris]
+    P = _hessian_map(G)
+    g1 = area * G[:, :, None, :, None] * G[:, None, :, None, :]  # [s,u,x,y]
+    g2 = area * P[:, :, None, :, None] * P[:, None, :, None, :]  # [a,b,k,l]
+    q1 = r1 @ g1.reshape(Tc, 9, 4).transpose(1, 0, 2).reshape(9, -1)
+    q2 = r2 @ g2.reshape(Tc, 36, 9).transpose(1, 0, 2).reshape(36, -1)
+    Q = np.concatenate([q1.reshape(10, 10, Tc, 4),
+                        q2.reshape(10, 10, Tc, 9)], axis=3)
+    Q = np.ascontiguousarray(Q.transpose(2, 0, 3, 1))     # [t, m, kl, n]
+    C = coeff[tris]
+    QC = (Q.reshape(Tc, 130, 10) @ C).reshape(Tc, 10, 130)
+    grams = (C.swapaxes(1, 2) @ QC).reshape(Tc, 10, 13, 10)
+    grams = grams.transpose(0, 2, 1, 3)                     # [t, kl, i, j]
+    return (grams[:, :4].reshape(Tc, 2, 2, 10, 10),
+            grams[:, 4:].reshape(Tc, 3, 3, 10, 10))
 
 
 def _symmetrize(k):
-    # einsum reduces (i, j) and (j, i) through different BLAS paths; the
+    # the Grams of (i, j) and (j, i) come from different products; the
     # explicit average restores exact (bitwise) kernel symmetry
     return 0.5 * (k + k.swapaxes(1, 2))
 
 
+def _strain_kernel(S):
+    """Vector kernel (Tc, 20, 20) of sum_ab int e_ab(phi_I) e_ab(phi_J)
+    from the scalar Grams S[d, c] of a gradient: entry (2i+c, 2j+d) is
+    (delta_cd tr S + S[d, c]) / 2 at (i, j)."""
+    K = 0.5 * S.transpose(0, 3, 2, 4, 1)                   # [t, i, c, j, d]
+    half_trace = 0.5 * (S[:, 0, 0] + S[:, 1, 1])
+    for c in (0, 1):
+        K[:, :, c, :, c] += half_trace
+    return _symmetrize(K.reshape(len(S), 20, 20))
+
+
+def _component_kernel(k):
+    """Vector kernel (Tc, 20, 20) acting as the scalar kernel k on each
+    component and coupling none."""
+    K = np.zeros((len(k), 10, 2, 10, 2))
+    for c in (0, 1):
+        K[:, :, c, :, c] = k
+    return _symmetrize(K.reshape(len(k), 20, 20))
+
+
 def kernel_a_parts(mesh, coeff, tris):
     """Element kernels of the two integrals of a_h for a batch of
-    triangles: (eps, eps) and (grad eps, grad eps), each (Tc, 20, 20)."""
-    rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
-                                          DEGREE_STIFFNESS, 2)
-    eps, deps = _vector_strain_tables(grad, hess)
-    w = rule.weights[None, :] * mesh.area[tris][:, None]
-    k0 = np.einsum("tq,tqiab,tqjab->tij", w, eps, eps, optimize=True)
-    k2 = np.einsum("tq,tqizab,tqjzab->tij", w, deps, deps, optimize=True)
-    return _symmetrize(k0), _symmetrize(k2)
+    triangles: (eps, eps) and (grad eps, grad eps), each (Tc, 20, 20).
+
+    The second is the strain kernel of M[d, c] = sum_z int d_zd phi_i
+    d_zc phi_j, which are the (xx, xy) and (xy, yy) blocks of H."""
+    S, H = _scalar_grams(mesh, coeff, tris)
+    return _strain_kernel(S), _strain_kernel(H[:, :2, :2] + H[:, 1:, 1:])
+
+
+def kernel_norm_gram_parts(mesh, coeff, tris):
+    """Element kernels (Tc, 20, 20) of the gradient and second-derivative
+    Grams of the displacement space; the second sums one term per
+    second-derivative multi-index, so the mixed derivative counts once."""
+    S, H = _scalar_grams(mesh, coeff, tris)
+    return (_component_kernel(S[:, 0, 0] + S[:, 1, 1]),
+            _component_kernel(H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]))
+
+
+def kernel_b_parts(mesh, coeff, tris):
+    """Element kernels (Tc, 3, 20) of (div v, q) and (grad div v, grad q);
+    rows are the local P1 pressure functions (the barycentric
+    coordinates).  Column 2j+c holds int lambda_l d_c phi_j and
+    sum_z int d_zc phi_j d_z lambda_l."""
+    _, _, b1, b2 = reference_moments()
+    Tc = len(tris)
+    area = mesh.area[tris][:, None, None, None]
+    G = mesh.bary_grads[tris]
+    Ct = coeff[tris].swapaxes(1, 2)[:, None]                # [t, 1, j, m]
+    k0 = Ct @ (b1 @ G).reshape(Tc, 3, 10, 2)                # [t, l, j, c]
+    hm = b2 @ _hessian_map(G)                               # [t, m, k]
+    # sum_z G[l, z] D_zc psi_m, with (z, c) -> k = (xx, xy, yy)
+    gd = (G[:, :, None, None, 0] * hm[:, None, :, :2]
+          + G[:, :, None, None, 1] * hm[:, None, :, 1:])
+    k2 = Ct @ gd
+    return ((area * k0).reshape(Tc, 3, 20),
+            (area * k2).reshape(Tc, 3, 20))
+
+
+class ScatterPlan:
+    """COO -> CSR map of one (row DoF map, column DoF map) pair.
+
+    Every triangle contributes a dense (nr, nc) kernel; entries with an
+    eliminated row or column (index -1) are masked out.  The remaining
+    entries are ordered by one stable argsort of the key
+    row * n_cols + col, which keeps the emission (triangle) order
+    inside each (row, col) run, and each run is summed.  Summands of
+    (r, c) and (c, r) of a symmetric assembly are then added in the same
+    order, so the result is symmetric bit for bit.  All parts assembled
+    through one plan share its ``indices`` and ``indptr`` arrays.
+    """
+
+    def __init__(self, row_dofs, col_dofs, shape):
+        n_rows, n_cols = shape
+        full = (len(row_dofs), row_dofs.shape[1], col_dofs.shape[1])
+        rows = np.broadcast_to(row_dofs[:, :, None], full)
+        cols = np.broadcast_to(col_dofs[:, None, :], full)
+        self.shape = shape
+        self.mask = (rows >= 0) & (cols >= 0)
+        key = rows[self.mask] * n_cols + cols[self.mask]
+        self.order = np.argsort(key, kind="stable")
+        key = key[self.order]
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        self.starts = np.flatnonzero(first)
+        key = key[self.starts]
+        # scipy keeps int32 indices when they fit; matching its choice
+        # avoids a per-matrix copy and keeps the arrays shared
+        idx = np.int32 if max(n_rows, n_cols, len(key)) < 2 ** 31 \
+            else np.int64
+        self.indices = (key % n_cols).astype(idx)
+        self.indptr = np.zeros(n_rows + 1, dtype=idx)
+        np.cumsum(np.bincount(key // n_cols, minlength=n_rows),
+                  out=self.indptr[1:])
+
+    def csr(self, kernels):
+        """The assembled matrix of per-triangle kernels (T, nr, nc)."""
+        data = np.add.reduceat(kernels[self.mask][self.order], self.starts)
+        return csr_matrix((data, self.indices, self.indptr),
+                          shape=self.shape)
+
+
+def _assemble_pair(kernel, mesh, coeff, row_dofs, col_dofs, shape):
+    """Both parts of a chunked kernel pair through one scatter plan."""
+    T = mesh.num_triangles
+    parts = [np.empty((T, row_dofs.shape[1], col_dofs.shape[1]))
+             for _ in range(2)]
+    for tris in chunks(T):
+        parts[0][tris], parts[1][tris] = kernel(mesh, coeff, tris)
+    plan = ScatterPlan(row_dofs, col_dofs, shape)
+    return plan.csr(parts[0]), plan.csr(parts[1])
 
 
 def assemble_a_parts(mesh, coeff, vmap):
@@ -163,50 +289,14 @@ def assemble_a_parts(mesh, coeff, vmap):
     (eps, eps) and (grad eps, grad eps).  a_h = 2 mu (first + iota^2 second).
     """
     n = vmap.n_u
-    out0 = ([], [], [])
-    out2 = ([], [], [])
-    for tris in chunks(mesh.num_triangles):
-        k0, k2 = kernel_a_parts(mesh, coeff, tris)
-        dofs = vmap.cell_dofs[tris]
-        _scatter(k0, dofs, dofs, out0)
-        _scatter(k2, dofs, dofs, out2)
-    return (_accumulate_csr(*out0, shape=(n, n)),
-            _accumulate_csr(*out2, shape=(n, n)))
-
-
-def kernel_b_parts(mesh, coeff, tris):
-    """Element kernels (Tc, 3, 20) of (div v, q) and (grad div v, grad q);
-    rows are the local P1 pressure functions."""
-    rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
-                                          DEGREE_COUPLING, 2)
-    lam_vals = rule.points                          # P1 basis = barycentric
-    w = rule.weights[None, :] * mesh.area[tris][:, None]
-    # div phi_(2s+c) = grad[..., s, c]
-    div = np.empty(grad.shape[:2] + (20,))
-    for c in (0, 1):
-        div[:, :, c::2] = grad[..., c]
-    k0 = np.einsum("tq,tqj,ql->tlj", w, div, lam_vals, optimize=True)
-    gdiv = np.empty(hess.shape[:2] + (20, 2))
-    for c in (0, 1):
-        gdiv[:, :, c::2, :] = hess[..., c]
-    G = mesh.bary_grads[tris]
-    k2 = np.einsum("tq,tqjz,tlz->tlj", w, gdiv, G, optimize=True)
-    return k0, k2
+    return _assemble_pair(kernel_a_parts, mesh, coeff, vmap.cell_dofs,
+                          vmap.cell_dofs, (n, n))
 
 
 def assemble_b_parts(mesh, coeff, vmap, qmap):
     """(div v, q) and (grad div v, grad q); b_h = first + iota^2 second."""
-    out0 = ([], [], [])
-    out2 = ([], [], [])
-    for tris in chunks(mesh.num_triangles):
-        k0, k2 = kernel_b_parts(mesh, coeff, tris)
-        rows = qmap.cell_dofs[tris]
-        cols = vmap.cell_dofs[tris]
-        _scatter(k0, rows, cols, out0)
-        _scatter(k2, rows, cols, out2)
-    shape = (qmap.n_p, vmap.n_u)
-    return (_accumulate_csr(*out0, shape=shape),
-            _accumulate_csr(*out2, shape=shape))
+    return _assemble_pair(kernel_b_parts, mesh, coeff, qmap.cell_dofs,
+                          vmap.cell_dofs, (qmap.n_p, vmap.n_u))
 
 
 def assemble_pressure_parts(mesh, qmap):
@@ -215,18 +305,13 @@ def assemble_pressure_parts(mesh, qmap):
     lam = rule.points
     mass_loc = np.einsum("q,qa,qb->ab", rule.weights, lam, lam)
     mass_loc = 0.5 * (mass_loc + mass_loc.T)
-    n = qmap.n_p
-    outm = ([], [], [])
-    outk = ([], [], [])
     G = mesh.bary_grads
     area = mesh.area
-    dofs = qmap.cell_dofs
     km = area[:, None, None] * mass_loc[None, :, :]
     kk = _symmetrize(area[:, None, None] * np.einsum("taz,tbz->tab", G, G))
-    _scatter(km, dofs, dofs, outm)
-    _scatter(kk, dofs, dofs, outk)
-    return (_accumulate_csr(*outm, shape=(n, n)),
-            _accumulate_csr(*outk, shape=(n, n)))
+    n = qmap.n_p
+    plan = ScatterPlan(qmap.cell_dofs, qmap.cell_dofs, (n, n))
+    return plan.csr(km), plan.csr(kk)
 
 
 def assemble_load(mesh, coeff, vmap, load):
@@ -237,9 +322,10 @@ def assemble_load(mesh, coeff, vmap, load):
     Returns F (m, n_u) with F[k, i] = (f_k, phi_i) over the free DoFs,
     and G (m, m) with G[k, l] = (f_k, f_l).
     """
+    rule, modal = modal_rule(DEGREE_LOAD, 0)
     F = G = None
     for tris in chunks(mesh.num_triangles):
-        rule, (val,) = scalar_tables(mesh, coeff, tris, DEGREE_LOAD, 0)
+        val = np.einsum("qj,tji->tqi", modal, coeff[tris])
         pts = np.einsum("qs,tsx->tqx", rule.points, mesh.tri_coords[tris])
         parts = [fv.reshape(pts.shape) for fv in load(pts.reshape(-1, 2))]
         if F is None:
@@ -261,32 +347,10 @@ def assemble_load(mesh, coeff, vmap, load):
 
 def assemble_norm_gram_parts(mesh, coeff, vmap):
     """Gradient and second-derivative Gram matrices of the displacement
-    space (the iota-split of G_V).  The second seminorm sums one term
-    per second-derivative multi-index, so the mixed derivative is
-    counted once."""
+    space (the iota-split of G_V); same pattern as the a_h parts."""
     n = vmap.n_u
-    out1 = ([], [], [])
-    out2 = ([], [], [])
-    for tris in chunks(mesh.num_triangles):
-        rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
-                                              DEGREE_STIFFNESS, 2)
-        w = rule.weights[None, :] * mesh.area[tris][:, None]
-        k1 = _symmetrize(np.einsum("tq,tqix,tqjx->tij", w, grad, grad,
-                                   optimize=True))
-        full = np.einsum("tq,tqixy,tqjxy->tij", w, hess, hess,
-                         optimize=True)
-        mixed = np.einsum("tq,tqi,tqj->tij", w, hess[..., 0, 1],
-                          hess[..., 0, 1], optimize=True)
-        k2 = _symmetrize(full - mixed)
-        dofs = vmap.cell_dofs[tris]
-        # vector Gram = scalar Gram on each component
-        for kern, out in ((k1, out1), (k2, out2)):
-            vk = np.zeros((len(tris), 20, 20))
-            for c in (0, 1):
-                vk[:, c::2, c::2] = kern
-            _scatter(vk, dofs, dofs, out)
-    return (_accumulate_csr(*out1, shape=(n, n)),
-            _accumulate_csr(*out2, shape=(n, n)))
+    return _assemble_pair(kernel_norm_gram_parts, mesh, coeff,
+                          vmap.cell_dofs, vmap.cell_dofs, (n, n))
 
 
 def mean_constraint_vector(mesh, qmap):

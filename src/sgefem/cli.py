@@ -218,11 +218,20 @@ def run_convergence(config):
 
 
 def run_verify(ns, iotas, out, seed=0, flip_edge=None):
+    from .mesh import build_uniform_unit_square
     from .verify import INFSUP_IOTAS, run_verification
 
     ns = sorted(ns) if ns else [2, 4, 8]
     if any(n < 2 for n in ns):
         raise ConfigError("n values must be at least 2")
+    if flip_edge is not None:
+        # the fault goes into the first continuity mesh, and only an
+        # interior edge has a second triangle whose gradient can jump
+        mesh = build_uniform_unit_square(ns[0])
+        if not (0 <= flip_edge < mesh.num_edges
+                and not mesh.edge_is_boundary[flip_edge]):
+            raise ConfigError("--debug-flip-edge must name an interior "
+                              "edge of the n=%d mesh" % ns[0])
     infsup_ns = [n for n in ns if 3 <= n <= 8]
     report = run_verification(
         seed=seed, flip_edge=flip_edge, continuity_ns=ns,

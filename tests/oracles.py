@@ -13,14 +13,22 @@ at fixed quadrature points.
 The unsplit body forces (with their material parameters), pointwise
 field values and gradients, and the inf-sup constant of one mesh and
 iota are the references the package's split and batched forms are
-checked against; no production path needs them.
+checked against; no production path needs them.  So are the
+quadrature-point element kernels with the lexsort COO accumulation
+(which the reference-moment kernels and the scatter plan replaced) and
+the per-edge weak-continuity loop (which the batched check replaced).
 """
 
 import numpy as np
 from math import factorial
 from scipy.special import roots_jacobi, roots_legendre
 
-from sgefem.element import batched_scalar_coeff, modal_tables
+from scipy.sparse import csr_matrix
+
+from sgefem.assembly import modal_rule
+from sgefem.element import (batched_scalar_coeff,
+                            batched_scalar_dof_matrices, modal_tables)
+from sgefem.quadrature import edge_rule
 from sgefem.verify import _infsup_from_parts, _infsup_parts
 
 
@@ -251,3 +259,154 @@ def estimate_infsup(mesh, iota):
     = theta G_Q q on the mean-zero pressure subspace, computed densely.
     """
     return _infsup_from_parts(_infsup_parts(mesh), iota)
+
+
+# quadrature-point element kernels and the lexsort COO accumulation: the
+# assembly path the reference-moment kernels and the scatter plan replaced
+
+#: the (eps, eps) integrand multiplies two degree-5 gradients; the
+#: coupling integrand a degree-5 divergence and a linear pressure
+DEGREE_STIFFNESS = 10
+DEGREE_COUPLING = 6
+
+def scalar_tables(mesh, coeff, tris, degree):
+    """Values, gradients (Tc, q, 10, 2) and Hessians (Tc, q, 10, 2, 2)
+    of the scalar nodal functions at the points of the degree rule."""
+    rule, (val, dbary, d2bary) = modal_rule(degree, 2)
+    C = coeff[tris]
+    G = mesh.bary_grads[tris]
+    grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C, optimize=True)
+    mh = np.einsum("qjsu,tsx,tuy->tqjxy", d2bary, G, G, optimize=True)
+    hess = np.einsum("tqjxy,tji->tqixy", mh, C)
+    return rule, (np.einsum("qj,tji->tqi", val, C), grad, hess)
+
+
+def vector_strain_tables(grad, hess):
+    """Strain eps[t, q, i, a, b] of the 20 vector shape functions and its
+    gradient deps[t, q, i, z, a, b] = d_z eps_ab."""
+    Tc, q = grad.shape[:2]
+    g = np.zeros((Tc, q, 20, 2, 2))
+    for c in (0, 1):
+        g[:, :, c::2, c, :] = grad
+    eps = 0.5 * (g + g.swapaxes(3, 4))
+    gg = np.zeros((Tc, q, 20, 2, 2, 2))
+    for c in (0, 1):
+        gg[:, :, c::2, :, c, :] = hess
+    deps = 0.5 * (gg + gg.swapaxes(4, 5))
+    return eps, deps
+
+
+def _symmetrize(k):
+    return 0.5 * (k + k.swapaxes(1, 2))
+
+
+def quadrature_kernel_a_parts(mesh, coeff, tris):
+    """(eps, eps) and (grad eps, grad eps) kernels (Tc, 20, 20) summed
+    over the degree-10 points."""
+    rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
+                                          DEGREE_STIFFNESS)
+    eps, deps = vector_strain_tables(grad, hess)
+    w = rule.weights[None, :] * mesh.area[tris][:, None]
+    k0 = np.einsum("tq,tqiab,tqjab->tij", w, eps, eps, optimize=True)
+    k2 = np.einsum("tq,tqizab,tqjzab->tij", w, deps, deps, optimize=True)
+    return _symmetrize(k0), _symmetrize(k2)
+
+
+def quadrature_kernel_b_parts(mesh, coeff, tris):
+    """(div v, q) and (grad div v, grad q) kernels (Tc, 3, 20) summed
+    over the degree-6 points."""
+    rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
+                                          DEGREE_COUPLING)
+    w = rule.weights[None, :] * mesh.area[tris][:, None]
+    div = np.empty(grad.shape[:2] + (20,))
+    for c in (0, 1):
+        div[:, :, c::2] = grad[..., c]
+    k0 = np.einsum("tq,tqj,ql->tlj", w, div, rule.points, optimize=True)
+    gdiv = np.empty(hess.shape[:2] + (20, 2))
+    for c in (0, 1):
+        gdiv[:, :, c::2, :] = hess[..., c]
+    G = mesh.bary_grads[tris]
+    k2 = np.einsum("tq,tqjz,tlz->tlj", w, gdiv, G, optimize=True)
+    return k0, k2
+
+
+def quadrature_kernel_norm_gram_parts(mesh, coeff, tris):
+    """Gradient and second-derivative Gram kernels (Tc, 20, 20) summed
+    over the degree-10 points; the mixed derivative counts once."""
+    rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
+                                          DEGREE_STIFFNESS)
+    w = rule.weights[None, :] * mesh.area[tris][:, None]
+    k1 = _symmetrize(np.einsum("tq,tqix,tqjx->tij", w, grad, grad,
+                               optimize=True))
+    full = np.einsum("tq,tqixy,tqjxy->tij", w, hess, hess, optimize=True)
+    mixed = np.einsum("tq,tqi,tqj->tij", w, hess[..., 0, 1],
+                      hess[..., 0, 1], optimize=True)
+    k2 = _symmetrize(full - mixed)
+    out = []
+    for kern in (k1, k2):
+        vk = np.zeros((len(tris), 20, 20))
+        for c in (0, 1):
+            vk[:, c::2, c::2] = kern
+        out.append(vk)
+    return tuple(out)
+
+
+def lexsort_csr(kernels, row_dofs, col_dofs, shape):
+    """Deterministic COO -> CSR of a batch of dense kernels: masked
+    triplets in emission order, a stable lexsort by (row, col), then
+    the sum of each run."""
+    Tc, nr, nc = kernels.shape
+    r = np.repeat(row_dofs[:, :, None], nc, axis=2)
+    c = np.repeat(col_dofs[:, None, :], nr, axis=1)
+    mask = (r >= 0) & (c >= 0)
+    rows, cols, vals = r[mask], c[mask], kernels[mask]
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+    starts = np.nonzero(first)[0]
+    data = np.add.reduceat(vals, starts)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    np.add.at(indptr, rows[starts] + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return csr_matrix((data, cols[starts], indptr), shape=shape)
+
+
+def loop_weak_continuity(mesh, flip_edge=None):
+    """The weak-continuity measure of :func:`sgefem.verify.
+    check_weak_continuity`, one interior edge at a time with a dict of
+    jumps per global entity."""
+    coeff = batched_scalar_coeff(mesh)
+    if flip_edge is not None:
+        k = int(mesh.triangles_of_edge[flip_edge, 0])
+        s = int(np.where(mesh.edge_of_triangle[k] == flip_edge)[0][0])
+        M0 = batched_scalar_dof_matrices(mesh, [k])[0]
+        M0[6 + s] *= -1.0
+        coeff[k] = np.linalg.inv(M0)
+    t, w = edge_rule(5)
+    V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+    etri = mesh.edge_of_triangle
+    entities = np.concatenate([mesh.triangles, V + etri, V + E + etri,
+                               (V + 2 * E + np.arange(T))[:, None]], axis=1)
+    worst = 0.0
+    for e in np.where(~mesh.edge_is_boundary)[0]:
+        lo, hi = mesh.edges[e]
+        pts = np.outer(1.0 - t, mesh.vertices[lo]) \
+            + np.outer(t, mesh.vertices[hi])
+        jumps = {}
+        scale = 0.0
+        for side, k in enumerate(mesh.triangles_of_edge[e]):
+            G = mesh.bary_grads[k]
+            centroid = mesh.tri_coords[k].mean(axis=0)
+            bary = 1.0 / 3.0 + (pts - centroid) @ G.T
+            _, dbary = modal_tables(bary, 1)
+            grad = np.einsum("qjs,sx,ji->qix", dbary, G, coeff[k])
+            scale = max(scale, float(np.max(np.abs(grad))))
+            integ = mesh.edge_length[e] * np.einsum("q,qix->ix", w, grad)
+            sgn = 1.0 if side == 0 else -1.0
+            for j in range(10):
+                g = int(entities[k, j])
+                jumps[g] = jumps.get(g, 0.0) + sgn * integ[j]
+        m = max(float(np.max(np.abs(v))) for v in jumps.values())
+        worst = max(worst, m / (scale * mesh.edge_length[e]))
+    return worst

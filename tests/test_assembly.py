@@ -2,18 +2,36 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from sgefem.assembly import (assemble_load, assemble_pressure_parts,
-                             kernel_a_parts, kernel_b_parts,
-                             mean_constraint_vector)
+from sgefem.assembly import (ScatterPlan, assemble_load,
+                             assemble_pressure_parts, kernel_a_parts,
+                             kernel_b_parts, kernel_norm_gram_parts,
+                             mean_constraint_vector, modal_rule,
+                             reference_moments)
 from sgefem.discretization import Discretization
-from sgefem.mesh import build_uniform_unit_square
-from oracles import ProblemParams, conical_rule, eval_basis
+from sgefem.mesh import Mesh, build_uniform_unit_square
+from oracles import (DEGREE_COUPLING, DEGREE_STIFFNESS, ProblemParams,
+                     conical_rule, eval_basis, lexsort_csr,
+                     quadrature_kernel_a_parts, quadrature_kernel_b_parts,
+                     quadrature_kernel_norm_gram_parts)
 
 
 def setup(n):
     """Discretization of the n x n mesh with the example2 load (the
     matrices do not depend on it)."""
     return Discretization(build_uniform_unit_square(n), "example2")
+
+
+def jittered(n=3, seed=1):
+    """Discretization of the n x n mesh with every interior vertex moved
+    by up to a quarter cell, so that no two triangles share a shape."""
+    mesh = build_uniform_unit_square(n)
+    rng = np.random.default_rng(seed)
+    verts = mesh.vertices.copy()
+    inner = ~mesh.vertex_is_boundary
+    verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
+    jittered_mesh = Mesh(verts, mesh.triangles)
+    assert np.all(jittered_mesh.area > 0.0)
+    return Discretization(jittered_mesh)
 
 
 def oracle_kernel_a(mesh, k, mu, iota, p=7):
@@ -52,6 +70,22 @@ def oracle_kernel_b(mesh, k, iota, p=7):
     return K
 
 
+def oracle_kernel_norm_gram(mesh, k, p=7):
+    """Gradient and second-derivative Gram kernels of triangle k, the
+    mixed derivative counted once."""
+    pts, wts = conical_rule(p)
+    xy = pts @ mesh.tri_coords[k]
+    _, grad, hess = eval_basis(mesh, k, xy, 2)
+    second = hess[..., [0, 0, 1], [0, 1, 1]]          # xx, xy, yy
+    w = wts * mesh.area[k]
+    return (np.einsum("q,qiab,qjab->ij", w, grad, grad),
+            np.einsum("q,qiak,qjak->ij", w, second, second))
+
+
+def rel_error(got, expect):
+    return np.max(np.abs(got - expect)) / np.max(np.abs(expect))
+
+
 def test_kernel_a_matches_oracle():
     d = setup(2)
     mu, iota = 1.0, 0.3
@@ -79,6 +113,143 @@ def test_kernel_b_matches_oracle():
     oracle = oracle_kernel_b(d.mesh, 4, iota)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(production - oracle)) / scale < 1e-12
+
+
+def test_kernel_a_matches_oracle_on_jittered_mesh():
+    d = jittered()
+    mu, iota = 1.0, 0.3
+    tris = np.arange(d.mesh.num_triangles)
+    k0, k2 = kernel_a_parts(d.mesh, d.coeff, tris)
+    for k in tris:
+        production = 2.0 * mu * (k0[k] + iota ** 2 * k2[k])
+        assert rel_error(production,
+                         oracle_kernel_a(d.mesh, k, mu, iota)) < 1e-12
+
+
+def test_kernel_a_elasticity_limit_on_jittered_mesh():
+    d = jittered()
+    tris = np.arange(d.mesh.num_triangles)
+    k0, _ = kernel_a_parts(d.mesh, d.coeff, tris)
+    for k in tris:
+        assert rel_error(2.0 * 0.5 * k0[k],
+                         oracle_kernel_a(d.mesh, k, 0.5, 0.0)) < 1e-12
+
+
+def test_kernel_b_matches_oracle_on_jittered_mesh():
+    d = jittered()
+    iota = 0.15
+    tris = np.arange(d.mesh.num_triangles)
+    k0, k2 = kernel_b_parts(d.mesh, d.coeff, tris)
+    for k in tris:
+        assert rel_error(k0[k] + iota ** 2 * k2[k],
+                         oracle_kernel_b(d.mesh, k, iota)) < 1e-12
+
+
+def test_kernel_norm_gram_matches_oracle_on_jittered_mesh():
+    d = jittered()
+    tris = np.arange(d.mesh.num_triangles)
+    k1, k2 = kernel_norm_gram_parts(d.mesh, d.coeff, tris)
+    for k in tris:
+        o1, o2 = oracle_kernel_norm_gram(d.mesh, k)
+        assert rel_error(k1[k], o1) < 1e-12
+        assert rel_error(k2[k], o2) < 1e-12
+
+
+@pytest.mark.parametrize("make", [lambda: setup(4), jittered],
+                         ids=["uniform", "jittered"])
+def test_kernels_match_quadrature_kernels(make):
+    # the degree-10 and degree-6 rules are exact for these integrands,
+    # so the quadrature sums differ from the exact moments by roundoff;
+    # that of the quadrature grad-div kernel reaches 5e-13 (it does not
+    # cancel where the exact kernel vanishes, see the test below)
+    disc = make()
+    tris = np.arange(disc.mesh.num_triangles)
+    for production, reference, tols in (
+            (kernel_a_parts, quadrature_kernel_a_parts, (1e-13, 1e-13)),
+            (kernel_b_parts, quadrature_kernel_b_parts, (1e-13, 1e-12)),
+            (kernel_norm_gram_parts, quadrature_kernel_norm_gram_parts,
+             (1e-13, 1e-13))):
+        for got, expect, tol in zip(production(disc.mesh, disc.coeff, tris),
+                                    reference(disc.mesh, disc.coeff, tris),
+                                    tols, strict=True):
+            assert rel_error(got, expect) < tol
+
+
+def test_reference_moments_match_quadrature():
+    r1, r2, b1, b2 = reference_moments()
+    pairs = ([0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2])
+    rule, (_, d1, d2) = modal_rule(DEGREE_STIFFNESS, 2)
+    w, h = rule.weights, d2[..., pairs[0], pairs[1]]
+    for got, expect in (
+            (r1, np.einsum("q,qms,qnu->mnsu", w, d1, d1).reshape(100, 9)),
+            (r2, np.einsum("q,qma,qnb->mnab", w, h, h).reshape(100, 36))):
+        assert rel_error(got, expect) < 1e-14
+    rule, (_, d1, d2) = modal_rule(DEGREE_COUPLING, 2)
+    w = rule.weights
+    assert rel_error(b1, np.einsum("q,ql,qms->lms", w, rule.points,
+                                   d1).reshape(30, 3)) < 1e-14
+    assert rel_error(b2, np.einsum("q,qma->ma", w,
+                                   d2[..., pairs[0], pairs[1]])) < 1e-14
+
+
+def test_grad_div_kernel_vanishes_on_midpoint_and_mean_functions():
+    # int_K d_zc phi = mean over the boundary of d_c phi n_z, and the
+    # gradient of a midpoint-value or cell-mean function has zero edge
+    # means (its vertex values and normal-derivative means vanish)
+    for d in (setup(16), jittered()):
+        tris = np.arange(d.mesh.num_triangles)
+        _, k2 = kernel_b_parts(d.mesh, d.coeff, tris)
+        scale = np.abs(k2).max(axis=(1, 2))
+        cols = np.r_[6:12, 18:20]
+        assert np.all(np.abs(k2[:, :, cols]).max(axis=(1, 2))
+                      < 1e-13 * scale)
+
+
+def plan_cases(d):
+    """(row DoFs, column DoFs, shape) of the three scatter plans."""
+    v, q = d.vmap, d.qmap
+    return ((v.cell_dofs, v.cell_dofs, (v.n_u, v.n_u)),
+            (q.cell_dofs, v.cell_dofs, (q.n_p, v.n_u)),
+            (q.cell_dofs, q.cell_dofs, (q.n_p, q.n_p)))
+
+
+def assert_same_csr(got, expect):
+    assert got.shape == expect.shape
+    assert np.array_equal(got.indptr, expect.indptr)
+    assert np.array_equal(got.indices, expect.indices)
+    assert np.array_equal(got.data, expect.data)      # bit for bit
+
+
+def test_scatter_plan_matches_lexsort_accumulation():
+    d = jittered()
+    rng = np.random.default_rng(7)
+    for rows, cols, shape in plan_cases(d):
+        kernels = rng.standard_normal((len(rows), rows.shape[1],
+                                       cols.shape[1]))
+        assert_same_csr(ScatterPlan(rows, cols, shape).csr(kernels),
+                        lexsort_csr(kernels, rows, cols, shape))
+
+
+def test_assembled_parts_are_the_lexsort_sums_of_their_kernels():
+    d = jittered()
+    tris = np.arange(d.mesh.num_triangles)
+    (rows_v, cols_v, shape_v), (rows_b, cols_b, shape_b), _ = plan_cases(d)
+    for parts, kernels, rows, cols, shape in (
+            (d.a_parts, kernel_a_parts, rows_v, cols_v, shape_v),
+            (d.norm_gram_parts, kernel_norm_gram_parts, rows_v, cols_v,
+             shape_v),
+            (d.b_parts, kernel_b_parts, rows_b, cols_b, shape_b)):
+        for got, k in zip(parts, kernels(d.mesh, d.coeff, tris),
+                          strict=True):
+            assert_same_csr(got, lexsort_csr(k, rows, cols, shape))
+
+
+def test_parts_of_one_call_share_their_pattern():
+    d = jittered()
+    for first, second in (d.a_parts, d.b_parts, d.pressure_parts,
+                          d.norm_gram_parts):
+        assert np.shares_memory(first.indices, second.indices)
+        assert np.shares_memory(first.indptr, second.indptr)
 
 
 def test_a_symmetric_and_positive():

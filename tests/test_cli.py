@@ -199,6 +199,14 @@ def test_verify_flip_edge_fails_with_exit_1(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("edge", ["999", "-1", "0"],
+                         ids=["past-last", "negative", "boundary"])
+def test_verify_flip_edge_rejects_non_interior_edge(edge, capsys):
+    # edge 0 is on the boundary of the n=2 mesh, which has 16 edges
+    assert run(["verify", "--n", "2", "--debug-flip-edge", edge]) == 3
+    assert "interior edge" in capsys.readouterr().err
+
+
 def test_solve_export(tmp_path):
     out = tmp_path / "sol.csv"
     args = ["solve", "--example", "example2", "--lambda", "1e0", "--iota",

@@ -8,7 +8,8 @@ from sgefem.verify import (UNISOLVENCE_COND_BOUND, VerificationReport,
                            _infsup_from_parts, _infsup_parts,
                            check_unisolvence, check_weak_continuity,
                            random_shape_regular_triangles, run_verification)
-from oracles import estimate_infsup
+from sgefem.mesh import Mesh
+from oracles import estimate_infsup, loop_weak_continuity
 
 REFERENCE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
@@ -64,6 +65,23 @@ def test_weak_continuity_catches_flipped_normal():
     report = check_weak_continuity(mesh, flip_edge=e)
     assert not report.passed
     assert report.entries[0].value > 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_weak_continuity_matches_per_edge_loop(n):
+    # every interior edge flipped in turn on a mesh with jittered
+    # interior vertices: the batched measure is the per-edge one
+    mesh = build_uniform_unit_square(n)
+    verts = mesh.vertices.copy()
+    inner = ~mesh.vertex_is_boundary
+    rng = np.random.default_rng(n)
+    verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
+    mesh = Mesh(verts, mesh.triangles)
+    for e in np.flatnonzero(~mesh.edge_is_boundary)[::3]:
+        value = check_weak_continuity(mesh, flip_edge=int(e)).entries[0]
+        assert value.value == pytest.approx(
+            loop_weak_continuity(mesh, flip_edge=int(e)), rel=1e-12)
+    assert check_weak_continuity(mesh).passed
 
 
 def test_infsup_positive_across_iota():
