@@ -149,9 +149,11 @@ def _merge_config(args):
 
 
 def _limit_threads(threads):
+    """Set the BLAS thread variables, overriding inherited values; they
+    take effect only if numpy's BLAS has not been loaded yet."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(threads))
+        os.environ[var] = str(threads)
 
 
 def _study_rows(config):

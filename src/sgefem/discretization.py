@@ -6,10 +6,12 @@ enters only the pressure block, so one mesh carries everything the
 maps, the matrix parts, the load parts F = F0 + iota^2 F2 (for mu = 1),
 the parts of ||f||^2, and the exact field's gradient and second
 derivatives at the error quadrature points.  A cell then only combines
-parts, solves and measures.  Each group is computed on first use, so a
-caller that needs only some of them (the verification checks) pays only
-for those, and the exact tables of a study are built by its first
-error measurement, after the first solve, rather than held through it.
+parts, solves and measures; the lambda cells of one iota share A and
+the pressure Gram matrix, and with them the solver's factors of both.
+Each group is computed on first use, so a caller that needs only some
+of them (the verification checks) pays only for those, and the exact
+tables of a study are built by its first error measurement, after the
+first solve, rather than held through it.
 """
 
 import math
@@ -19,7 +21,7 @@ from .assembly import (assemble_a_parts, assemble_b_parts, assemble_load,
                        assemble_norm_gram_parts, assemble_pressure_parts,
                        mean_constraint_vector)
 from .element import batched_scalar_coeff
-from .linalg import SaddleSystem
+from .linalg import SaddleFactors, SaddleSystem
 from .manufactured import (error_norms, exact_tables, field_by_name,
                            load_parts)
 from .space import build_qdofmap, build_vdofmap
@@ -36,6 +38,7 @@ class Discretization:
     def __init__(self, mesh, example=None):
         self.mesh = mesh
         self.example = example
+        self._factors = None
 
     @cached_property
     def coeff(self):
@@ -87,18 +90,37 @@ class Discretization:
         :func:`sgefem.manufactured.exact_tables`), from one jets pass."""
         return exact_tables(self.mesh, field_by_name(self.example))
 
+    def factors(self, mu, iota):
+        """The lambda-independent A = 2 mu (a0 + iota^2 a2) and
+        G = M_p + iota^2 K_p of (mu, iota), whose factors the solver
+        builds on first use.  One entry is kept: a study runs its lambdas
+        inside each iota, so the previous pair is released when iota
+        changes."""
+        key = (mu, iota)
+        if self._factors is None or self._factors[0] != key:
+            self._factors = None    # free the old factors before the new A
+            i2 = iota ** 2
+            a0, a2 = self.a_parts
+            mp, kp = self.pressure_parts
+            self._factors = (key, SaddleFactors(2.0 * mu * (a0 + i2 * a2),
+                                                mp + i2 * kp,
+                                                self.mean_constraint))
+        return self._factors[1]
+
     def system(self, mu, lam, iota):
         """The saddle system of one (mu, lambda, iota) cell."""
+        if mu <= 0:
+            raise ValueError("the method needs mu > 0")
         if lam <= 0:
             raise ValueError("the mixed form needs lambda > 0")
+        factors = self.factors(mu, iota)
         i2 = iota ** 2
-        a0, a2 = self.a_parts
         b0, b2 = self.b_parts
-        mp, kp = self.pressure_parts
         (F0, F2), _ = self.load
-        return SaddleSystem(2.0 * mu * (a0 + i2 * a2), b0 + i2 * b2,
-                            (mp + i2 * kp) / lam, self.mean_constraint,
-                            mu * (F0 + i2 * F2))
+        return SaddleSystem(factors.A, b0 + i2 * b2, factors.G / lam,
+                            self.mean_constraint, mu * (F0 + i2 * F2),
+                            factors=factors,
+                            precond_scale=1.0 / (0.5 / mu + 1.0 / lam))
 
     def load_norm(self, mu, iota):
         """||f||_0 of the load at (mu, iota), from the parts of ||f||^2."""

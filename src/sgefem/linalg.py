@@ -8,15 +8,32 @@ The discrete problem is the symmetric indefinite block system
 
 where m holds the integrals of the pressure basis functions, so the last
 row enforces the zero-mean condition on p and xi is its multiplier.
-The default path is a sparse LU factorization (scipy's SuperLU with a
-fill-reducing column ordering); a preconditioned MINRES serves as the
-fallback when the factorization fails or loses too much accuracy.
+
+A = 2 mu (a0 + iota^2 a2) is symmetric positive definite and does not
+depend on lambda, and by the discrete inf-sup condition the pressure
+Schur complement B A^-1 B^T + C is spectrally equivalent, uniformly in
+h, iota and lambda, to (1/(2 mu) + 1/lambda) G with G = M_p + iota^2 K_p.
+So A and G are factored once per (mu, iota) (:class:`SaddleFactors`,
+shared by the lambda cells of that iota), and each cell runs conjugate
+gradients on the pressures (:func:`projected_pcg`), preconditioned by G
+and projected onto the zero-mean pressures; every iteration costs one
+solve with A, and the iteration count stays small for every h, iota and
+lambda.  A preconditioned MINRES on the bordered system is the fallback
+when the factorization fails or the iteration misses the tolerance.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import cholesky, eigh
 from scipy.sparse.linalg import LinearOperator, minres, splu
+
+#: iteration cap of :func:`projected_pcg`; the inf-sup bound keeps the
+#: count near 10 on every mesh, iota and lambda of the studies
+MAX_ITER = 50
+#: backward error at which the iteration has reached the roundoff floor
+BACKWARD_FLOOR = 1e-16
 
 
 class SolverBreakdown(RuntimeError):
@@ -29,10 +46,56 @@ class SolverBreakdown(RuntimeError):
         self.residual = residual
 
 
-class SaddleSystem:
-    """Blocks of the saddle-point problem over the free DoFs."""
+def _spd_factor(M):
+    """Sparse LU of a symmetric positive definite matrix: a symmetric
+    fill-reducing ordering and diagonal pivots only (any row
+    interchange would spoil that ordering's fill)."""
+    return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 
-    def __init__(self, A, B, C, m, rhs_u):
+
+class SaddleFactors:
+    """The lambda-independent part of the saddle systems of one
+    (mu, iota): A, the pressure Gram matrix G (None for the identity),
+    the mean-constraint vector m, and the factors of A and G, each built
+    on first use and then shared by every system that holds this
+    object."""
+
+    def __init__(self, A, G, m):
+        self.A = A
+        self.G = G
+        self.m = m
+
+    @cached_property
+    def solve_a(self):
+        return _spd_factor(self.A).solve
+
+    @cached_property
+    def _projected_g(self):
+        solve_g = (_spd_factor(self.G).solve if self.G is not None
+                   else np.array)
+        gm = solve_g(self.m)
+        return solve_g, gm, self.m @ gm
+
+    def precondition(self, r):
+        """G^-1 r, projected G-orthogonally onto the zero-mean
+        pressures (so the m-component of r is ignored)."""
+        solve_g, gm, mgm = self._projected_g
+        z = solve_g(r)
+        return z - ((self.m @ z) / mgm) * gm
+
+
+class SaddleSystem:
+    """Blocks of the saddle-point problem over the free DoFs.
+
+    ``factors`` (a :class:`SaddleFactors` whose A is this system's A)
+    shares the factorizations with other systems; without it the system
+    factors its own A and preconditions with the identity.  The
+    preconditioner is scaled by ``precond_scale``, the inverse of the
+    Schur complement's scale 1/(2 mu) + 1/lambda.
+    """
+
+    def __init__(self, A, B, C, m, rhs_u, factors=None, precond_scale=1.0):
         self.A = A.tocsr() if sparse.issparse(A) else sparse.csr_matrix(A)
         self.B = B.tocsr() if sparse.issparse(B) else sparse.csr_matrix(B)
         self.C = C.tocsr() if sparse.issparse(C) else sparse.csr_matrix(C)
@@ -44,6 +107,9 @@ class SaddleSystem:
             raise ValueError("inconsistent block dimensions")
         self.n_u = n_u
         self.n_p = n_p
+        self.factors = factors if factors is not None \
+            else SaddleFactors(self.A, None, self.m)
+        self.precond_scale = precond_scale
 
     def block_matrix(self):
         """The bordered (n_u + n_p + 1) sparse matrix."""
@@ -56,13 +122,77 @@ class SaddleSystem:
     def full_rhs(self):
         return np.concatenate([self.rhs_u, np.zeros(self.n_p + 1)])
 
+    @cached_property
+    def norm_inf(self):
+        """||S||_inf of the bordered matrix, from the blocks' row sums."""
+        def row_sums(M, axis=1):
+            return np.asarray(abs(M).sum(axis=axis)).ravel()
 
-def _backward_error(S, x, rhs, norm_S):
-    """Normwise backward error ||Sx - b|| / (||S|| ||x|| + ||b||); the
-    plain residual over ||b|| has a roundoff floor of eps ||S|| ||x||
-    that an accurate solve cannot undercut."""
-    num = np.linalg.norm(S @ x - rhs)
-    return num / (norm_S * np.linalg.norm(x) + np.linalg.norm(rhs))
+        abs_m = np.abs(self.m)
+        rows_u = row_sums(self.A) + row_sums(self.B, axis=0)
+        rows_p = row_sums(self.B) + row_sums(self.C) + abs_m
+        return max(rows_u.max(initial=0.0), rows_p.max(initial=0.0),
+                   abs_m.sum())
+
+    def backward_error(self, u, p, xi):
+        """Normwise backward error ||Sx - b|| / (||S|| ||x|| + ||b||) of
+        x = (u, p, xi); the plain residual over ||b|| has a roundoff
+        floor of eps ||S|| ||x|| that an accurate solve cannot
+        undercut."""
+        r_u = self.A @ u + self.B.T @ p - self.rhs_u
+        r_p = self.B @ u - self.C @ p + xi * self.m
+        r_m = self.m @ p
+        num = np.sqrt(r_u @ r_u + r_p @ r_p + r_m * r_m)
+        x_norm = np.sqrt(u @ u + p @ p + xi * xi)
+        return num / (self.norm_inf * x_norm + np.linalg.norm(self.rhs_u))
+
+    def multiplier(self, u, p):
+        """The xi that best fits the pressure rows B u - C p + m xi = 0."""
+        return float(self.m @ (self.C @ p - self.B @ u)) \
+            / float(self.m @ self.m)
+
+
+def projected_pcg(system):
+    """Conjugate gradients on (B A^-1 B^T + C) p = B A^-1 rhs_u over the
+    zero-mean pressures, preconditioned by the system's projected G.
+
+    u = A^-1 (rhs_u - B^T p) is updated with the same A-solve as the
+    search direction, so each iteration costs one solve with A.  The
+    iteration stops at the roundoff floor of the full system's backward
+    error: when it no longer decreases, reaches ``BACKWARD_FLOOR`` or
+    ``MAX_ITER`` iterations have run.  Returns (u, p, xi, iterations,
+    backward error) of the iterate with the smallest backward error.
+    """
+    f = system.factors
+    B, C = system.B, system.C
+    u = f.solve_a(system.rhs_u)
+    p = np.zeros(system.n_p)
+    r = B @ u               # B A^-1 rhs_u - (B A^-1 B^T + C) p at p = 0
+    xi = system.multiplier(u, p)
+    best = (u, p, xi, 0, system.backward_error(u, p, xi))
+    z = system.precond_scale * f.precondition(r)
+    rz = r @ z
+    d = z
+    for it in range(1, MAX_ITER + 1):
+        # rz = 0 at the start when the zero-mean space is {0} (n = 2)
+        if not (rz > 0 and best[4] > BACKWARD_FLOOR):
+            break
+        w = f.solve_a(B.T @ d)
+        q = B @ w + C @ d
+        alpha = rz / (d @ q)
+        p = p + alpha * d
+        u = u - alpha * w
+        r = r - alpha * q
+        xi = system.multiplier(u, p)
+        err = system.backward_error(u, p, xi)
+        if not err < best[4]:
+            break
+        best = (u, p, xi, it, err)
+        z = system.precond_scale * f.precondition(r)
+        rz_next = r @ z
+        d = z + (rz_next / rz) * d
+        rz = rz_next
+    return best
 
 
 def _minres_fallback(system, S, rhs, tol):
@@ -90,47 +220,29 @@ def solve_saddle(system, tol=1e-10):
 
     Returns (u, p, xi).  The returned p satisfies the zero-mean
     constraint to 1e-12 * ||p||.  Raises :class:`SolverBreakdown` when
-    neither the direct factorization nor the MINRES fallback reaches
-    the tolerance.
+    neither the projected conjugate gradients nor the MINRES fallback
+    reaches the tolerance.
     """
     if not 1e-14 < tol < 1e-6:
         raise ValueError("tol must lie in (1e-14, 1e-6)")
-    rhs = system.full_rhs()
-    if np.linalg.norm(rhs) == 0.0:
+    if np.linalg.norm(system.rhs_u) == 0.0:
         return (np.zeros(system.n_u), np.zeros(system.n_p), 0.0)
 
-    S = system.block_matrix()
-    norm_S = sparse.linalg.norm(S, np.inf)
-    x = None
     try:
-        # symmetric-mode ordering keeps the fill moderate despite the
-        # dense constraint border (COLAMD degenerates on that row)
-        lu = splu(S, permc_spec="MMD_AT_PLUS_A",
-                  options={"SymmetricMode": True,
-                           "DiagPivotThresh": 0.001})
-        x = lu.solve(rhs)
-        # a few steps of iterative refinement recover the digits the
-        # relaxed pivoting gives up on ill-conditioned systems
-        for _ in range(3):
-            if not np.all(np.isfinite(x)):
-                x = None
-                break
-            if _backward_error(S, x, rhs, norm_S) <= tol:
-                break
-            x = x + lu.solve(rhs - S @ x)
+        u, p, xi, _, err = projected_pcg(system)
     except (RuntimeError, MemoryError):
-        x = None
+        err = np.inf
+    if not err <= tol:
+        S = system.block_matrix()
+        x = _minres_fallback(system, S, system.full_rhs(), tol)
+        u = x[:system.n_u]
+        p = x[system.n_u:system.n_u + system.n_p]
+        xi = float(x[-1])
+        err = system.backward_error(u, p, xi)
+        if not err <= tol:
+            raise SolverBreakdown("projected CG and MINRES fallback both "
+                                  "missed the tolerance", err)
 
-    if x is None or _backward_error(S, x, rhs, norm_S) > tol:
-        x = _minres_fallback(system, S, rhs, tol)
-        res = _backward_error(S, x, rhs, norm_S)
-        if not np.all(np.isfinite(x)) or res > tol:
-            raise SolverBreakdown("direct solve and MINRES fallback both "
-                                  "missed the tolerance", res)
-
-    u = x[:system.n_u]
-    p = x[system.n_u:system.n_u + system.n_p]
-    xi = float(x[-1])
     drift = abs(system.m @ p)
     if drift > 1e-12 * max(np.linalg.norm(p), 1e-300):
         # project out the constraint drift (exact correction direction)

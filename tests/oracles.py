@@ -16,7 +16,9 @@ iota are the references the package's split and batched forms are
 checked against; no production path needs them.  So are the
 quadrature-point element kernels with the lexsort COO accumulation
 (which the reference-moment kernels and the scatter plan replaced) and
-the per-edge weak-continuity loop (which the batched check replaced).
+the per-edge weak-continuity loop (which the batched check replaced),
+and the bordered sparse LU with iterative refinement (which the
+projected conjugate gradients on the pressures replaced).
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ from math import factorial
 from scipy.special import roots_jacobi, roots_legendre
 
 from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from sgefem.assembly import modal_rule
 from sgefem.element import (batched_scalar_coeff,
@@ -410,3 +413,26 @@ def loop_weak_continuity(mesh, flip_edge=None):
         m = max(float(np.max(np.abs(v))) for v in jumps.values())
         worst = max(worst, m / (scale * mesh.edge_length[e]))
     return worst
+
+
+def bordered_lu_solve(system, tol=1e-10):
+    """(u, p, xi, backward error) of a saddle system by one sparse LU of
+    the bordered matrix (symmetric-mode ordering, relaxed diagonal
+    pivoting) and up to three steps of iterative refinement."""
+    S = system.block_matrix()
+    rhs = system.full_rhs()
+    norm_S = sparse_norm(S, np.inf)
+
+    def backward_error(x):
+        return np.linalg.norm(S @ x - rhs) \
+            / (norm_S * np.linalg.norm(x) + np.linalg.norm(rhs))
+
+    lu = splu(S, permc_spec="MMD_AT_PLUS_A",
+              options={"SymmetricMode": True, "DiagPivotThresh": 0.001})
+    x = lu.solve(rhs)
+    for _ in range(3):
+        if backward_error(x) <= tol:
+            break
+        x = x + lu.solve(rhs - S @ x)
+    n_u, n_p = system.n_u, system.n_p
+    return x[:n_u], x[n_u:n_u + n_p], float(x[-1]), backward_error(x)

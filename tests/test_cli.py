@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -163,6 +164,18 @@ def test_rates_recomputed_from_emitted_values(tmp_path):
         want = math.log2(float(prev[7]) / float(cur[7])) \
             / math.log2(int(cur[3]) / int(prev[3]))
         assert float(cur[9]) == pytest.approx(want, abs=0.005)
+
+
+def test_threads_flag_overrides_inherited_blas_variables(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert run(["convergence", "--example", "example2", "--lambda", "1e0",
+                "--iota", "1e-6", "--n", "2", "--threads", "1", "--out",
+                str(tmp_path / "table.csv")]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
 def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):

@@ -1,10 +1,18 @@
+import weakref
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import norm as sparse_norm
 
+import sgefem.linalg
+from oracles import bordered_lu_solve
 from sgefem.discretization import Discretization
 from sgefem.linalg import (SaddleSystem, SolverBreakdown, min_generalized_eig,
-                           solve_saddle)
+                           projected_pcg, solve_saddle)
 from sgefem.mesh import build_uniform_unit_square
+
+GRID_IOTAS = (1.0, 1e-2, 1e-8)
+GRID_LAMBDAS = (1.0, 1e4, 1e8)
 
 
 def example2_system(n=2, mu=1.0, lam=1.0, iota=1e-2):
@@ -102,6 +110,89 @@ def test_breakdown_signaled_for_singular_system():
     sys_ = SaddleSystem(A, B, C, np.ones(2), np.ones(n))
     with pytest.raises(SolverBreakdown):
         solve_saddle(sys_)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_pcg_matches_bordered_lu_oracle(example, n):
+    disc = Discretization(build_uniform_unit_square(n), example)
+    for iota in GRID_IOTAS:
+        for lam in GRID_LAMBDAS:
+            sys_ = disc.system(1.0, lam, iota)
+            u, p, xi = solve_saddle(sys_)
+            u_ref, p_ref, _, err_ref = bordered_lu_solve(sys_)
+            assert np.linalg.norm(u - u_ref) \
+                <= 1e-8 * np.linalg.norm(u_ref), (iota, lam)
+            assert sys_.backward_error(u, p, xi) <= 1e-15, (iota, lam)
+            assert err_ref <= 1e-15, (iota, lam)
+
+
+def test_backward_error_from_blocks_matches_bordered_matrix():
+    sys_ = example2_system(n=4, lam=1e4, iota=1e-2)
+    S, b = sys_.block_matrix(), sys_.full_rhs()
+    norm_S = sparse_norm(S, np.inf)
+    assert sys_.norm_inf == pytest.approx(norm_S, rel=1e-14)
+    x = np.random.default_rng(5).standard_normal(S.shape[0])
+    want = np.linalg.norm(S @ x - b) \
+        / (norm_S * np.linalg.norm(x) + np.linalg.norm(b))
+    got = sys_.backward_error(x[:sys_.n_u], x[sys_.n_u:-1], x[-1])
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_pcg_starts_converged_when_mean_zero_space_is_trivial():
+    # n = 2 has one pressure unknown, so the only zero-mean pressure is 0
+    sys_ = example2_system(n=2)
+    assert sys_.n_p == 1
+    u, p, _, iterations, err = projected_pcg(sys_)
+    assert iterations == 0 and np.all(p == 0.0)
+    assert err <= 1e-15
+
+
+def test_pcg_iterations_robust_in_h_iota_lambda():
+    # the inf-sup bound makes G an h-, iota- and lambda-uniform
+    # preconditioner of the pressure Schur complement
+    worst = {}
+    for n in (8, 16, 32):
+        disc = Discretization(build_uniform_unit_square(n), "example1")
+        for iota in GRID_IOTAS:
+            for lam in GRID_LAMBDAS:
+                _, _, _, iterations, err = projected_pcg(
+                    disc.system(1.0, lam, iota))
+                assert err <= 1e-15, (n, iota, lam)
+                worst[n, iota, lam] = iterations
+    assert max(worst.values()) <= 12, worst
+
+
+def test_a_factored_once_per_iota_and_released(monkeypatch):
+    splu = sgefem.linalg.splu
+    factored = []
+
+    def counting_splu(M, *args, **kwargs):
+        factored.append(M.shape[0])
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(sgefem.linalg, "splu", counting_splu)
+    disc = Discretization(build_uniform_unit_square(4), "example1")
+    n_u = disc.vmap.n_u
+    first = None
+    for iota in (1.0, 1e-8):
+        for lam in (1.0, 1e4, 1e8):
+            sys_ = disc.system(1.0, lam, iota)
+            solve_saddle(sys_)
+            if first is None:
+                first = weakref.ref(sys_.factors)
+        del sys_
+        if iota == 1.0:
+            assert first() is not None
+    assert factored.count(n_u) == 2
+    assert first() is None
+
+
+@pytest.mark.parametrize("mu", [0.0, -1.0])
+def test_system_rejects_non_positive_mu(mu):
+    disc = Discretization(build_uniform_unit_square(2), "example2")
+    with pytest.raises(ValueError, match="mu"):
+        disc.system(mu, 1.0, 1e-2)
 
 
 def test_min_generalized_eig_trivial_cases():
