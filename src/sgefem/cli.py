@@ -36,7 +36,7 @@ class StudyConfig:
     """Validated parameter grid for a convergence study."""
 
     def __init__(self, example, lams, iotas, ns, mu=1.0, tol=1e-10,
-                 out=None, threads=1, large=False):
+                 out=None, threads=None, large=False):
         if example not in _EXAMPLES:
             raise ConfigError("example must be one of %s" % (_EXAMPLES,))
         if not lams or not iotas or not ns:
@@ -51,7 +51,7 @@ class StudyConfig:
             raise ConfigError("mu must be positive")
         if not 1e-14 < tol < 1e-6:
             raise ConfigError("tol must lie in (1e-14, 1e-6)")
-        if threads < 1:
+        if threads is not None and threads < 1:
             raise ConfigError("threads must be at least 1")
         self.example = example
         self.lams = [float(l) for l in lams]
@@ -60,7 +60,7 @@ class StudyConfig:
         self.mu = float(mu)
         self.tol = float(tol)
         self.out = out
-        self.threads = int(threads)
+        self.threads = None if threads is None else int(threads)
         self.large = bool(large)
 
 
@@ -144,16 +144,21 @@ def _merge_config(args):
         mu=pick(args.mu, "mu", float, 1.0),
         tol=pick(args.tol, "tol", float, 1e-10),
         out=pick(args.out, "out", str),
-        threads=pick(args.threads, "threads", int, 1),
+        threads=pick(args.threads, "threads", int),
         large=large)
 
 
 def _limit_threads(threads):
-    """Set the BLAS thread variables, overriding inherited values; they
-    take effect only if numpy's BLAS has not been loaded yet."""
+    """Set the BLAS thread variables to ``threads``, overriding inherited
+    values; with ``threads`` None (neither flag nor config key) only the
+    unset ones, to 1.  They take effect only if numpy's BLAS has not been
+    loaded yet."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
+        if threads is None:
+            os.environ.setdefault(var, "1")
+        else:
+            os.environ[var] = str(threads)
 
 
 def _study_rows(config):
@@ -297,7 +302,7 @@ def _build_parser():
         p.add_argument("--out", help="output file path")
         p.add_argument("--threads", type=int,
                        help="thread budget for the numerical libraries "
-                            "(default 1)")
+                            "(default: inherited variables, else 1)")
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--tol", type=float,
                        help="solver relative residual tolerance")
@@ -346,7 +351,7 @@ def main(argv=None):
         if args.command == "verify":
             if args.threads is not None and args.threads < 1:
                 raise ConfigError("threads must be at least 1")
-            _limit_threads(args.threads or 1)
+            _limit_threads(args.threads)
             return run_verify(args.n, args.iota, args.out, seed=args.seed,
                               flip_edge=args.debug_flip_edge)
         config = _merge_config(args)

@@ -119,8 +119,7 @@ class Discretization:
         (F0, F2), _ = self.load
         return SaddleSystem(factors.A, b0 + i2 * b2, factors.G / lam,
                             self.mean_constraint, mu * (F0 + i2 * F2),
-                            factors=factors,
-                            precond_scale=1.0 / (0.5 / mu + 1.0 / lam))
+                            factors=factors)
 
     def load_norm(self, mu, iota):
         """||f||_0 of the load at (mu, iota), from the parts of ||f||^2."""

@@ -12,13 +12,14 @@ row enforces the zero-mean condition on p and xi is its multiplier.
 A = 2 mu (a0 + iota^2 a2) is symmetric positive definite and does not
 depend on lambda, and by the discrete inf-sup condition the pressure
 Schur complement B A^-1 B^T + C is spectrally equivalent, uniformly in
-h, iota and lambda, to (1/(2 mu) + 1/lambda) G with G = M_p + iota^2 K_p.
-So A and G are factored once per (mu, iota) (:class:`SaddleFactors`,
-shared by the lambda cells of that iota), and each cell runs conjugate
-gradients on the pressures (:func:`projected_pcg`), preconditioned by G
-and projected onto the zero-mean pressures; every iteration costs one
-solve with A, and the iteration count stays small for every h, iota and
-lambda.  A preconditioned MINRES on the bordered system is the fallback
+h, iota and lambda, to (1/(2 mu) + 1/lambda) G with G = M_p + iota^2 K_p,
+and conjugate gradients do not change when the preconditioner is scaled,
+so G alone serves every lambda.  So A and G are factored once per
+(mu, iota) (:class:`SaddleFactors`, shared by the lambda cells of that
+iota), and each cell runs conjugate gradients on the pressures
+(:func:`projected_pcg`), preconditioned by G and projected onto the
+zero-mean pressures; every iteration costs one solve with A, and the
+iteration count stays small for every h, iota and lambda.  A preconditioned MINRES on the bordered system is the fallback
 when the factorization fails or the iteration misses the tolerance.
 """
 
@@ -34,6 +35,11 @@ from scipy.sparse.linalg import LinearOperator, minres, splu
 MAX_ITER = 50
 #: backward error at which the iteration has reached the roundoff floor
 BACKWARD_FLOOR = 1e-16
+#: iterations without a new smallest backward error after which
+#: :func:`projected_pcg` stops: CG decreases the error in the Schur
+#: complement's norm, so the residual may rise for a step before the
+#: floor is reached
+STALL_STEPS = 3
 
 
 class SolverBreakdown(RuntimeError):
@@ -56,10 +62,9 @@ def _spd_factor(M):
 
 class SaddleFactors:
     """The lambda-independent part of the saddle systems of one
-    (mu, iota): A, the pressure Gram matrix G (None for the identity),
-    the mean-constraint vector m, and the factors of A and G, each built
-    on first use and then shared by every system that holds this
-    object."""
+    (mu, iota): A, the pressure Gram matrix G, the mean-constraint
+    vector m, and the factors of A and G, each built on first use and
+    then shared by every system that holds this object."""
 
     def __init__(self, A, G, m):
         self.A = A
@@ -72,8 +77,7 @@ class SaddleFactors:
 
     @cached_property
     def _projected_g(self):
-        solve_g = (_spd_factor(self.G).solve if self.G is not None
-                   else np.array)
+        solve_g = _spd_factor(self.G).solve
         gm = solve_g(self.m)
         return solve_g, gm, self.m @ gm
 
@@ -84,18 +88,21 @@ class SaddleFactors:
         z = solve_g(r)
         return z - ((self.m @ z) / mgm) * gm
 
+    def drop_mean_row(self, r):
+        """r without its m-component, which the multiplier xi takes up;
+        left in, it swamps the roundoff of r @ precondition(r)."""
+        return r - ((self.m @ r) / (self.m @ self.m)) * self.m
+
 
 class SaddleSystem:
     """Blocks of the saddle-point problem over the free DoFs.
 
     ``factors`` (a :class:`SaddleFactors` whose A is this system's A)
     shares the factorizations with other systems; without it the system
-    factors its own A and preconditions with the identity.  The
-    preconditioner is scaled by ``precond_scale``, the inverse of the
-    Schur complement's scale 1/(2 mu) + 1/lambda.
+    factors its own A and preconditions with C (which is G / lambda).
     """
 
-    def __init__(self, A, B, C, m, rhs_u, factors=None, precond_scale=1.0):
+    def __init__(self, A, B, C, m, rhs_u, factors=None):
         self.A = A.tocsr() if sparse.issparse(A) else sparse.csr_matrix(A)
         self.B = B.tocsr() if sparse.issparse(B) else sparse.csr_matrix(B)
         self.C = C.tocsr() if sparse.issparse(C) else sparse.csr_matrix(C)
@@ -108,8 +115,7 @@ class SaddleSystem:
         self.n_u = n_u
         self.n_p = n_p
         self.factors = factors if factors is not None \
-            else SaddleFactors(self.A, None, self.m)
-        self.precond_scale = precond_scale
+            else SaddleFactors(self.A, self.C, self.m)
 
     def block_matrix(self):
         """The bordered (n_u + n_p + 1) sparse matrix."""
@@ -159,36 +165,42 @@ def projected_pcg(system):
     u = A^-1 (rhs_u - B^T p) is updated with the same A-solve as the
     search direction, so each iteration costs one solve with A.  The
     iteration stops at the roundoff floor of the full system's backward
-    error: when it no longer decreases, reaches ``BACKWARD_FLOOR`` or
-    ``MAX_ITER`` iterations have run.  Returns (u, p, xi, iterations,
-    backward error) of the iterate with the smallest backward error.
+    error: when it reaches ``BACKWARD_FLOOR``, has not decreased for
+    ``STALL_STEPS`` iterations, or ``MAX_ITER`` iterations have run.
+    Returns (u, p, xi, iterations, backward error) of the iterate with
+    the smallest backward error, iterations counting up to that iterate.
     """
     f = system.factors
     B, C = system.B, system.C
     u = f.solve_a(system.rhs_u)
     p = np.zeros(system.n_p)
-    r = B @ u               # B A^-1 rhs_u - (B A^-1 B^T + C) p at p = 0
+    # B A^-1 rhs_u - (B A^-1 B^T + C) p at p = 0, up to a multiple of m
+    r = f.drop_mean_row(B @ u)
     xi = system.multiplier(u, p)
     best = (u, p, xi, 0, system.backward_error(u, p, xi))
-    z = system.precond_scale * f.precondition(r)
+    z = f.precondition(r)
     rz = r @ z
     d = z
+    stalled = 0
     for it in range(1, MAX_ITER + 1):
         # rz = 0 at the start when the zero-mean space is {0} (n = 2)
-        if not (rz > 0 and best[4] > BACKWARD_FLOOR):
+        if not (rz > 0 and best[4] > BACKWARD_FLOOR
+                and stalled < STALL_STEPS):
             break
         w = f.solve_a(B.T @ d)
         q = B @ w + C @ d
         alpha = rz / (d @ q)
         p = p + alpha * d
         u = u - alpha * w
-        r = r - alpha * q
+        r = f.drop_mean_row(r - alpha * q)
         xi = system.multiplier(u, p)
         err = system.backward_error(u, p, xi)
-        if not err < best[4]:
-            break
-        best = (u, p, xi, it, err)
-        z = system.precond_scale * f.precondition(r)
+        if err < best[4]:
+            best = (u, p, xi, it, err)
+            stalled = 0
+        else:
+            stalled += 1
+        z = f.precondition(r)
         rz_next = r @ z
         d = z + (rz_next / rz) * d
         rz = rz_next

@@ -178,6 +178,18 @@ def test_threads_flag_overrides_inherited_blas_variables(tmp_path,
     assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
+def test_inherited_blas_variables_kept_without_threads_flag(tmp_path,
+                                                            monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    assert run(["convergence", "--example", "example2", "--lambda", "1e0",
+                "--iota", "1e-6", "--n", "2", "--out",
+                str(tmp_path / "table.csv")]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert os.environ["OMP_NUM_THREADS"] == "1"
+
+
 def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
     import sgefem.linalg
 

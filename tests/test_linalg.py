@@ -112,19 +112,55 @@ def test_breakdown_signaled_for_singular_system():
         solve_saddle(sys_)
 
 
-@pytest.mark.parametrize("n", [2, 4, 8, 16])
+# At mu = 100, A dominates ||S||, so the normwise backward error weighs
+# the pressure rows by ||B|| / ||A|| and reaches its 1e-16 floor with u
+# off by up to 3.3e-8 relative (the bordered LU: 9e-12).  At mu = 0.01
+# the m-component of the pressure residual is large against the rest;
+# left in, its roundoff ended the iteration at a backward error of 2e-15.
+@pytest.mark.parametrize("n,mu,u_rtol", [(2, 1.0, 1e-8), (4, 1.0, 1e-8),
+                                         (8, 1.0, 1e-8), (16, 1.0, 1e-8),
+                                         (8, 0.01, 1e-8), (8, 100.0, 1e-7)])
 @pytest.mark.parametrize("example", ["example1", "example2"])
-def test_pcg_matches_bordered_lu_oracle(example, n):
+def test_pcg_matches_bordered_lu_oracle(example, n, mu, u_rtol):
     disc = Discretization(build_uniform_unit_square(n), example)
     for iota in GRID_IOTAS:
         for lam in GRID_LAMBDAS:
-            sys_ = disc.system(1.0, lam, iota)
+            sys_ = disc.system(mu, lam, iota)
             u, p, xi = solve_saddle(sys_)
             u_ref, p_ref, _, err_ref = bordered_lu_solve(sys_)
             assert np.linalg.norm(u - u_ref) \
-                <= 1e-8 * np.linalg.norm(u_ref), (iota, lam)
+                <= u_rtol * np.linalg.norm(u_ref), (iota, lam)
             assert sys_.backward_error(u, p, xi) <= 1e-15, (iota, lam)
             assert err_ref <= 1e-15, (iota, lam)
+
+
+def test_system_without_factors_preconditions_with_c():
+    sys_ = example2_system(n=8, lam=1e4)
+    bare = SaddleSystem(sys_.A, sys_.B, sys_.C, sys_.m, sys_.rhs_u)
+    u, _, _, iterations, err = projected_pcg(bare)
+    u_ref, _, _, iterations_ref, _ = projected_pcg(sys_)
+    # C = G / lambda, and scaling the preconditioner leaves CG unchanged
+    assert iterations == iterations_ref
+    assert err <= 1e-15
+    assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
+
+
+def test_pcg_continues_past_a_rise_of_the_backward_error():
+    sys_ = example2_system(n=8, lam=1e4)
+    _, _, _, iterations_ref, err_ref = projected_pcg(sys_)
+    assert iterations_ref >= 3
+    true_error = sys_.backward_error
+    calls = []
+
+    def rising_once(u, p, xi):
+        # the second iterate reads as worse than the first
+        calls.append(None)
+        err = true_error(u, p, xi)
+        return 1e3 * err if len(calls) == 3 else err
+
+    sys_.backward_error = rising_once
+    _, _, _, iterations, err = projected_pcg(sys_)
+    assert (iterations, err) == (iterations_ref, err_ref)
 
 
 def test_backward_error_from_blocks_matches_bordered_matrix():
@@ -152,7 +188,7 @@ def test_pcg_iterations_robust_in_h_iota_lambda():
     # the inf-sup bound makes G an h-, iota- and lambda-uniform
     # preconditioner of the pressure Schur complement
     worst = {}
-    for n in (8, 16, 32):
+    for n in (8, 16, 32, 64):
         disc = Discretization(build_uniform_unit_square(n), "example1")
         for iota in GRID_IOTAS:
             for lam in GRID_LAMBDAS:
