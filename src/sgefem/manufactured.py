@@ -2,13 +2,19 @@
 
 Body forces for the gradient model need fourth derivatives of the
 exact displacement.  Rather than transcribing hand-derived formulas,
-each field is evaluated in a small jet arithmetic: a truncated Taylor
-expansion of total degree 4 is propagated through the closed-form
-expression, and any mixed partial up to order 4 is read off the
-coefficients exactly.  A trailing batch axis lets one call produce
-jets at every quadrature point of a mesh chunk at once.
+each field is evaluated in a small jet arithmetic: a Taylor expansion
+truncated at a chosen total degree d is propagated through the
+closed-form expression, and any mixed partial up to order d is read off
+the coefficients exactly.  Each consumer asks for the degree it reads:
+4 for the strain gradient load, 2 for the elasticity load and the
+error tables.  A jet also records its support, the coefficients that
+can be nonzero (a coordinate has two, a function of x2 alone no x1
+term), and products skip every term with a factor outside it.  A
+trailing batch axis lets one call produce jets at every quadrature
+point of a mesh chunk at once.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -17,57 +23,115 @@ import numpy as np
 from .assembly import DEGREE_LOAD, chunks, modal_rule
 from .quadrature import rule_for_degree
 
-_DEG = 4
-_PAIRS = tuple((i, j) for i in range(_DEG + 1) for j in range(_DEG + 1)
-               if i + j <= _DEG)
+
+@functools.cache
+def monomials(degree):
+    """The exponents (i, j) with i + j <= degree, in the row order of
+    :attr:`Jet2.c`."""
+    return tuple((i, j) for i in range(degree + 1)
+                 for j in range(degree + 1 - i))
+
+
+@functools.cache
+def _row(degree):
+    return {ij: r for r, ij in enumerate(monomials(degree))}
+
+
+@functools.lru_cache(maxsize=256)
+def _rows(degree, support):
+    """Row indices of the exponents in ``support``, ascending."""
+    row = _row(degree)
+    return np.array(sorted(row[ij] for ij in support), dtype=np.intp)
+
+
+@functools.lru_cache(maxsize=256)
+def _product_terms(degree, sa, sb):
+    """(terms, support) of the truncated product of jets with supports
+    sa and sb: one (out, a, b) row triple per term whose two factors are
+    both in support, each output's terms in the (k, l) order of the full
+    sum over a[k, l] b[i - k, j - l], and the outputs that get a term."""
+    row = _row(degree)
+    terms = []
+    for i, j in monomials(degree):
+        for k in range(i + 1):
+            for l in range(j + 1):
+                if (k, l) in sa and (i - k, j - l) in sb:
+                    terms.append((row[i, j], row[k, l], row[i - k, j - l]))
+    filled = {t[0] for t in terms}
+    support = frozenset(ij for ij in monomials(degree) if row[ij] in filled)
+    return tuple(terms), support
 
 
 class Jet2:
-    """Bivariate Taylor polynomial of total degree <= 4.
+    """Bivariate Taylor polynomial truncated at total degree ``degree``.
 
-    ``c[i, j]`` is the coefficient of (x-x0)^i (y-y0)^j; axes beyond
-    the first two carry a batch of expansion points.  Entries with
-    i + j > 4 are kept at zero, so products truncate by construction.
+    Row r of ``c`` is the coefficient of (x-x0)^i (y-y0)^j for
+    (i, j) = ``monomials(degree)[r]``; axes after the first carry a
+    batch of expansion points.  ``support`` is the frozenset of the
+    (i, j) whose coefficient can be nonzero; every other row is exactly
+    zero.  A skipped product term is therefore an exact zero, and a
+    running sum that starts at +0.0 never becomes -0.0, so skipping it
+    leaves every sum bitwise unchanged.  The coefficients of degree
+    <= d' of a degree-d jet are bitwise those of its degree-d' twin.
     """
 
-    __slots__ = ("c", "point")
+    __slots__ = ("c", "degree", "support")
 
-    def __init__(self, c, point):
+    def __init__(self, c, degree, support):
         self.c = c
-        self.point = point
+        self.degree = degree
+        self.support = support
 
     @classmethod
-    def variables(cls, x):
-        """Coordinate jets (x1, x2) expanded at points x of shape (..., 2)."""
+    def variables(cls, x, degree=4):
+        """Coordinate jets (x1, x2) of the given degree expanded at points
+        x of shape (..., 2)."""
+        if not (isinstance(degree, int) and degree >= 1):
+            raise ValueError("jet degree must be a positive integer")
         x = np.asarray(x, dtype=float)
-        batch = x.shape[:-1]
         jets = []
         for axis in (0, 1):
-            c = np.zeros((_DEG + 1, _DEG + 1) + batch)
-            c[0, 0] = x[..., axis]
-            c[1 - axis, axis] = 1.0
-            jets.append(cls(c, x))
+            c = np.zeros((len(monomials(degree)),) + x.shape[:-1])
+            c[0] = x[..., axis]
+            linear = (1 - axis, axis)
+            c[_row(degree)[linear]] = 1.0
+            jets.append(cls(c, degree, frozenset({(0, 0), linear})))
         return tuple(jets)
 
     @property
     def value(self):
-        return self.c[0, 0]
+        return self.c[0]
+
+    def coeff(self, i, j):
+        """The Taylor coefficient of (x-x0)^i (y-y0)^j."""
+        if i + j > self.degree:
+            raise ValueError("order %d exceeds the jet degree %d"
+                             % (i + j, self.degree))
+        return self.c[_row(self.degree)[i, j]]
 
     def partial(self, i, j):
         """The mixed partial d^{i+j} f / dx^i dy^j at the expansion point."""
-        return self.c[i, j] * float(math.factorial(i) * math.factorial(j))
+        return self.coeff(i, j) * float(math.factorial(i)
+                                        * math.factorial(j))
+
+    def _same_degree(self, other):
+        if other.degree != self.degree:
+            raise ValueError("jets of degrees %d and %d do not combine"
+                             % (self.degree, other.degree))
 
     def __add__(self, other):
         if isinstance(other, Jet2):
-            return Jet2(self.c + other.c, self.point)
+            self._same_degree(other)
+            return Jet2(self.c + other.c, self.degree,
+                        self.support | other.support)
         c = self.c.copy()
-        c[0, 0] = c[0, 0] + other
-        return Jet2(c, self.point)
+        c[0] = c[0] + other
+        return Jet2(c, self.degree, self.support | {(0, 0)})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.c, self.point)
+        return Jet2(-self.c, self.degree, self.support)
 
     def __sub__(self, other):
         return self + (-other)
@@ -77,14 +141,15 @@ class Jet2:
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.c * other, self.point)
+            return Jet2(self.c * other, self.degree, self.support)
+        self._same_degree(other)
+        terms, support = _product_terms(self.degree, self.support,
+                                        other.support)
         a, b = self.c, other.c
         out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        for i, j in _PAIRS:
-            for k in range(i + 1):
-                for l in range(j + 1):
-                    out[i, j] += a[k, l] * b[i - k, j - l]
-        return Jet2(out, self.point)
+        for r, ka, kb in terms:
+            out[r] += a[ka] * b[kb]
+        return Jet2(out, self.degree, support)
 
     __rmul__ = __mul__
 
@@ -96,29 +161,40 @@ class Jet2:
             out = out * self
         return out
 
-    def _series(self, f0, f1, f2, f3, f4):
-        """sum_k f_k t^k / k! where t = self - self.value (nilpotent)."""
-        t = Jet2(self.c.copy(), self.point)
-        t.c[0, 0] = 0.0
-        t2 = t * t
-        t3 = t2 * t
-        t4 = t2 * t2
-        c = (f1 * t.c + (f2 / 2.0) * t2.c + (f3 / 6.0) * t3.c
-             + (f4 / 24.0) * t4.c)
-        c[0, 0] = c[0, 0] + f0
-        return Jet2(c, self.point)
+    def _series(self, derivatives):
+        """sum_k f_k t^k / k! over k <= degree, where t = self - self.value
+        (nilpotent) and f_k = derivatives[k % len(derivatives)] is the
+        k-th derivative of the function at the value.  t^k for even k is
+        the square of t^(k/2), otherwise t^(k-1) t."""
+        t = Jet2(np.zeros_like(self.c), self.degree,
+                 self.support - {(0, 0)})
+        rows = _rows(self.degree, t.support)
+        t.c[rows] = self.c[rows]
+        powers = [None, t]
+        c = np.zeros_like(self.c)
+        c[rows] = derivatives[1 % len(derivatives)] * t.c[rows]
+        support = {(0, 0)} | t.support
+        for k in range(2, self.degree + 1):
+            half = powers[k // 2]
+            tk = half * half if k % 2 == 0 else powers[k - 1] * t
+            powers.append(tk)
+            rows = _rows(self.degree, tk.support)
+            c[rows] += (derivatives[k % len(derivatives)]
+                        / float(math.factorial(k))) * tk.c[rows]
+            support |= tk.support
+        c[0] = c[0] + derivatives[0]
+        return Jet2(c, self.degree, frozenset(support))
 
     def exp(self):
-        e = np.exp(self.value)
-        return self._series(e, e, e, e, e)
+        return self._series((np.exp(self.value),))
 
     def sin(self):
         s, c = np.sin(self.value), np.cos(self.value)
-        return self._series(s, c, -s, -c, s)
+        return self._series((s, c, -s, -c))
 
     def cos(self):
         s, c = np.sin(self.value), np.cos(self.value)
-        return self._series(c, -s, -c, s, c)
+        return self._series((c, -s, -c, s))
 
 
 class AnalyticField:
@@ -129,9 +205,9 @@ class AnalyticField:
         self.divergence_free = divergence_free
         self._builder = builder
 
-    def jets(self, x):
-        """Degree-4 jets (u1, u2) at points x of shape (..., 2)."""
-        x1, x2 = Jet2.variables(x)
+    def jets(self, x, degree=4):
+        """Jets (u1, u2) of the given degree at points x of shape (..., 2)."""
+        x1, x2 = Jet2.variables(x, degree)
         return self._builder(x1, x2)
 
 
@@ -179,13 +255,16 @@ def load_parts(example, x):
     f = -div sigma(u), so f0 = -lap u and f2 = 0, the limit its
     boundary layer is measured against.  Both fields are divergence
     free, so the grad(div u) terms vanish and lambda does not enter.
+    The jets are of degree 4 where f2 needs the bilaplacian, else 2.
     """
-    j1, j2 = field_by_name(example).jets(x)
+    gradient_load = example == "example1"
+    j1, j2 = field_by_name(example).jets(x, degree=4 if gradient_load
+                                         else 2)
     f0 = np.empty(np.asarray(x).shape[:-1] + (2,))
     f2 = np.zeros_like(f0)
     for a, j in enumerate((j1, j2)):
         f0[..., a] = -(j.partial(2, 0) + j.partial(0, 2))
-        if example == "example1":
+        if gradient_load:
             f2[..., a] = (j.partial(4, 0) + 2.0 * j.partial(2, 2)
                           + j.partial(0, 4))
     return f0, f2
@@ -205,7 +284,7 @@ class ExactTables(NamedTuple):
 
 def exact_tables(mesh, field):
     """The :class:`ExactTables` of ``field`` at the degree-12 points of
-    ``mesh``, from one jets call per chunk of triangles."""
+    ``mesh``, from one degree-2 jets call per chunk of triangles."""
     rule = rule_for_degree(DEGREE_LOAD)
     out = []
     for tris in chunks(mesh.num_triangles):
@@ -213,7 +292,7 @@ def exact_tables(mesh, field):
         shape = pts.shape[:2]
         grad = np.empty(shape + (2, 2))
         hess = np.empty(shape + (2, 3))
-        for a, j in enumerate(field.jets(pts.reshape(-1, 2))):
+        for a, j in enumerate(field.jets(pts.reshape(-1, 2), degree=2)):
             for k, (dx, dy) in enumerate(((1, 0), (0, 1))):
                 grad[..., a, k] = j.partial(dx, dy).reshape(shape)
             for k, (dx, dy) in enumerate(((2, 0), (1, 1), (0, 2))):

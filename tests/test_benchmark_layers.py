@@ -64,3 +64,9 @@ def test_traced_pass_sees_the_solver(tmp_path):
     # one factorization of A and one of the pressure Gram matrix per
     # iota, shared by that iota's lambda cells
     assert metrics["linalg.factorizations"] == 2 * len(iotas)
+    # one jets pass for the load and one for the exact tables of the
+    # mesh, each over 32 triangles x 33 points of the degree-12 rule: a
+    # change to the signature of AnalyticField.jets cannot zero the
+    # traced point count unnoticed
+    assert metrics["manufactured.jet_calls"] == 2
+    assert metrics["manufactured.jet_points"] == 2 * 32 * 33

@@ -218,6 +218,13 @@ def test_verify_subcommand_passes_and_writes_csv(tmp_path, capsys):
     assert len(betas) == 1 * 2
 
 
+@pytest.mark.parametrize("ns", ["16", "4,9"])
+def test_verify_rejects_n_above_the_inf_sup_range(ns, capsys):
+    # an n the inf-sup check cannot take is refused, not skipped
+    assert run(["verify", "--n", ns]) == 3
+    assert "3 <= n <= 8" in capsys.readouterr().err
+
+
 def test_verify_flip_edge_fails_with_exit_1(capsys):
     # edge 7 is interior on the n=2 mesh, where the flip is injected
     assert run(["verify", "--n", "2", "--debug-flip-edge", "7"]) == 1

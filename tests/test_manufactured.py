@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
@@ -10,7 +10,7 @@ from sgefem.assembly import assemble_load
 from sgefem.discretization import Discretization
 from sgefem.element import batched_scalar_coeff
 from sgefem.manufactured import (FIELDS, AnalyticField, Jet2, error_norms,
-                                 exact_tables, field_by_name)
+                                 exact_tables, field_by_name, monomials)
 from sgefem.mesh import build_uniform_unit_square
 from oracles import (ProblemParams, body_force_elasticity, body_force_sge,
                      conical_rule, fd_derivative, field_gradient,
@@ -47,9 +47,9 @@ def boundary_samples(m):
 def test_constant_embeds_with_zero_higher_coefficients():
     x1, _ = Jet2.variables(np.array([0.4, 0.9]))
     j = 0.0 * x1 + 3.5
-    assert j.c[0, 0] == 3.5
+    assert j.coeff(0, 0) == 3.5
     c = j.c.copy()
-    c[0, 0] = 0.0
+    c[0] = 0.0
     assert np.all(c == 0.0)
 
 
@@ -58,15 +58,22 @@ def test_monomial_taylor_coefficient_at_shifted_point():
     j = x1 ** 2 * x2
     # d2/dxdy (x^2 y) = 2x = 2 at (1,1), and the x*y coefficient is
     # that value divided by 1!1!
-    assert j.c[1, 1] == pytest.approx(2.0, abs=1e-14)
+    assert j.coeff(1, 1) == pytest.approx(2.0, abs=1e-14)
     assert j.partial(1, 1) == pytest.approx(2.0, abs=1e-14)
 
 
 def test_truncation_keeps_high_coefficients_zero():
+    # a degree-4 jet holds one row per monomial with i + j <= 4 and
+    # nothing above: the coefficients of higher degree are zero by
+    # construction and cannot be asked for
     x1, x2 = Jet2.variables(np.array([0.3, 0.8]))
     j = (x1 ** 2 + x2 ** 2 + x1 * x2) ** 2
-    mask = np.array([[i + j_ > 4 for j_ in range(5)] for i in range(5)])
-    assert np.all(j.c[mask] == 0.0)
+    assert monomials(4) == tuple((i, j_) for i in range(5)
+                                 for j_ in range(5) if i + j_ <= 4)
+    assert j.c.shape == (len(monomials(4)),)
+    for i, j_ in ((5, 0), (3, 2), (0, 5)):
+        with pytest.raises(ValueError, match="exceeds the jet degree"):
+            j.coeff(i, j_)
 
 
 @given(st.lists(st.integers(-3, 3), min_size=9, max_size=9),
@@ -90,15 +97,130 @@ def test_jet_partials_exact_on_polynomials(ca, cb, x, y):
                                                      rel=1e-9)
 
 
+def test_power_takes_positive_integers_only():
+    x1, _ = Jet2.variables(np.array([0.5, 0.5]))
+    assert (x1 ** 3).coeff(3, 0) == 1.0
+    for n in (0, -1, 2.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            x1 ** n
+
+
+def test_degree_is_validated_and_never_mixed():
+    x = np.array([0.5, 0.5])
+    for degree in (0, 2.0):
+        with pytest.raises(ValueError, match="degree"):
+            Jet2.variables(x, degree)
+    a, _ = Jet2.variables(x, 2)
+    b, _ = Jet2.variables(x, 4)
+    for combine in (lambda: a + b, lambda: a * b):
+        with pytest.raises(ValueError, match="do not combine"):
+            combine()
+
+
+#: random compositions of +, *, sin, cos and exp over the coordinates,
+#: constants and the components of both study fields
+_LEAVES = st.one_of(
+    st.sampled_from(["x1", "x2", "example1.u1", "example1.u2",
+                     "example2.u1", "example2.u2"]),
+    st.floats(-2.0, 2.0))
+EXPRESSIONS = st.recursive(
+    _LEAVES,
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from(["add", "mul"]), sub, sub),
+        st.tuples(st.sampled_from(["neg", "sin", "cos", "exp"]), sub)),
+    max_leaves=6)
+POINTS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                  min_size=1, max_size=4)
+
+
+def evaluate(expr, x, degree, seen):
+    """The jet (or scalar) of ``expr`` at points x; every jet formed on
+    the way is appended to ``seen``."""
+    if isinstance(expr, float):
+        return expr
+    if isinstance(expr, str):
+        if expr in ("x1", "x2"):
+            out = Jet2.variables(x, degree)[expr == "x2"]
+        else:
+            name, component = expr.split(".")
+            out = FIELDS[name].jets(x, degree)[component == "u2"]
+    else:
+        op, *args = expr
+        vals = [evaluate(a, x, degree, seen) for a in args]
+        if op == "add":
+            out = vals[0] + vals[1]
+        elif op == "mul":
+            out = vals[0] * vals[1]
+        elif op == "neg":
+            out = -vals[0]
+        elif isinstance(vals[0], Jet2):
+            out = getattr(vals[0], op)()
+        else:
+            out = float(getattr(np, op)(vals[0]))
+    if isinstance(out, Jet2):
+        seen.append(out)
+    return out
+
+
+def _finite_jets(expr, x, degree):
+    seen = []
+    out = evaluate(expr, x, degree, seen)
+    assume(isinstance(out, Jet2))
+    assume(all(np.all(np.isfinite(j.c)) for j in seen))
+    return out, seen
+
+
+@given(EXPRESSIONS, POINTS)
+@settings(max_examples=150, deadline=None)
+def test_degree_2_partials_are_bitwise_those_of_degree_4(expr, pts):
+    x = np.array(pts)
+    j4, _ = _finite_jets(expr, x, 4)
+    j2 = evaluate(expr, x, 2, [])
+    for i, j in monomials(2):
+        assert j2.partial(i, j).tobytes() == j4.partial(i, j).tobytes()
+    assert j2.support == {ij for ij in j4.support if sum(ij) <= 2}
+
+
+@given(EXPRESSIONS, EXPRESSIONS, POINTS, st.sampled_from([2, 4]))
+@settings(max_examples=150, deadline=None)
+def test_support_skipping_product_is_bitwise_the_full_sum(ea, eb, pts,
+                                                          degree):
+    x = np.array(pts)
+    a, _ = _finite_jets(ea, x, degree)
+    b, _ = _finite_jets(eb, x, degree)
+    full = np.zeros(a.c.shape)
+    for r, (i, j) in enumerate(monomials(degree)):
+        for k in range(i + 1):
+            for l in range(j + 1):
+                full[r] += a.coeff(k, l) * b.coeff(i - k, j - l)
+    assert (a * b).c.tobytes() == full.tobytes()
+
+
+@given(EXPRESSIONS, POINTS, st.sampled_from([2, 4]))
+@settings(max_examples=150, deadline=None)
+def test_coefficients_outside_the_support_are_zero(expr, pts, degree):
+    # a support that leaves out a coefficient the arithmetic fills
+    # would let products drop its terms silently
+    seen = []
+    evaluate(expr, np.array(pts), degree, seen)
+    for jet in seen:
+        outside = [r for r, ij in enumerate(monomials(degree))
+                   if ij not in jet.support]
+        assert np.all(jet.c[outside] == 0.0)
+
+
 def test_exp_sin_cos_taylor_coefficients():
     x1, _ = Jet2.variables(np.array([0.0, 0.0]))
     e = x1.exp()
     s = x1.sin()
     c = x1.cos()
     for k in range(5):
-        assert e.c[k, 0] == pytest.approx(1.0 / math.factorial(k), rel=1e-14)
-    assert np.allclose(s.c[:5, 0], [0, 1, 0, -1 / 6, 0], atol=1e-15)
-    assert np.allclose(c.c[:5, 0], [1, 0, -0.5, 0, 1 / 24], atol=1e-15)
+        assert e.coeff(k, 0) == pytest.approx(1.0 / math.factorial(k),
+                                              rel=1e-14)
+    assert np.allclose([s.coeff(k, 0) for k in range(5)],
+                       [0, 1, 0, -1 / 6, 0], atol=1e-15)
+    assert np.allclose([c.coeff(k, 0) for k in range(5)],
+                       [1, 0, -0.5, 0, 1 / 24], atol=1e-15)
 
 
 def test_composition_series_at_nonzero_point():
@@ -373,9 +495,9 @@ def test_errors_evaluate_exact_field_once_per_mesh(monkeypatch):
     calls = []
     jets = AnalyticField.jets
 
-    def counting(self, x):
+    def counting(self, x, degree=4):
         calls.append(len(x))
-        return jets(self, x)
+        return jets(self, x, degree)
 
     monkeypatch.setattr(AnalyticField, "jets", counting)
     mesh = build_uniform_unit_square(4)
