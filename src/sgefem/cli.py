@@ -132,7 +132,8 @@ def _merge_config(args):
             raise ConfigError("config key %s: %s" % (key, exc))
 
     example = pick(args.example, "example", str, "example1")
-    large = pick(args.large or None, "large", _boolean, False)
+    large = pick(getattr(args, "large", False) or None, "large", _boolean,
+                 False)
     ns = pick(args.n, "n", _ints,
               list(DEFAULT_NS) + (list(LARGE_NS) if large else []))
     return StudyConfig(
@@ -231,10 +232,10 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
     ns = sorted(ns) if ns else [2, 4, 8]
     if any(n < 2 for n in ns):
         raise ConfigError("n values must be at least 2")
-    if ns[-1] > 8:
-        # the dense inf-sup check is sized for small meshes
-        raise ConfigError("verify takes n values in 2..8: inf-sup runs at "
-                          "3 <= n <= 8, n = 2 is continuity-only")
+    if ns[-1] > 32:
+        # the inf-sup check holds B^T densely: 2.3 GB at n = 64
+        raise ConfigError("verify takes n values in 2..32: inf-sup runs at "
+                          "3 <= n <= 32, n = 2 is continuity-only")
     if flip_edge is not None:
         # the fault goes into the first continuity mesh, and only an
         # interior edge has a second triangle whose gradient can jump
@@ -263,6 +264,8 @@ def run_solve(config):
     if len(config.lams) != 1 or len(config.iotas) != 1 \
             or len(config.ns) != 1:
         raise ConfigError("solve takes single lambda, iota, and n values")
+    if config.large:
+        raise ConfigError("solve takes no large key: it runs one n")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
     disc = Discretization(build_uniform_unit_square(n), config.example)
     try:
@@ -302,17 +305,13 @@ def _build_parser():
                                  "strain gradient elasticity")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("--out", help="output file path")
         p.add_argument("--threads", type=int,
                        help="thread budget for the numerical libraries "
                             "(default: inherited variables, else 1)")
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--tol", type=float,
-                       help="solver relative residual tolerance")
-        p.add_argument("--mu", type=float, help="shear modulus (default 1)")
 
-    def grid(p):
+    def study(p, large):
         p.add_argument("--example", choices=_EXAMPLES)
         p.add_argument("--lambda", dest="lam", type=_floats,
                        metavar="LIST", help="comma-separated lambda values")
@@ -320,22 +319,24 @@ def _build_parser():
                        help="comma-separated iota values")
         p.add_argument("--n", type=_ints, metavar="LIST",
                        help="comma-separated mesh subdivisions")
-        p.add_argument("--large", action="store_true",
-                       help="extend the default n list with 128, 256")
+        if large:
+            p.add_argument("--large", action="store_true",
+                           help="extend the default n list with 128, 256")
+        output(p)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--tol", type=float,
+                       help="solver relative residual tolerance")
+        p.add_argument("--mu", type=float, help="shear modulus (default 1)")
 
-    convergence = sub.add_parser("convergence",
-                                 help="run a convergence study")
-    grid(convergence)
-    common(convergence)
-
-    solve = sub.add_parser("solve", help="solve once and export fields")
-    grid(solve)
-    common(solve)
+    study(sub.add_parser("convergence", help="run a convergence study"),
+          large=True)
+    study(sub.add_parser("solve", help="solve once and export fields"),
+          large=False)
 
     verify = sub.add_parser("verify", help="run the structural checks")
     verify.add_argument("--n", type=_ints, metavar="LIST",
                         help="mesh subdivisions for the continuity and "
-                             "inf-sup checks (inf-sup uses 3 <= n <= 8)")
+                             "inf-sup checks (inf-sup uses 3 <= n <= 32)")
     verify.add_argument("--iota", type=_floats, metavar="LIST",
                         help="iota sweep for the inf-sup check")
     verify.add_argument("--seed", type=int, default=0,
@@ -344,7 +345,7 @@ def _build_parser():
                         metavar="EDGE",
                         help="flip one edge normal to demonstrate fault "
                              "detection")
-    common(verify)
+    output(verify)
     return parser
 
 

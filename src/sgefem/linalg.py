@@ -1,4 +1,4 @@
-"""The saddle-point solver and the dense generalized eigenvalue helper.
+"""The saddle-point solver and its sparse SPD factorization.
 
 The discrete problem is the symmetric indefinite block system
 
@@ -27,7 +27,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import cholesky, eigh
 from scipy.sparse.linalg import LinearOperator, minres, splu
 
 #: iteration cap of :func:`projected_pcg`; the inf-sup bound keeps the
@@ -52,11 +51,13 @@ class SolverBreakdown(RuntimeError):
         self.residual = residual
 
 
-def _spd_factor(M):
-    """Sparse LU of a symmetric positive definite matrix: a symmetric
-    fill-reducing ordering and diagonal pivots only (any row
-    interchange would spoil that ordering's fill)."""
-    return splu(M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+def spd_factor(M):
+    """Sparse LU of a symmetric positive definite M, for the solver and
+    the inf-sup check: a symmetric fill-reducing ordering and diagonal
+    pivots only, so the row and column permutations agree and U's
+    diagonal holds the LDL^T pivots.  As M is symmetric, the CSC view
+    M.T of a CSR M is factored, without a copy."""
+    return splu(M.T, permc_spec="MMD_AT_PLUS_A",
                 options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 
 
@@ -73,11 +74,11 @@ class SaddleFactors:
 
     @cached_property
     def solve_a(self):
-        return _spd_factor(self.A).solve
+        return spd_factor(self.A).solve
 
     @cached_property
     def _projected_g(self):
-        solve_g = _spd_factor(self.G).solve
+        solve_g = spd_factor(self.G).solve
         gm = solve_g(self.m)
         return solve_g, gm, self.m @ gm
 
@@ -260,15 +261,3 @@ def solve_saddle(system, tol=1e-10):
         # project out the constraint drift (exact correction direction)
         p = p - (system.m @ p) / (system.m @ system.m) * system.m
     return u, p, xi
-
-
-def min_generalized_eig(K, G):
-    """Smallest eigenvalue of K x = theta G x with G SPD."""
-    K = np.asarray(K, dtype=float)
-    G = np.asarray(G, dtype=float)
-    try:
-        cholesky(G)
-    except np.linalg.LinAlgError:
-        raise ValueError("G is not symmetric positive definite")
-    vals = eigh(K, G, eigvals_only=True)
-    return float(vals[0])

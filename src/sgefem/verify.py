@@ -12,12 +12,12 @@ constants.
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, null_space
+from scipy.linalg import eigh, null_space
 
 from .discretization import Discretization
 from .element import (batched_scalar_dof_matrices, modal_tables,
                       scaled_conditions)
-from .linalg import min_generalized_eig
+from .linalg import spd_factor
 from .mesh import Mesh, build_uniform_unit_square
 from .quadrature import edge_rule
 
@@ -216,18 +216,23 @@ def _infsup_parts(mesh):
 
 
 def _infsup_from_parts(parts, iota):
+    """beta_h at ``iota`` through the solver's sparse factor of G_V,
+    which is never made dense; a pivot <= 0 means G_V is not SPD."""
     (b0, b2), (g1, g2), (mp, kp), Z = parts
     i2 = iota ** 2
-    Bd = (b0 + i2 * b2).toarray()
-    GV = (g1 + i2 * g2).toarray()
-    GQ = (mp + i2 * kp).toarray()
     try:
-        cf = cho_factor(GV)
-    except np.linalg.LinAlgError:
+        lu = spd_factor(g1 + i2 * g2)
+        spd = np.array_equal(lu.perm_r, lu.perm_c) \
+            and np.all(lu.U.diagonal() > 0.0)
+    except RuntimeError:    # an exactly zero pivot
+        spd = False
+    if not spd:
         raise ValueError("G_V is not symmetric positive definite")
-    K = Bd @ cho_solve(cf, Bd.T)
+    B = b0 + i2 * b2
+    K = B @ lu.solve(B.T.toarray())
     K = 0.5 * (K + K.T)
-    theta = min_generalized_eig(Z.T @ K @ Z, Z.T @ GQ @ Z)
+    GQ = (mp + i2 * kp).toarray()
+    theta = eigh(Z.T @ K @ Z, Z.T @ GQ @ Z, eigvals_only=True)[0]
     return math.sqrt(max(theta, 0.0))
 
 

@@ -15,14 +15,17 @@ field values and gradients, and the inf-sup constant of one mesh and
 iota are the references the package's split and batched forms are
 checked against; no production path needs them.  So are the
 quadrature-point element kernels with the lexsort COO accumulation
-(which the reference-moment kernels and the scatter plan replaced) and
+(which the reference-moment kernels and the scatter plan replaced),
 the per-edge weak-continuity loop (which the batched check replaced),
-and the bordered sparse LU with iterative refinement (which the
-projected conjugate gradients on the pressures replaced).
+the bordered sparse LU with iterative refinement (which the
+projected conjugate gradients on the pressures replaced), and the dense
+inf-sup computation with its generalized eigenvalue helper (which the
+sparse factorization of G_V replaced).
 """
 
 import numpy as np
-from math import factorial
+from math import factorial, sqrt
+from scipy.linalg import cho_factor, cho_solve, cholesky, eigh
 from scipy.special import roots_jacobi, roots_legendre
 
 from scipy.sparse import csr_matrix
@@ -32,7 +35,7 @@ from sgefem.assembly import modal_rule
 from sgefem.element import (batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables)
 from sgefem.quadrature import edge_rule
-from sgefem.verify import _infsup_from_parts, _infsup_parts
+from sgefem.verify import _infsup_parts
 
 
 def bary_moment(a, b, c):
@@ -255,13 +258,44 @@ def body_force_elasticity(field, params):
     return f
 
 
+def min_generalized_eig(K, G):
+    """Smallest eigenvalue of K x = theta G x with G SPD."""
+    K = np.asarray(K, dtype=float)
+    G = np.asarray(G, dtype=float)
+    try:
+        cholesky(G)
+    except np.linalg.LinAlgError:
+        raise ValueError("G is not symmetric positive definite")
+    vals = eigh(K, G, eigvals_only=True)
+    return float(vals[0])
+
+
+def dense_infsup_from_parts(parts, iota):
+    """beta_h from the parts of ``sgefem.verify._infsup_parts``, with a
+    dense Cholesky factorization of G_V: the route the sparse one in
+    ``sgefem.verify._infsup_from_parts`` replaced."""
+    (b0, b2), (g1, g2), (mp, kp), Z = parts
+    i2 = iota ** 2
+    Bd = (b0 + i2 * b2).toarray()
+    GV = (g1 + i2 * g2).toarray()
+    GQ = (mp + i2 * kp).toarray()
+    try:
+        cf = cho_factor(GV)
+    except np.linalg.LinAlgError:
+        raise ValueError("G_V is not symmetric positive definite")
+    K = Bd @ cho_solve(cf, Bd.T)
+    K = 0.5 * (K + K.T)
+    theta = min_generalized_eig(Z.T @ K @ Z, Z.T @ GQ @ Z)
+    return sqrt(max(theta, 0.0))
+
+
 def estimate_infsup(mesh, iota):
     """The discrete inf-sup constant beta_h at the given iota.
 
     beta_h^2 is the smallest eigenvalue of (B G_V^{-1} B^T) q
     = theta G_Q q on the mean-zero pressure subspace, computed densely.
     """
-    return _infsup_from_parts(_infsup_parts(mesh), iota)
+    return dense_infsup_from_parts(_infsup_parts(mesh), iota)
 
 
 # quadrature-point element kernels and the lexsort COO accumulation: the

@@ -218,11 +218,45 @@ def test_verify_subcommand_passes_and_writes_csv(tmp_path, capsys):
     assert len(betas) == 1 * 2
 
 
-@pytest.mark.parametrize("ns", ["16", "4,9"])
+@pytest.mark.parametrize("ns", ["33", "4,64"])
 def test_verify_rejects_n_above_the_inf_sup_range(ns, capsys):
     # an n the inf-sup check cannot take is refused, not skipped
     assert run(["verify", "--n", ns]) == 3
-    assert "3 <= n <= 8" in capsys.readouterr().err
+    assert "3 <= n <= 32" in capsys.readouterr().err
+
+
+def test_verify_reports_inf_sup_at_n16(tmp_path, capsys):
+    out = tmp_path / "report.csv"
+    assert run(["verify", "--n", "4,16", "--iota", "1,1e-6",
+                "--out", str(out)]) == 0
+    assert "overall: pass" in capsys.readouterr().out
+    rows = [l for l in out.read_text().split("\n")
+            if l.startswith("infsup_beta_n16_")]
+    assert [r.split(",")[0] for r in rows] == ["infsup_beta_n16_iota1",
+                                               "infsup_beta_n16_iota1e-06"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "2", "--config", "/nonexistent"],
+    ["verify", "--n", "2", "--mu", "-5"],
+    ["verify", "--n", "2", "--tol", "7"],
+    ["solve", "--lambda", "1", "--iota", "1", "--n", "2", "--large"],
+], ids=["verify-config", "verify-mu", "verify-tol", "solve-large"])
+def test_flag_the_subcommand_does_not_read_exits_3(argv, capsys):
+    # a flag that would be ignored is refused by the parser
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_rejects_large_config_key(tmp_path, capsys):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("large = yes\n")
+    assert run(["solve", "--lambda", "1", "--iota", "1", "--n", "2",
+                "--config", str(cfg),
+                "--out", str(tmp_path / "s.csv")]) == 3
+    assert "large" in capsys.readouterr().err
 
 
 def test_verify_flip_edge_fails_with_exit_1(capsys):

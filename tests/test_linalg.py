@@ -5,10 +5,10 @@ import pytest
 from scipy.sparse.linalg import norm as sparse_norm
 
 import sgefem.linalg
-from oracles import bordered_lu_solve
+from oracles import bordered_lu_solve, min_generalized_eig
 from sgefem.discretization import Discretization
-from sgefem.linalg import (SaddleSystem, SolverBreakdown, min_generalized_eig,
-                           projected_pcg, solve_saddle)
+from sgefem.linalg import (SaddleSystem, SolverBreakdown, projected_pcg,
+                           solve_saddle, spd_factor)
 from sgefem.mesh import build_uniform_unit_square
 
 GRID_IOTAS = (1.0, 1e-2, 1e-8)
@@ -231,6 +231,24 @@ def test_system_rejects_non_positive_mu(mu):
         disc.system(mu, 1.0, 1e-2)
 
 
+@pytest.mark.parametrize("which", ["A", "G"])
+def test_spd_factor_of_the_transpose_view_is_the_csc_copy(which):
+    # a bitwise-symmetric CSR matrix's transpose holds its CSC arrays,
+    # so factoring that view instead of a copy changes no bit
+    disc = Discretization(build_uniform_unit_square(8), "example1")
+    M = getattr(disc.factors(1.0, 1e-2), which)
+    assert (M != M.T).nnz == 0
+    view = M.T
+    assert np.shares_memory(view.data, M.data)
+    assert np.shares_memory(view.indices, M.indices)
+    rhs = np.random.default_rng(8).standard_normal((M.shape[0], 3))
+    copied = sgefem.linalg.splu(
+        M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+    assert np.array_equal(spd_factor(M).solve(rhs), copied.solve(rhs))
+
+
+# the dense generalized eigenvalue helper of the inf-sup oracle
 def test_min_generalized_eig_trivial_cases():
     rng = np.random.default_rng(3)
     M = rng.standard_normal((10, 10))

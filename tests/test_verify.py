@@ -9,7 +9,8 @@ from sgefem.verify import (UNISOLVENCE_COND_BOUND, VerificationReport,
                            check_unisolvence, check_weak_continuity,
                            random_shape_regular_triangles, run_verification)
 from sgefem.mesh import Mesh
-from oracles import estimate_infsup, loop_weak_continuity
+from oracles import (dense_infsup_from_parts, estimate_infsup,
+                     loop_weak_continuity)
 
 REFERENCE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
 
@@ -130,6 +131,38 @@ def test_infsup_signals_indefinite_gram():
     (b0, b2), (g1, g2), cq, Z = _infsup_parts(mesh)
     with pytest.raises(ValueError, match="positive definite"):
         _infsup_from_parts(((b0, b2), (-g1, -g2), cq, Z), 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.0], ids=["indefinite",
+                                                     "singular"])
+def test_infsup_pivot_check_rejects_non_spd_gram(scale):
+    # g1 - 1e-3 g2 has pivots of both signs at n = 4; the zero matrix
+    # has no pivot at all
+    (b0, b2), (g1, g2), cq, Z = _infsup_parts(build_uniform_unit_square(4))
+    parts = ((b0, b2), (scale * g1, -scale * g2), cq, Z)
+    with pytest.raises(ValueError, match="positive definite"):
+        _infsup_from_parts(parts, 1.0)
+
+
+VERIFY_GRID_IOTAS = (1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_sparse_infsup_matches_dense_oracle(n):
+    parts = _infsup_parts(build_uniform_unit_square(n))
+    for iota in VERIFY_GRID_IOTAS:
+        assert _infsup_from_parts(parts, iota) == pytest.approx(
+            dense_infsup_from_parts(parts, iota), rel=1e-10)
+
+
+def test_sparse_infsup_matches_dense_oracle_at_n16():
+    # the zero-mean constant; constraining m^T G_Q p = 0 instead of
+    # m^T p = 0 reads 0.475 here
+    parts = _infsup_parts(build_uniform_unit_square(16))
+    beta = _infsup_from_parts(parts, 1.0)
+    assert beta == pytest.approx(dense_infsup_from_parts(parts, 1.0),
+                                 rel=1e-10)
+    assert beta == pytest.approx(0.5408, abs=1e-4)
 
 
 def test_infsup_needs_interior_pressure_space():
