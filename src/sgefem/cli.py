@@ -32,6 +32,26 @@ class ConfigError(ValueError):
     pass
 
 
+#: the rule every value of a list follows, by the list's name
+_LIST_RULES = {"lambda": (lambda v: v > 0, "must be positive"),
+               "iota": (lambda v: 0 < v <= 1, "must lie in (0, 1]"),
+               "n": (lambda v: v >= 2, "must be at least 2")}
+
+
+def _check_lists(lists):
+    """Each (name, values) list of a subcommand nonempty, every value
+    within the rule of its name (so lambda = nan fails) and none given
+    twice."""
+    for name, values in lists:
+        ok, rule = _LIST_RULES[name]
+        if not values:
+            raise ConfigError("the %s list must be nonempty" % name)
+        if not all(ok(v) for v in values):
+            raise ConfigError("%s values %s" % (name, rule))
+        if len(set(values)) < len(values):
+            raise ConfigError("%s values must be distinct" % name)
+
+
 class StudyConfig:
     """Validated parameter grid for a convergence study."""
 
@@ -39,14 +59,7 @@ class StudyConfig:
                  out=None, threads=None, large=False):
         if example not in _EXAMPLES:
             raise ConfigError("example must be one of %s" % (_EXAMPLES,))
-        if not lams or not iotas or not ns:
-            raise ConfigError("lambda, iota, and n lists must be nonempty")
-        if any(l <= 0 for l in lams):
-            raise ConfigError("lambda values must be positive")
-        if any(not 0 < i <= 1 for i in iotas):
-            raise ConfigError("iota values must lie in (0, 1]")
-        if any(n < 2 for n in ns):
-            raise ConfigError("n values must be at least 2")
+        _check_lists([("lambda", lams), ("iota", iotas), ("n", ns)])
         if not mu > 0:
             raise ConfigError("mu must be positive")
         if not 1e-14 < tol < 1e-6:
@@ -229,9 +242,11 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
     from .mesh import build_uniform_unit_square
     from .verify import INFSUP_IOTAS, run_verification
 
-    ns = sorted(ns) if ns else [2, 4, 8]
-    if any(n < 2 for n in ns):
-        raise ConfigError("n values must be at least 2")
+    ns = sorted(ns) if ns is not None else [2, 4, 8]
+    iotas = tuple(iotas) if iotas is not None else INFSUP_IOTAS
+    _check_lists([("n", ns), ("iota", iotas)])
+    if seed < 0:
+        raise ConfigError("seed must be at least 0")
     if ns[-1] > 32:
         # the inf-sup check holds B^T densely: 2.3 GB at n = 64
         raise ConfigError("verify takes n values in 2..32: inf-sup runs at "
@@ -247,8 +262,7 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
     infsup_ns = [n for n in ns if n >= 3]
     report = run_verification(
         seed=seed, flip_edge=flip_edge, continuity_ns=ns,
-        infsup_ns=infsup_ns,
-        infsup_iotas=tuple(iotas) if iotas else INFSUP_IOTAS)
+        infsup_ns=infsup_ns, infsup_iotas=iotas)
     sys.stdout.write(report.as_text())
     if out:
         report.to_csv(out)

@@ -117,9 +117,8 @@ class Discretization:
         i2 = iota ** 2
         b0, b2 = self.b_parts
         (F0, F2), _ = self.load
-        return SaddleSystem(factors.A, b0 + i2 * b2, factors.G / lam,
-                            self.mean_constraint, mu * (F0 + i2 * F2),
-                            factors=factors)
+        return SaddleSystem(factors, b0 + i2 * b2, factors.G / lam,
+                            mu * (F0 + i2 * F2))
 
     def load_norm(self, mu, iota):
         """||f||_0 of the load at (mu, iota), from the parts of ||f||^2."""

@@ -19,15 +19,18 @@ so G alone serves every lambda.  So A and G are factored once per
 iota), and each cell runs conjugate gradients on the pressures
 (:func:`projected_pcg`), preconditioned by G and projected onto the
 zero-mean pressures; every iteration costs one solve with A, and the
-iteration count stays small for every h, iota and lambda.  A preconditioned MINRES on the bordered system is the fallback
-when the factorization fails or the iteration misses the tolerance.
+iteration count stays small for every h, iota and lambda.  There is no
+second solver path: a failed factorization, or an iteration that misses
+the tolerance, raises :class:`SolverBreakdown`.
 """
 
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, minres, splu
+from scipy.sparse.linalg import splu
+# unused: bound only for the linalg.fallback target of perfbench/tracer.py
+from scipy.sparse.linalg import minres  # noqa: F401
 
 #: iteration cap of :func:`projected_pcg`; the inf-sup bound keeps the
 #: count near 10 on every mesh, iota and lambda of the studies
@@ -42,13 +45,14 @@ STALL_STEPS = 3
 
 
 class SolverBreakdown(RuntimeError):
-    """Factorization failure or iteration stagnation; carries the
-    relative residual that was achieved."""
+    """Factorization failure, or an iteration that missed the tolerance;
+    carries the backward error and the iteration count it reached."""
 
-    def __init__(self, message, residual):
-        super().__init__("%s (achieved relative residual %.3e)"
-                         % (message, residual))
+    def __init__(self, message, residual, iterations):
+        super().__init__("%s (achieved backward error %.3e after %d "
+                         "iterations)" % (message, residual, iterations))
         self.residual = residual
+        self.iterations = iterations
 
 
 def spd_factor(M):
@@ -96,30 +100,30 @@ class SaddleFactors:
 
 
 class SaddleSystem:
-    """Blocks of the saddle-point problem over the free DoFs.
+    """Blocks of the saddle-point problem of one lambda over the free
+    DoFs: A, m and their factors come from ``factors`` (a
+    :class:`SaddleFactors`, shared by the lambda cells of one iota)."""
 
-    ``factors`` (a :class:`SaddleFactors` whose A is this system's A)
-    shares the factorizations with other systems; without it the system
-    factors its own A and preconditions with C (which is G / lambda).
-    """
-
-    def __init__(self, A, B, C, m, rhs_u, factors=None):
-        self.A = A.tocsr() if sparse.issparse(A) else sparse.csr_matrix(A)
-        self.B = B.tocsr() if sparse.issparse(B) else sparse.csr_matrix(B)
-        self.C = C.tocsr() if sparse.issparse(C) else sparse.csr_matrix(C)
-        self.m = np.asarray(m, dtype=float)
-        self.rhs_u = np.asarray(rhs_u, dtype=float)
-        n_u, n_p = self.A.shape[0], self.C.shape[0]
-        if self.B.shape != (n_p, n_u) or self.m.shape != (n_p,) \
-                or self.rhs_u.shape != (n_u,):
+    def __init__(self, factors, B, C, rhs_u):
+        n_u, n_p = factors.A.shape[0], factors.m.shape[0]
+        if B.shape != (n_p, n_u) or C.shape != (n_p, n_p) \
+                or rhs_u.shape != (n_u,):
             raise ValueError("inconsistent block dimensions")
-        self.n_u = n_u
-        self.n_p = n_p
-        self.factors = factors if factors is not None \
-            else SaddleFactors(self.A, self.C, self.m)
+        self.factors = factors
+        self.B, self.C, self.rhs_u = B, C, rhs_u
+        self.n_u, self.n_p = n_u, n_p
+
+    @property
+    def A(self):
+        return self.factors.A
+
+    @property
+    def m(self):
+        return self.factors.m
 
     def block_matrix(self):
-        """The bordered (n_u + n_p + 1) sparse matrix."""
+        """The bordered (n_u + n_p + 1) sparse matrix, which the solver
+        never forms (perfbench/ and the test oracles read it)."""
         mcol = sparse.csr_matrix(self.m.reshape(-1, 1))
         zcol = sparse.csr_matrix((self.n_u, 1))
         return sparse.bmat([[self.A, self.B.T, zcol],
@@ -208,33 +212,13 @@ def projected_pcg(system):
     return best
 
 
-def _minres_fallback(system, S, rhs, tol):
-    """MINRES on the bordered system with a block-diagonal Jacobi
-    preconditioner (MINRES needs a symmetric positive definite
-    preconditioner, so the diagonals are clamped to be positive)."""
-    d_a = system.A.diagonal()
-    d_c = system.C.diagonal() + np.abs(system.m)
-    d_a = np.where(d_a > 0, d_a, 1.0)
-    d_c = np.where(d_c > 0, d_c, 1.0)
-    border = system.m @ (system.m / d_c)
-    scale = np.concatenate([1.0 / d_a, 1.0 / d_c,
-                            [1.0 / border if border > 0 else 1.0]])
-    M = LinearOperator(S.shape, matvec=lambda v: scale * v)
-    try:
-        x, _ = minres(S, rhs, rtol=tol, M=M,
-                      maxiter=min(50 * S.shape[0], 5000))
-    except ValueError as exc:
-        raise SolverBreakdown("MINRES fallback failed: %s" % exc, np.inf)
-    return x
-
-
 def solve_saddle(system, tol=1e-10):
     """Solve the bordered saddle system to a backward error <= tol.
 
     Returns (u, p, xi).  The returned p satisfies the zero-mean
     constraint to 1e-12 * ||p||.  Raises :class:`SolverBreakdown` when
-    neither the projected conjugate gradients nor the MINRES fallback
-    reaches the tolerance.
+    a factorization fails or the projected conjugate gradients miss the
+    tolerance.
     """
     if not 1e-14 < tol < 1e-6:
         raise ValueError("tol must lie in (1e-14, 1e-6)")
@@ -242,19 +226,13 @@ def solve_saddle(system, tol=1e-10):
         return (np.zeros(system.n_u), np.zeros(system.n_p), 0.0)
 
     try:
-        u, p, xi, _, err = projected_pcg(system)
-    except (RuntimeError, MemoryError):
-        err = np.inf
+        u, p, xi, iterations, err = projected_pcg(system)
+    except (RuntimeError, MemoryError) as exc:
+        raise SolverBreakdown("factorization failed: %s" % exc,
+                              np.inf, 0) from exc
     if not err <= tol:
-        S = system.block_matrix()
-        x = _minres_fallback(system, S, system.full_rhs(), tol)
-        u = x[:system.n_u]
-        p = x[system.n_u:system.n_u + system.n_p]
-        xi = float(x[-1])
-        err = system.backward_error(u, p, xi)
-        if not err <= tol:
-            raise SolverBreakdown("projected CG and MINRES fallback both "
-                                  "missed the tolerance", err)
+        raise SolverBreakdown("projected CG missed the tolerance %.1e"
+                              % tol, err, iterations)
 
     drift = abs(system.m @ p)
     if drift > 1e-12 * max(np.linalg.norm(p), 1e-300):

@@ -150,16 +150,17 @@ def check_unisolvence(triangles=None, count=100, seed=0):
     return report
 
 
-def check_weak_continuity(mesh, flip_edge=None, label=""):
+def check_weak_continuity(disc, flip_edge=None, label=""):
     """Maximum edge-jump integral of the broken gradient, relative to
-    the local gradient scale, over all interior edges and all basis
-    functions supported there.
+    the local gradient scale, over all interior edges of the mesh of
+    ``disc`` (a :class:`Discretization`) and all basis functions
+    supported there.
 
     ``flip_edge`` negates the normal-derivative DoF row of one triangle
     adjacent to that edge before inverting; it exists to demonstrate
     that the check catches orientation-sign bugs.
     """
-    coeff = Discretization(mesh).coeff
+    mesh, coeff = disc.mesh, disc.coeff
     if flip_edge is not None:
         coeff = coeff.copy()
         k = int(mesh.triangles_of_edge[flip_edge, 0])
@@ -206,8 +207,7 @@ def check_weak_continuity(mesh, flip_edge=None, label=""):
     return report
 
 
-def _infsup_parts(mesh):
-    disc = Discretization(mesh)
+def _infsup_parts(disc):
     if disc.qmap.n_p < 2:
         raise ValueError("inf-sup estimation needs at least two pressure "
                          "unknowns (n >= 3)")
@@ -247,20 +247,22 @@ def run_verification(seed=0, flip_edge=None, continuity_ns=(2, 4, 8),
     report = VerificationReport()
     report.extend(check_unisolvence(seed=seed))
 
-    for pos, n in enumerate(continuity_ns):
-        mesh = build_uniform_unit_square(n)
-        report.extend(check_weak_continuity(
-            mesh, flip_edge=flip_edge if pos == 0 else None,
-            label="_n%d" % n))
-
     betas = {}
+    for n in dict.fromkeys(tuple(continuity_ns) + tuple(infsup_ns)):
+        disc = Discretization(build_uniform_unit_square(n))
+        if n in continuity_ns:
+            report.extend(check_weak_continuity(
+                disc, flip_edge=flip_edge if n == continuity_ns[0] else None,
+                label="_n%d" % n))
+        if n in infsup_ns:
+            parts = _infsup_parts(disc)
+            for iota in infsup_iotas:
+                betas[n, iota] = _infsup_from_parts(parts, iota)
+        disc = parts = None     # release this mesh before the next is built
     for n in infsup_ns:
-        parts = _infsup_parts(build_uniform_unit_square(n))
         for iota in infsup_iotas:
-            beta = _infsup_from_parts(parts, iota)
-            betas[n, iota] = beta
-            report.add("infsup_beta_n%d_iota%g" % (n, iota), beta, 0.0,
-                       op=">")
+            report.add("infsup_beta_n%d_iota%g" % (n, iota), betas[n, iota],
+                       0.0, op=">")
     for a, b in zip(infsup_ns, infsup_ns[1:]):
         for iota in infsup_iotas:
             ratio = betas[b, iota] / betas[a, iota]

@@ -32,6 +32,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from sgefem.assembly import modal_rule
+from sgefem.discretization import Discretization
 from sgefem.element import (batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables)
 from sgefem.quadrature import edge_rule
@@ -295,7 +296,8 @@ def estimate_infsup(mesh, iota):
     beta_h^2 is the smallest eigenvalue of (B G_V^{-1} B^T) q
     = theta G_Q q on the mean-zero pressure subspace, computed densely.
     """
-    return dense_infsup_from_parts(_infsup_parts(mesh), iota)
+    return dense_infsup_from_parts(_infsup_parts(Discretization(mesh)),
+                                   iota)
 
 
 # quadrature-point element kernels and the lexsort COO accumulation: the

@@ -25,6 +25,8 @@ def test_study_config_validation():
         StudyConfig("example1", [1.0], [1.0], [1])
     with pytest.raises(ConfigError, match="iota"):
         StudyConfig("example1", [1.0], [0.0], [4])
+    with pytest.raises(ConfigError, match="distinct"):
+        StudyConfig("example1", [1.0], [1.0], [4, 4])
     with pytest.raises(ConfigError, match="tol"):
         StudyConfig("example1", [1.0], [1.0], [4], tol=1e-4)
 
@@ -121,9 +123,31 @@ def test_bad_flag_exits_3(capsys):
     (["convergence"], "mu = abc\n", "config key mu"),
     (["convergence"], "threads = 1.5\n", "config key threads"),
     (["convergence"], "large = maybe\n", "not a boolean"),
+    # a repeated n once divided by log2(1) in the rate column
+    (["convergence", "--n", "2,2"], None, "n values must be distinct"),
+    (["convergence", "--lambda", "1,1"], None,
+     "lambda values must be distinct"),
+    (["convergence", "--iota", "1,1"], None, "iota values must be distinct"),
+    (["convergence", "--lambda", "nan"], None,
+     "lambda values must be positive"),
+    (["convergence"], "n = 4,4\n", "n values must be distinct"),
+    (["convergence"], "lambda = nan\n", "lambda values must be positive"),
+    # verify applies the list rules of the studies
+    (["verify", "--n="], None, "the n list must be nonempty"),
+    (["verify", "--iota="], None, "the iota list must be nonempty"),
+    (["verify", "--iota", "-1"], None, "iota values must lie in (0, 1]"),
+    (["verify", "--iota", "0"], None, "iota values must lie in (0, 1]"),
+    (["verify", "--iota", "2"], None, "iota values must lie in (0, 1]"),
+    (["verify", "--iota", "nan"], None, "iota values must lie in (0, 1]"),
+    (["verify", "--n", "3,3"], None, "n values must be distinct"),
+    (["verify", "--seed", "-1"], None, "seed must be at least 0"),
 ], ids=["n", "mu", "tol", "threads", "verify-threads", "lambda-empty",
         "iota-empty", "config-mu", "config-mu-text", "config-threads-float",
-        "config-large"])
+        "config-large", "n-repeated", "lambda-repeated", "iota-repeated",
+        "lambda-nan", "config-n-repeated", "config-lambda-nan",
+        "verify-n-empty", "verify-iota-empty", "verify-iota-negative",
+        "verify-iota-zero", "verify-iota-above-1", "verify-iota-nan",
+        "verify-n-repeated", "verify-seed-negative"])
 def test_bad_config_value_returns_3(tmp_path, capsys, args, config_text,
                                     message):
     # an explicit value is validated, never replaced by the default
@@ -194,7 +218,7 @@ def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
     import sgefem.linalg
 
     def boom(system, tol=1e-10):
-        raise SolverBreakdown("forced", math.inf)
+        raise SolverBreakdown("forced", math.inf, 0)
 
     monkeypatch.setattr(sgefem.linalg, "solve_saddle", boom)
     out = tmp_path / "table.csv"

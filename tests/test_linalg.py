@@ -2,13 +2,14 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import norm as sparse_norm
 
 import sgefem.linalg
 from oracles import bordered_lu_solve, min_generalized_eig
 from sgefem.discretization import Discretization
-from sgefem.linalg import (SaddleSystem, SolverBreakdown, projected_pcg,
-                           solve_saddle, spd_factor)
+from sgefem.linalg import (SaddleFactors, SaddleSystem, SolverBreakdown,
+                           projected_pcg, solve_saddle, spd_factor)
 from sgefem.mesh import build_uniform_unit_square
 
 GRID_IOTAS = (1.0, 1e-2, 1e-8)
@@ -94,7 +95,7 @@ def test_tolerance_range_enforced():
 def test_inconsistent_blocks_rejected():
     sys_ = example2_system()
     with pytest.raises(ValueError, match="dimensions"):
-        SaddleSystem(sys_.A, sys_.B[:, :-2], sys_.C, sys_.m, sys_.rhs_u)
+        SaddleSystem(sys_.factors, sys_.B[:, :-2], sys_.C, sys_.rhs_u)
 
 
 def test_block_matrix_is_symmetric():
@@ -104,12 +105,25 @@ def test_block_matrix_is_symmetric():
 
 def test_breakdown_signaled_for_singular_system():
     n = 6
-    A = np.zeros((n, n))
-    B = np.zeros((2, n))
-    C = np.eye(2)
-    sys_ = SaddleSystem(A, B, C, np.ones(2), np.ones(n))
-    with pytest.raises(SolverBreakdown):
+    A = sparse.csr_matrix((n, n))
+    B = sparse.csr_matrix((2, n))
+    C = sparse.identity(2, format="csr")
+    sys_ = SaddleSystem(SaddleFactors(A, C, np.ones(2)), B, C, np.ones(n))
+    with pytest.raises(SolverBreakdown) as exc:
         solve_saddle(sys_)
+    # the factorization of A fails before the first iteration
+    assert exc.value.residual == np.inf and exc.value.iterations == 0
+
+
+def test_pcg_miss_is_a_breakdown_carrying_its_record(monkeypatch):
+    sys_ = example2_system(n=8, lam=1e4)
+    monkeypatch.setattr(sgefem.linalg, "MAX_ITER", 1)
+    _, _, _, iterations, err = projected_pcg(sys_)
+    assert err > 1e-10
+    with pytest.raises(SolverBreakdown) as exc:
+        solve_saddle(sys_, tol=1e-10)
+    assert exc.value.residual == err
+    assert exc.value.iterations == iterations
 
 
 # At mu = 100, A dominates ||S||, so the normwise backward error weighs
@@ -134,9 +148,10 @@ def test_pcg_matches_bordered_lu_oracle(example, n, mu, u_rtol):
             assert err_ref <= 1e-15, (iota, lam)
 
 
-def test_system_without_factors_preconditions_with_c():
+def test_factors_preconditioning_with_c_give_the_same_iterates():
     sys_ = example2_system(n=8, lam=1e4)
-    bare = SaddleSystem(sys_.A, sys_.B, sys_.C, sys_.m, sys_.rhs_u)
+    bare = SaddleSystem(SaddleFactors(sys_.A, sys_.C, sys_.m), sys_.B,
+                        sys_.C, sys_.rhs_u)
     u, _, _, iterations, err = projected_pcg(bare)
     u_ref, _, _, iterations_ref, _ = projected_pcg(sys_)
     # C = G / lambda, and scaling the preconditioner leaves CG unchanged

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
+from sgefem.discretization import Discretization
 from sgefem.mesh import build_uniform_unit_square
 from sgefem.quadrature import edge_rule
 from sgefem.verify import (UNISOLVENCE_COND_BOUND, VerificationReport,
@@ -13,6 +14,10 @@ from oracles import (dense_infsup_from_parts, estimate_infsup,
                      loop_weak_continuity)
 
 REFERENCE = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+
+
+def _disc(n):
+    return Discretization(build_uniform_unit_square(n))
 
 
 def test_reference_triangle_condition_regression():
@@ -55,7 +60,7 @@ def test_sample_generator_respects_aspect_limit():
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_weak_continuity_on_uniform_meshes(n):
-    report = check_weak_continuity(build_uniform_unit_square(n))
+    report = check_weak_continuity(_disc(n))
     assert report.passed
     assert report.entries[0].value < 1e-10
 
@@ -63,7 +68,7 @@ def test_weak_continuity_on_uniform_meshes(n):
 def test_weak_continuity_catches_flipped_normal():
     mesh = build_uniform_unit_square(4)
     e = int(np.where(~mesh.edge_is_boundary)[0][0])
-    report = check_weak_continuity(mesh, flip_edge=e)
+    report = check_weak_continuity(Discretization(mesh), flip_edge=e)
     assert not report.passed
     assert report.entries[0].value > 1e-3
 
@@ -79,10 +84,11 @@ def test_weak_continuity_matches_per_edge_loop(n):
     verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
     mesh = Mesh(verts, mesh.triangles)
     for e in np.flatnonzero(~mesh.edge_is_boundary)[::3]:
-        value = check_weak_continuity(mesh, flip_edge=int(e)).entries[0]
+        value = check_weak_continuity(Discretization(mesh),
+                                      flip_edge=int(e)).entries[0]
         assert value.value == pytest.approx(
             loop_weak_continuity(mesh, flip_edge=int(e)), rel=1e-12)
-    assert check_weak_continuity(mesh).passed
+    assert check_weak_continuity(Discretization(mesh)).passed
 
 
 def test_infsup_positive_across_iota():
@@ -99,7 +105,7 @@ def test_infsup_value_regression():
 def test_infsup_mesh_and_iota_robustness():
     betas = {}
     for n in (4, 8):
-        parts = _infsup_parts(build_uniform_unit_square(n))
+        parts = _infsup_parts(_disc(n))
         for iota in (1.0, 1e-2, 1e-4, 1e-6):
             betas[n, iota] = _infsup_from_parts(parts, iota)
     for iota in (1.0, 1e-2, 1e-4, 1e-6):
@@ -111,7 +117,7 @@ def test_infsup_mesh_and_iota_robustness():
 
 def test_infsup_invariant_under_pressure_permutation():
     mesh = build_uniform_unit_square(4)
-    (b0, b2), gv, (mp, kp), Z = _infsup_parts(mesh)
+    (b0, b2), gv, (mp, kp), Z = _infsup_parts(Discretization(mesh))
     n_p = mp.shape[0]
     rng = np.random.default_rng(8)
     perm = rng.permutation(n_p)
@@ -128,7 +134,7 @@ def test_infsup_invariant_under_pressure_permutation():
 
 def test_infsup_signals_indefinite_gram():
     mesh = build_uniform_unit_square(4)
-    (b0, b2), (g1, g2), cq, Z = _infsup_parts(mesh)
+    (b0, b2), (g1, g2), cq, Z = _infsup_parts(Discretization(mesh))
     with pytest.raises(ValueError, match="positive definite"):
         _infsup_from_parts(((b0, b2), (-g1, -g2), cq, Z), 1.0)
 
@@ -138,7 +144,7 @@ def test_infsup_signals_indefinite_gram():
 def test_infsup_pivot_check_rejects_non_spd_gram(scale):
     # g1 - 1e-3 g2 has pivots of both signs at n = 4; the zero matrix
     # has no pivot at all
-    (b0, b2), (g1, g2), cq, Z = _infsup_parts(build_uniform_unit_square(4))
+    (b0, b2), (g1, g2), cq, Z = _infsup_parts(_disc(4))
     parts = ((b0, b2), (scale * g1, -scale * g2), cq, Z)
     with pytest.raises(ValueError, match="positive definite"):
         _infsup_from_parts(parts, 1.0)
@@ -149,7 +155,7 @@ VERIFY_GRID_IOTAS = (1.0, 1e-1, 1e-2, 1e-4, 1e-6, 1e-8)
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_sparse_infsup_matches_dense_oracle(n):
-    parts = _infsup_parts(build_uniform_unit_square(n))
+    parts = _infsup_parts(_disc(n))
     for iota in VERIFY_GRID_IOTAS:
         assert _infsup_from_parts(parts, iota) == pytest.approx(
             dense_infsup_from_parts(parts, iota), rel=1e-10)
@@ -158,7 +164,7 @@ def test_sparse_infsup_matches_dense_oracle(n):
 def test_sparse_infsup_matches_dense_oracle_at_n16():
     # the zero-mean constant; constraining m^T G_Q p = 0 instead of
     # m^T p = 0 reads 0.475 here
-    parts = _infsup_parts(build_uniform_unit_square(16))
+    parts = _infsup_parts(_disc(16))
     beta = _infsup_from_parts(parts, 1.0)
     assert beta == pytest.approx(dense_infsup_from_parts(parts, 1.0),
                                  rel=1e-10)
@@ -212,6 +218,34 @@ def test_full_report_passes_and_roundtrips(tmp_path):
     assert lines[0] == "check,value,threshold,pass"
     assert len(lines) == len(report.entries) + 1
     assert all(line.endswith(("true", "false")) for line in lines[1:])
+
+
+def test_one_mesh_and_one_coefficient_pass_per_n(monkeypatch):
+    import sgefem.discretization
+    import sgefem.verify
+
+    built, coeffs = [], []
+    build, coeff = (sgefem.verify.build_uniform_unit_square,
+                    sgefem.discretization.batched_scalar_coeff)
+
+    def counting_build(n):
+        built.append(n)
+        return build(n)
+
+    def counting_coeff(mesh):
+        coeffs.append(mesh.num_triangles)
+        return coeff(mesh)
+
+    monkeypatch.setattr(sgefem.verify, "build_uniform_unit_square",
+                        counting_build)
+    monkeypatch.setattr(sgefem.discretization, "batched_scalar_coeff",
+                        counting_coeff)
+    report = run_verification(continuity_ns=(2, 3, 4), infsup_ns=(3, 4),
+                              infsup_iotas=(1.0, 1e-4))
+    assert report.passed
+    # continuity and inf-sup share the discretization of each mesh
+    assert built == [2, 3, 4]
+    assert coeffs == [2 * n * n for n in (2, 3, 4)]
 
 
 def test_report_deterministic():
