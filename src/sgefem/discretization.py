@@ -6,8 +6,12 @@ enters only the pressure block, so one mesh carries everything the
 maps, the matrix parts, the load parts F = F0 + iota^2 F2 (for mu = 1),
 the parts of ||f||^2, and the exact field's gradient and second
 derivatives at the error quadrature points.  A cell then only combines
-parts, solves and measures; the lambda cells of one iota share A and
-the pressure Gram matrix, and with them the solver's factors of both.
+parts, solves and measures; the lambda cells of one iota share A, B,
+the pressure Gram matrix and the load, the solver's factors of A and
+the Gram matrix, and one conjugate gradient sequence of the
+lambda = infinity system, which every lambda replays as a shift (the
+inf-sup condition makes that sequence converge, see
+:mod:`sgefem.linalg`).
 Each group is computed on first use, so a caller that needs only some
 of them (the verification checks) pays only for those, and the exact
 tables of a study are built by its first error measurement, after the
@@ -91,20 +95,23 @@ class Discretization:
         return exact_tables(self.mesh, field_by_name(self.example))
 
     def factors(self, mu, iota):
-        """The lambda-independent A = 2 mu (a0 + iota^2 a2) and
-        G = M_p + iota^2 K_p of (mu, iota), whose factors the solver
-        builds on first use.  One entry is kept: a study runs its lambdas
-        inside each iota, so the previous pair is released when iota
-        changes."""
+        """The lambda-independent A = 2 mu (a0 + iota^2 a2),
+        B = b0 + iota^2 b2, G = M_p + iota^2 K_p and load
+        mu (F0 + iota^2 F2) of (mu, iota), with the solver's factors of
+        A and G and its lambda = infinity sequence, built on first use.
+        One entry is kept: a study runs its lambdas inside each iota, so
+        the previous pair is released when iota changes."""
         key = (mu, iota)
         if self._factors is None or self._factors[0] != key:
             self._factors = None    # free the old factors before the new A
             i2 = iota ** 2
             a0, a2 = self.a_parts
+            b0, b2 = self.b_parts
             mp, kp = self.pressure_parts
-            self._factors = (key, SaddleFactors(2.0 * mu * (a0 + i2 * a2),
-                                                mp + i2 * kp,
-                                                self.mean_constraint))
+            (F0, F2), _ = self.load
+            self._factors = (key, SaddleFactors(
+                2.0 * mu * (a0 + i2 * a2), b0 + i2 * b2, mp + i2 * kp,
+                self.mean_constraint, mu * (F0 + i2 * F2)))
         return self._factors[1]
 
     def system(self, mu, lam, iota):
@@ -113,12 +120,7 @@ class Discretization:
             raise ValueError("the method needs mu > 0")
         if lam <= 0:
             raise ValueError("the mixed form needs lambda > 0")
-        factors = self.factors(mu, iota)
-        i2 = iota ** 2
-        b0, b2 = self.b_parts
-        (F0, F2), _ = self.load
-        return SaddleSystem(factors, b0 + i2 * b2, factors.G / lam,
-                            mu * (F0 + i2 * F2))
+        return SaddleSystem(self.factors(mu, iota), lam)
 
     def load_norm(self, mu, iota):
         """||f||_0 of the load at (mu, iota), from the parts of ||f||^2."""

@@ -9,19 +9,25 @@ The discrete problem is the symmetric indefinite block system
 where m holds the integrals of the pressure basis functions, so the last
 row enforces the zero-mean condition on p and xi is its multiplier.
 
-A = 2 mu (a0 + iota^2 a2) is symmetric positive definite and does not
-depend on lambda, and by the discrete inf-sup condition the pressure
-Schur complement B A^-1 B^T + C is spectrally equivalent, uniformly in
-h, iota and lambda, to (1/(2 mu) + 1/lambda) G with G = M_p + iota^2 K_p,
-and conjugate gradients do not change when the preconditioner is scaled,
-so G alone serves every lambda.  So A and G are factored once per
-(mu, iota) (:class:`SaddleFactors`, shared by the lambda cells of that
-iota), and each cell runs conjugate gradients on the pressures
-(:func:`projected_pcg`), preconditioned by G and projected onto the
-zero-mean pressures; every iteration costs one solve with A, and the
-iteration count stays small for every h, iota and lambda.  There is no
-second solver path: a failed factorization, or an iteration that misses
-the tolerance, raises :class:`SolverBreakdown`.
+A = 2 mu (a0 + iota^2 a2) is symmetric positive definite, and it, B and
+rhs_u do not depend on lambda; lambda enters only C = G / lambda, with
+G = M_p + iota^2 K_p.  Eliminating u leaves (S_0 + G / lambda) p =
+B A^-1 rhs_u on the zero-mean pressures, with S_0 = B A^-1 B^T.  By the
+discrete inf-sup condition S_0 is positive definite there and spectrally
+equivalent to G, uniformly in h and iota, so conjugate gradients
+preconditioned by G converge in a few steps; and every finite lambda
+only shifts the preconditioned operator, G^-1 (S_0 + G / lambda) =
+G^-1 S_0 + (1/lambda) I, which keeps its Krylov spaces and improves its
+conditioning.  So one sequence serves every lambda of a (mu, iota):
+:class:`SaddleFactors` factors A and G once and builds the projected
+conjugate gradients of the lambda = infinity system on demand, one
+solve with A per step, and :func:`projected_pcg` answers each lambda
+from it by the shifted-CG recurrences (Jegerlehner, hep-lat/9612014;
+Frommer, Computing 70 (2003)), with vector work only.  The solves with
+A per (mu, iota) are those of the lambda that needs the most steps,
+however many lambdas there are.  There is no second solver path: a
+failed factorization, or an iteration that misses the tolerance, raises
+:class:`SolverBreakdown`.
 """
 
 from functools import cached_property
@@ -67,14 +73,24 @@ def spd_factor(M):
 
 class SaddleFactors:
     """The lambda-independent part of the saddle systems of one
-    (mu, iota): A, the pressure Gram matrix G, the mean-constraint
-    vector m, and the factors of A and G, each built on first use and
-    then shared by every system that holds this object."""
+    (mu, iota): A, B, the pressure Gram matrix G, the mean-constraint
+    vector m and the load rhs_u; the factors of A and G, each built on
+    first use; and the projected conjugate gradients of the
+    lambda = infinity system (C = 0), extended on demand by
+    :meth:`step` and replayed for every lambda by :func:`projected_pcg`.
+    The sequence is held here and refers to nothing that refers back,
+    so it is freed with the factors."""
 
-    def __init__(self, A, G, m):
-        self.A = A
-        self.G = G
-        self.m = m
+    def __init__(self, A, B, G, m, rhs_u):
+        n_u, n_p = A.shape[0], m.shape[0]
+        if B.shape != (n_p, n_u) or G.shape != (n_p, n_p) \
+                or rhs_u.shape != (n_u,):
+            raise ValueError("inconsistent block dimensions")
+        self.A, self.B, self.G, self.m, self.rhs_u = A, B, G, m, rhs_u
+        self.n_u, self.n_p = n_u, n_p
+        # steps 0, 1, ... of the sequence: alpha_k, beta_k, z_k and
+        # y_k = A^-1 B^T z_k, and r_{k+1} . z_{k+1}
+        self._steps = []
 
     @cached_property
     def solve_a(self):
@@ -98,28 +114,62 @@ class SaddleFactors:
         left in, it swamps the roundoff of r @ precondition(r)."""
         return r - ((self.m @ r) / (self.m @ self.m)) * self.m
 
+    @cached_property
+    def start(self):
+        """(u_0, r_0 . z_0) at p = 0, where every lambda starts:
+        u_0 = A^-1 rhs_u, and the residual r_0 = B u_0 (up to a multiple
+        of m) with its preconditioned z_0, from which the sequence
+        continues; r_0 . z_0 = 0 when the zero-mean pressures are {0}."""
+        u0 = self.solve_a(self.rhs_u)
+        r = self.drop_mean_row(self.B @ u0)
+        z = self.precondition(r)
+        rz = r @ z
+        # what the next step reads: r_k, z_k, r_k . z_k, the direction
+        # d_k, and beta_{k-1} and w_{k-1} = A^-1 B^T d_{k-1}
+        self._state = (r, z, rz, z, 0.0, None)
+        return u0, rz
+
+    def step(self, k):
+        """(alpha_k, beta_k, z_k, y_k, r_{k+1} . z_{k+1}) of step k of the
+        lambda = infinity sequence, taking the steps up to k not taken
+        yet, one solve with A each.  The direction is
+        d_k = z_k + beta_{k-1} d_{k-1}, so y_k = w_k - beta_{k-1} w_{k-1}
+        with w = A^-1 B^T d needs no solve of its own."""
+        self.start      # sets the running state of step 0
+        while len(self._steps) <= k:
+            r, z, rz, d, beta_prev, w_prev = self._state
+            w = self.solve_a(self.B.T @ d)
+            q = self.B @ w
+            alpha = rz / (d @ q)
+            y = w if w_prev is None else w - beta_prev * w_prev
+            r = self.drop_mean_row(r - alpha * q)
+            z_next = self.precondition(r)
+            rz_next = r @ z_next
+            beta = rz_next / rz
+            self._steps.append((alpha, beta, z, y, rz_next))
+            self._state = (r, z_next, rz_next, z_next + beta * d, beta, w)
+        return self._steps[k]
+
 
 class SaddleSystem:
-    """Blocks of the saddle-point problem of one lambda over the free
-    DoFs: A, m and their factors come from ``factors`` (a
-    :class:`SaddleFactors`, shared by the lambda cells of one iota)."""
+    """The saddle-point problem of one lambda over the free DoFs: A, B,
+    m and rhs_u, the factors and the lambda = infinity sequence come
+    from ``factors`` (a :class:`SaddleFactors`, shared by the lambda
+    cells of one (mu, iota)); the pressure block is C = G / lambda, a
+    shift of 1 / lambda of that sequence."""
 
-    def __init__(self, factors, B, C, rhs_u):
-        n_u, n_p = factors.A.shape[0], factors.m.shape[0]
-        if B.shape != (n_p, n_u) or C.shape != (n_p, n_p) \
-                or rhs_u.shape != (n_u,):
-            raise ValueError("inconsistent block dimensions")
+    def __init__(self, factors, lam):
         self.factors = factors
-        self.B, self.C, self.rhs_u = B, C, rhs_u
-        self.n_u, self.n_p = n_u, n_p
+        self.lam = lam
+        self.C = factors.G / lam
+        self.shift = 1.0 / lam
 
-    @property
-    def A(self):
-        return self.factors.A
-
-    @property
-    def m(self):
-        return self.factors.m
+    A = property(lambda self: self.factors.A)
+    B = property(lambda self: self.factors.B)
+    m = property(lambda self: self.factors.m)
+    rhs_u = property(lambda self: self.factors.rhs_u)
+    n_u = property(lambda self: self.factors.n_u)
+    n_p = property(lambda self: self.factors.n_p)
 
     def block_matrix(self):
         """The bordered (n_u + n_p + 1) sparse matrix, which the solver
@@ -167,8 +217,13 @@ def projected_pcg(system):
     """Conjugate gradients on (B A^-1 B^T + C) p = B A^-1 rhs_u over the
     zero-mean pressures, preconditioned by the system's projected G.
 
-    u = A^-1 (rhs_u - B^T p) is updated with the same A-solve as the
-    search direction, so each iteration costs one solve with A.  The
+    The iterates come from the lambda = infinity sequence of the
+    system's factors by the shifted-CG recurrences with shift
+    sigma = 1/lambda: the residual of step k is zeta_k times the base
+    residual, and the direction d and w = A^-1 B^T d are updated from
+    the stored z_k and y_k, so the iterate (u, p) with
+    u = A^-1 (rhs_u - B^T p) costs vector work only, and the sequence
+    is extended (one solve with A per step) only past its end.  The
     iteration stops at the roundoff floor of the full system's backward
     error: when it reaches ``BACKWARD_FLOOR``, has not decreased for
     ``STALL_STEPS`` iterations, or ``MAX_ITER`` iterations have run.
@@ -176,28 +231,34 @@ def projected_pcg(system):
     the smallest backward error, iterations counting up to that iterate.
     """
     f = system.factors
-    B, C = system.B, system.C
-    u = f.solve_a(system.rhs_u)
+    sigma = system.shift
+    u, rz = f.start
     p = np.zeros(system.n_p)
-    # B A^-1 rhs_u - (B A^-1 B^T + C) p at p = 0, up to a multiple of m
-    r = f.drop_mean_row(B @ u)
     xi = system.multiplier(u, p)
     best = (u, p, xi, 0, system.backward_error(u, p, xi))
-    z = f.precondition(r)
-    rz = r @ z
-    d = z
+    # zeta_{k-1}, zeta_k, alpha_{k-1}, beta_{k-1} with zeta_{-1} = 1
+    zeta_prev = zeta = alpha_prev = 1.0
+    beta_prev = 0.0
+    d = w = None
     stalled = 0
     for it in range(1, MAX_ITER + 1):
         # rz = 0 at the start when the zero-mean space is {0} (n = 2)
         if not (rz > 0 and best[4] > BACKWARD_FLOOR
                 and stalled < STALL_STEPS):
             break
-        w = f.solve_a(B.T @ d)
-        q = B @ w + C @ d
-        alpha = rz / (d @ q)
-        p = p + alpha * d
-        u = u - alpha * w
-        r = f.drop_mean_row(r - alpha * q)
+        alpha, beta, z, y, rz = f.step(it - 1)
+        if d is None:
+            d, w = z, y
+        else:
+            beta_s = (zeta / zeta_prev) ** 2 * beta_prev
+            d = zeta * z + beta_s * d
+            w = zeta * y + beta_s * w
+        zeta_next = zeta * zeta_prev * alpha_prev / (
+            alpha * beta_prev * (zeta_prev - zeta)
+            + zeta_prev * alpha_prev * (1.0 + sigma * alpha))
+        alpha_s = alpha * zeta_next / zeta
+        p = p + alpha_s * d
+        u = u - alpha_s * w
         xi = system.multiplier(u, p)
         err = system.backward_error(u, p, xi)
         if err < best[4]:
@@ -205,10 +266,8 @@ def projected_pcg(system):
             stalled = 0
         else:
             stalled += 1
-        z = f.precondition(r)
-        rz_next = r @ z
-        d = z + (rz_next / rz) * d
-        rz = rz_next
+        zeta_prev, zeta = zeta, zeta_next
+        alpha_prev, beta_prev = alpha, beta
     return best
 
 

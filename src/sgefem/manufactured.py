@@ -319,7 +319,9 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h=None, qmap=None,
     Per chunk, the local DoFs are first turned into modal coefficients
     M = C u_loc, so the derivatives of u_h come from the modal tables
     and the barycentric gradients by a few batched products, without
-    tabulating the 10 shape functions at every point.
+    tabulating the 10 shape functions at every point; the map from
+    barycentric to Cartesian derivatives is one matmul per triangle
+    over all its points, for the gradients and for the Hessians.
     """
     rule, (_, dbary, d2bary) = modal_rule(DEGREE_LOAD, 2)
     q = rule.npts
@@ -336,12 +338,17 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h=None, qmap=None,
         Tc = len(tris)
         G = mesh.bary_grads[tris]                               # (Tc, 3, 2)
         M = coeff[tris] @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
-        db = (d1 @ M).reshape(Tc, q, 3, 2)                      # [s, a]
-        gh = db.swapaxes(2, 3) @ G[:, None]                     # [a, x]
-        hb = (d2 @ M).reshape(Tc, q, 3, 3, 2).transpose(0, 1, 4, 2, 3)
-        hh = G.swapaxes(1, 2)[:, None, None] @ hb @ G[:, None, None]
+        # one matmul per triangle maps the barycentric derivatives of
+        # every point and component: rows (q, a), then (q, a, k) with
+        # k = xx, xy, yy through K[(s, r), k] = G[s, x_k] G[r, y_k]
+        db = (d1 @ M).reshape(Tc, q, 3, 2).swapaxes(2, 3)      # [a, s]
+        gh = (db.reshape(Tc, 2 * q, 3) @ G).reshape(Tc, q, 2, 2)
+        hb = (d2 @ M).reshape(Tc, q, 9, 2).swapaxes(2, 3)      # [a, (s, r)]
+        K = (G[:, :, None, (0, 0, 1)]
+             * G[:, None, :, (0, 1, 1)]).reshape(Tc, 9, 3)
+        hh = (hb.reshape(Tc, 2 * q, 9) @ K).reshape(Tc, q, 2, 3)
         e1 = gh - ge
-        e2 = hh[..., (0, 0, 1), (0, 1, 1)] - he                 # xx, xy, yy
+        e2 = hh - he
         w = rule.weights[None, :] * mesh.area[tris][:, None]
         s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
         s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))

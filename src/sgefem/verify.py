@@ -150,6 +150,11 @@ def check_unisolvence(triangles=None, count=100, seed=0):
     return report
 
 
+class NotAnInteriorEdge(ValueError):
+    """The edge named for fault injection has no second triangle whose
+    gradient could jump across it."""
+
+
 def check_weak_continuity(disc, flip_edge=None, label=""):
     """Maximum edge-jump integral of the broken gradient, relative to
     the local gradient scale, over all interior edges of the mesh of
@@ -158,10 +163,15 @@ def check_weak_continuity(disc, flip_edge=None, label=""):
 
     ``flip_edge`` negates the normal-derivative DoF row of one triangle
     adjacent to that edge before inverting; it exists to demonstrate
-    that the check catches orientation-sign bugs.
+    that the check catches orientation-sign bugs, and must name an
+    interior edge (else :class:`NotAnInteriorEdge`).
     """
     mesh, coeff = disc.mesh, disc.coeff
     if flip_edge is not None:
+        if not (0 <= flip_edge < mesh.num_edges
+                and not mesh.edge_is_boundary[flip_edge]):
+            raise NotAnInteriorEdge("edge %r is not an interior edge"
+                                    % (flip_edge,))
         coeff = coeff.copy()
         k = int(mesh.triangles_of_edge[flip_edge, 0])
         s = int(np.where(mesh.edge_of_triangle[k] == flip_edge)[0][0])

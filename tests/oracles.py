@@ -18,9 +18,11 @@ quadrature-point element kernels with the lexsort COO accumulation
 (which the reference-moment kernels and the scatter plan replaced),
 the per-edge weak-continuity loop (which the batched check replaced),
 the bordered sparse LU with iterative refinement (which the
-projected conjugate gradients on the pressures replaced), and the dense
+projected conjugate gradients on the pressures replaced), the dense
 inf-sup computation with its generalized eigenvalue helper (which the
-sparse factorization of G_V replaced).
+sparse factorization of G_V replaced), and the displacement error
+seminorms with the per-point derivative maps (which one matmul per
+triangle replaced).
 """
 
 import numpy as np
@@ -31,7 +33,7 @@ from scipy.special import roots_jacobi, roots_legendre
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
-from sgefem.assembly import modal_rule
+from sgefem.assembly import DEGREE_LOAD, chunks, modal_rule
 from sgefem.discretization import Discretization
 from sgefem.element import (batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables)
@@ -472,3 +474,30 @@ def bordered_lu_solve(system, tol=1e-10):
         x = x + lu.solve(rhs - S @ x)
     n_u, n_p = system.n_u, system.n_p
     return x[:n_u], x[n_u:n_u + n_p], float(x[-1]), backward_error(x)
+
+
+def per_point_error_seminorms(mesh, coeff, vmap, u_h, exact):
+    """(|e|_1, |e|_{2,h}) of ``sgefem.manufactured.error_norms``, with
+    the barycentric derivatives of u_h mapped by a 2x3 product
+    (gradients) and two 3x3 products (Hessians) per point."""
+    rule, (_, dbary, d2bary) = modal_rule(DEGREE_LOAD, 2)
+    q = rule.npts
+    d1 = dbary.transpose(0, 2, 1).reshape(-1, 10)
+    d2 = d2bary.transpose(0, 2, 3, 1).reshape(-1, 10)
+    uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
+    s1 = s2 = 0.0
+    for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact.chunks,
+                              strict=True):
+        Tc = len(tris)
+        G = mesh.bary_grads[tris]
+        M = coeff[tris] @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
+        db = (d1 @ M).reshape(Tc, q, 3, 2)
+        gh = db.swapaxes(2, 3) @ G[:, None]
+        hb = (d2 @ M).reshape(Tc, q, 3, 3, 2).transpose(0, 1, 4, 2, 3)
+        hh = G.swapaxes(1, 2)[:, None, None] @ hb @ G[:, None, None]
+        e1 = gh - ge
+        e2 = hh[..., (0, 0, 1), (0, 1, 1)] - he
+        w = rule.weights[None, :] * mesh.area[tris][:, None]
+        s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
+        s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))
+    return sqrt(s1), sqrt(s2)

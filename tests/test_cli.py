@@ -297,6 +297,33 @@ def test_verify_flip_edge_rejects_non_interior_edge(edge, capsys):
     assert "interior edge" in capsys.readouterr().err
 
 
+def test_verify_flip_edge_builds_each_mesh_once(monkeypatch, capsys):
+    import sgefem.mesh
+    import sgefem.verify
+
+    built = []
+    build = sgefem.mesh.build_uniform_unit_square
+
+    def counting_build(n):
+        built.append(n)
+        return build(n)
+
+    # the cli would import the builder from sgefem.mesh, verify holds
+    # its own binding
+    monkeypatch.setattr(sgefem.mesh, "build_uniform_unit_square",
+                        counting_build)
+    monkeypatch.setattr(sgefem.verify, "build_uniform_unit_square",
+                        counting_build)
+    assert run(["verify", "--n", "2,3", "--iota", "1",
+                "--debug-flip-edge", "7"]) == 1
+    assert built == [2, 3]
+    built.clear()
+    assert run(["verify", "--n", "2,3", "--iota", "1",
+                "--debug-flip-edge", "0"]) == 3
+    assert built == [2]
+    assert "interior edge" in capsys.readouterr().err
+
+
 def test_solve_export(tmp_path):
     out = tmp_path / "sol.csv"
     args = ["solve", "--example", "example2", "--lambda", "1e0", "--iota",

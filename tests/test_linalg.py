@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -21,9 +22,16 @@ def example2_system(n=2, mu=1.0, lam=1.0, iota=1e-2):
     return disc.system(mu, lam, iota)
 
 
+def with_load(sys_, rhs_u):
+    """The system of ``sys_`` with the load ``rhs_u``, on factors and a
+    lambda = infinity sequence of its own."""
+    f = sys_.factors
+    return SaddleSystem(SaddleFactors(f.A, f.B, f.G, f.m, rhs_u), sys_.lam)
+
+
 def test_homogeneous_rhs_gives_zero():
     sys_ = example2_system()
-    sys_.rhs_u = np.zeros_like(sys_.rhs_u)
+    sys_ = with_load(sys_, np.zeros(sys_.n_u))
     u, p, xi = solve_saddle(sys_)
     assert np.all(u == 0.0) and np.all(p == 0.0) and xi == 0.0
 
@@ -67,7 +75,7 @@ def test_fixed_point_under_residual_correction():
     u, p, xi = solve_saddle(sys_, tol=tol)
     x = np.concatenate([u, p, [xi]])
     r = sys_.full_rhs() - sys_.block_matrix() @ x
-    sys_.rhs_u = sys_.rhs_u + r[:sys_.n_u]
+    sys_ = with_load(sys_, sys_.rhs_u + r[:sys_.n_u])
     u2, p2, xi2 = solve_saddle(sys_, tol=tol)
     x2 = np.concatenate([u2, p2, [xi2]])
     assert np.linalg.norm(x2 - x) <= tol * np.linalg.norm(x)
@@ -76,8 +84,7 @@ def test_fixed_point_under_residual_correction():
 def test_scale_equivariance():
     sys_ = example2_system(n=2)
     u, p, xi = solve_saddle(sys_)
-    sys_.rhs_u = 8.0 * sys_.rhs_u
-    u8, p8, xi8 = solve_saddle(sys_)
+    u8, p8, xi8 = solve_saddle(with_load(sys_, 8.0 * sys_.rhs_u))
     # scaling by a power of two is exact through every solver operation
     assert np.array_equal(u8, 8.0 * u)
     assert np.array_equal(p8, 8.0 * p)
@@ -95,7 +102,8 @@ def test_tolerance_range_enforced():
 def test_inconsistent_blocks_rejected():
     sys_ = example2_system()
     with pytest.raises(ValueError, match="dimensions"):
-        SaddleSystem(sys_.factors, sys_.B[:, :-2], sys_.C, sys_.rhs_u)
+        SaddleFactors(sys_.A, sys_.B[:, :-2], sys_.factors.G, sys_.m,
+                      sys_.rhs_u)
 
 
 def test_block_matrix_is_symmetric():
@@ -108,7 +116,7 @@ def test_breakdown_signaled_for_singular_system():
     A = sparse.csr_matrix((n, n))
     B = sparse.csr_matrix((2, n))
     C = sparse.identity(2, format="csr")
-    sys_ = SaddleSystem(SaddleFactors(A, C, np.ones(2)), B, C, np.ones(n))
+    sys_ = SaddleSystem(SaddleFactors(A, B, C, np.ones(2), np.ones(n)), 1.0)
     with pytest.raises(SolverBreakdown) as exc:
         solve_saddle(sys_)
     # the factorization of A fails before the first iteration
@@ -150,11 +158,13 @@ def test_pcg_matches_bordered_lu_oracle(example, n, mu, u_rtol):
 
 def test_factors_preconditioning_with_c_give_the_same_iterates():
     sys_ = example2_system(n=8, lam=1e4)
-    bare = SaddleSystem(SaddleFactors(sys_.A, sys_.C, sys_.m), sys_.B,
-                        sys_.C, sys_.rhs_u)
+    bare = SaddleSystem(SaddleFactors(sys_.A, sys_.B, sys_.C, sys_.m,
+                                      sys_.rhs_u), 1.0)
     u, _, _, iterations, err = projected_pcg(bare)
     u_ref, _, _, iterations_ref, _ = projected_pcg(sys_)
-    # C = G / lambda, and scaling the preconditioner leaves CG unchanged
+    # bare takes C = G / lambda for its preconditioner, at shift 1, and
+    # scaling the preconditioner by lambda and the shift by 1 / lambda
+    # together leaves CG unchanged
     assert iterations == iterations_ref
     assert err <= 1e-15
     assert np.linalg.norm(u - u_ref) <= 1e-12 * np.linalg.norm(u_ref)
@@ -226,17 +236,71 @@ def test_a_factored_once_per_iota_and_released(monkeypatch):
     disc = Discretization(build_uniform_unit_square(4), "example1")
     n_u = disc.vmap.n_u
     first = None
-    for iota in (1.0, 1e-8):
-        for lam in (1.0, 1e4, 1e8):
-            sys_ = disc.system(1.0, lam, iota)
-            solve_saddle(sys_)
-            if first is None:
-                first = weakref.ref(sys_.factors)
-        del sys_
-        if iota == 1.0:
-            assert first() is not None
-    assert factored.count(n_u) == 2
-    assert first() is None
+    # refcounting alone must free the factors and the lambda = infinity
+    # sequence they hold: a reference cycle through them keeps them
+    gc.disable()
+    try:
+        for iota in (1.0, 1e-8):
+            for lam in (1.0, 1e4, 1e8):
+                sys_ = disc.system(1.0, lam, iota)
+                solve_saddle(sys_)
+                if first is None:
+                    first = weakref.ref(sys_.factors)
+            del sys_
+            if iota == 1.0:
+                assert first() is not None
+        assert factored.count(n_u) == 2
+        assert first() is None
+    finally:
+        gc.enable()
+
+
+def test_a_solves_per_iota_do_not_depend_on_the_lambdas(monkeypatch):
+    splu = sgefem.linalg.splu
+    solves = []
+
+    class CountedFactor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(len(rhs))
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(sgefem.linalg, "splu",
+                        lambda *args, **kwargs:
+                        CountedFactor(splu(*args, **kwargs)))
+
+    def a_solves(lams, iota):
+        disc = Discretization(build_uniform_unit_square(8), "example1")
+        solves.clear()
+        for lam in lams:
+            solve_saddle(disc.system(1.0, lam, iota))
+        return solves.count(disc.vmap.n_u)
+
+    for iota in GRID_IOTAS:
+        alone = [a_solves([lam], iota) for lam in GRID_LAMBDAS]
+        together = a_solves(GRID_LAMBDAS, iota)
+        # the lambdas replay one sequence, as long as the longest needs
+        assert together == max(alone) == alone[-1], (iota, alone, together)
+
+
+def test_lambda_order_changes_no_bit():
+    def sweep(lams):
+        disc = Discretization(build_uniform_unit_square(8), "example1")
+        out = {}
+        for iota in GRID_IOTAS:
+            for lam in lams:
+                sys_ = disc.system(1.0, lam, iota)
+                iterations = projected_pcg(sys_)[3]
+                out[iota, lam] = solve_saddle(sys_) + (iterations,)
+        return out
+
+    up, down = sweep(GRID_LAMBDAS), sweep(GRID_LAMBDAS[::-1])
+    for key, (u, p, xi, iterations) in up.items():
+        u2, p2, xi2, iterations2 = down[key]
+        assert np.array_equal(u, u2) and np.array_equal(p, p2), key
+        assert (xi, iterations) == (xi2, iterations2), key
 
 
 @pytest.mark.parametrize("mu", [0.0, -1.0])

@@ -11,10 +11,12 @@ from sgefem.discretization import Discretization
 from sgefem.element import batched_scalar_coeff
 from sgefem.manufactured import (FIELDS, AnalyticField, Jet2, error_norms,
                                  exact_tables, field_by_name, monomials)
-from sgefem.mesh import build_uniform_unit_square
+from sgefem.linalg import solve_saddle
+from sgefem.mesh import Mesh, build_uniform_unit_square
 from oracles import (ProblemParams, body_force_elasticity, body_force_sge,
                      conical_rule, fd_derivative, field_gradient,
-                     field_value, local_interpolant, quad_triangle)
+                     field_value, local_interpolant,
+                     per_point_error_seminorms, quad_triangle)
 
 
 def jet_of_poly(coeffs, x):
@@ -441,6 +443,33 @@ def test_error_norms_match_gram_matrices_for_zero_field():
                                 p_h=p_h, qmap=qmap)
     assert ev == pytest.approx(math.sqrt(u_h @ (GV @ u_h)), rel=1e-10)
     assert epq == pytest.approx(math.sqrt(p_h @ (GQ @ p_h)), rel=1e-10)
+
+
+@pytest.mark.parametrize("example,iota", [("example1", 1.0),
+                                          ("example2", 1e-6)])
+def test_error_norms_per_triangle_maps_are_the_per_point_maps(example,
+                                                              iota):
+    # on the uniform study meshes the per-triangle matmuls give the
+    # solved fields' error norms bitwise; on a jittered mesh with a
+    # random field they differ from the per-point products by roundoff
+    d = Discretization(build_uniform_unit_square(16), example)
+    u, p, _ = solve_saddle(d.system(1.0, 1e4, iota))
+    e1, e2, _, _ = d.errors(u, p, iota, 1e4)
+    assert (e1, e2) == per_point_error_seminorms(d.mesh, d.coeff, d.vmap,
+                                                 u, d.exact)
+
+    mesh = build_uniform_unit_square(4)
+    rng = np.random.default_rng(12)
+    verts = mesh.vertices.copy()
+    inner = ~mesh.vertex_is_boundary
+    verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / 4
+    j = Discretization(Mesh(verts, mesh.triangles))
+    tables = exact_tables(j.mesh, FIELDS[example])
+    u_r = rng.standard_normal(j.vmap.n_u)
+    e1, e2, _, _ = error_norms(j.mesh, j.coeff, j.vmap, u_r, tables, iota)
+    want = per_point_error_seminorms(j.mesh, j.coeff, j.vmap, u_r, tables)
+    assert e1 == pytest.approx(want[0], rel=1e-14)
+    assert e2 == pytest.approx(want[1], rel=1e-14)
 
 
 def test_error_norms_load_normalization():
