@@ -18,8 +18,10 @@ blocks: it only scales c, which is what makes the method locking-free.
 Every scalar modal function is a barycentric monomial and the
 triangles are affine, so each stiffness and coupling integral is a
 triangle-independent reference moment of the monomials' barycentric
-derivatives (:func:`reference_moments`, exact for its rule).  Per chunk
-of triangles the moments are contracted with the barycentric gradients
+derivatives: :func:`reference_moments` integrates exactly the one
+derivative table, :func:`sgefem.element.modal_derivatives`, that
+:func:`sgefem.element.modal_tables` evaluates at points.  Per chunk of
+triangles the moments are contracted with the barycentric gradients
 and then with the nodal coefficients C as C^T Q C, giving the scalar
 Grams of first and second derivatives; the 20 x 20 vector kernels are
 filled from them (Kirby, Knepley, Logg and Scott, SIAM J. Sci. Comput.
@@ -37,7 +39,8 @@ import math
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .element import MODAL_EXPONENTS, modal_tables
+from .element import (FIRST_PARTIALS, SECOND_PARTIALS,
+                      modal_derivatives, modal_tables)
 from .quadrature import rule_for_degree
 
 _CHUNK = 256
@@ -66,27 +69,13 @@ def chunks(num_triangles):
 
 # the six distinct barycentric pairs (s, u), s <= u, and the three
 # distinct physical second derivatives (xx, xy, yy)
-_PAIR_S = np.array([0, 1, 2, 0, 0, 1])
-_PAIR_U = np.array([0, 1, 2, 1, 2, 2])
+_PAIR_S, _PAIR_U = np.array(SECOND_PARTIALS).T
 _HESS_X = np.array([0, 0, 1])
 _HESS_Y = np.array([0, 1, 1])
 
 
 #: k! for the exponents of products of two modal derivatives
 _FACTORIAL = np.array([math.factorial(k) for k in range(15)], dtype=float)
-
-
-def _modal_derivatives(pairs):
-    """Barycentric derivatives of the modal monomials as monomials:
-    coefficients (10, k) and exponent triples (10, k, 3), one per tuple
-    of partials in ``pairs``; a vanishing derivative has coefficient 0."""
-    exps = np.repeat(np.array(MODAL_EXPONENTS)[:, None], len(pairs), axis=1)
-    coef = np.ones(exps.shape[:2])
-    for k, partials in enumerate(pairs):
-        for s in partials:
-            coef[:, k] *= exps[:, k, s]
-            exps[:, k, s] -= 1
-    return coef, np.maximum(exps, 0)
 
 
 def _moments(coef, exps):
@@ -113,8 +102,8 @@ def reference_moments():
     exact rationals (correctly rounded here) rather than quadrature sums.
     Built on first use and read-only.
     """
-    c1, e1 = _modal_derivatives([(0,), (1,), (2,)])
-    c2, e2 = _modal_derivatives(list(zip(_PAIR_S, _PAIR_U)))
+    c1, e1 = modal_derivatives(FIRST_PARTIALS)
+    c2, e2 = modal_derivatives(SECOND_PARTIALS)
     r1 = _moments(c1[:, None, :, None] * c1[None, :, None, :],
                   e1[:, None, :, None] + e1[None, :, None, :])
     r2 = _moments(c2[:, None, :, None] * c2[None, :, None, :],

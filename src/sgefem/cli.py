@@ -192,7 +192,7 @@ def _study_rows(config):
                 try:
                     u, p, _ = linalg.solve_saddle(
                         disc.system(config.mu, lam, iota), tol=config.tol)
-                    _, _, ev, epq = disc.errors(u, p, iota, lam)
+                    _, _, ev, epq = disc.errors(u, p, iota)
                     results[lam, iota, n] = sizes + (ev / fnorm,
                                                      epq / fnorm, "ok")
                 except linalg.SolverBreakdown:

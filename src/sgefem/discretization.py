@@ -129,10 +129,10 @@ class Discretization:
         return mu * math.sqrt(G[0, 0] + 2.0 * i2 * G[0, 1]
                               + i2 * i2 * G[1, 1])
 
-    def errors(self, u, p, iota, lam):
+    def errors(self, u, p, iota):
         """(|e|_1, |e|_{2,h}, ||e||_{V,h}, ||e_p||_Q) of a solution
         against the exact field (see
         :func:`sgefem.manufactured.error_norms`), measured with the
         exact tables of this mesh."""
         return error_norms(self.mesh, self.coeff, self.vmap, u, self.exact,
-                           iota, p_h=p, qmap=self.qmap, lam=lam)
+                           iota, p, self.qmap)

@@ -22,6 +22,11 @@ to one component; vector index = 2 * scalar index + component.
 Because point values and means of barycentric monomials do not depend
 on the triangle, only the three normal-derivative rows of the DoF
 matrix vary with geometry, which keeps the batched construction cheap.
+
+Each barycentric derivative of a modal monomial is a monomial too, so
+one table, :func:`modal_derivatives`, holds the element's calculus:
+:func:`modal_tables` evaluates it at points and
+:func:`sgefem.assembly.reference_moments` integrates it exactly.
 """
 
 import numpy as np
@@ -33,6 +38,13 @@ MODAL_EXPONENTS = ((2, 0, 0), (0, 2, 0), (0, 0, 2),
                    (1, 1, 0), (1, 0, 1), (0, 1, 1),
                    (1, 1, 1), (2, 1, 1), (1, 2, 1),
                    (2, 2, 2))
+
+#: the barycentric partials of the first derivatives, of the distinct
+#: second derivatives (the column order of the reference moments) and of
+#: every second derivative (row-major, for the (3, 3) Hessian tables)
+FIRST_PARTIALS = ((0,), (1,), (2,))
+SECOND_PARTIALS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+_ORDERED_PAIRS = tuple((s, u) for s in range(3) for u in range(3))
 
 #: quadrature degrees for the DoF functionals
 _EDGE_DOF_DEGREE = 5      # normal derivative of degree-6 functions on an edge
@@ -46,8 +58,24 @@ class SingularElementError(ValueError):
     """DoF matrix numerically singular (degenerate triangle)."""
 
 
+def modal_derivatives(partials):
+    """Barycentric derivatives of the modal monomials as monomials:
+    coefficients (10, k) and exponent triples (10, k, 3), one per tuple
+    of partials in ``partials``; a vanishing derivative has coefficient
+    0."""
+    exps = np.repeat(np.array(MODAL_EXPONENTS)[:, None], len(partials),
+                     axis=1)
+    coef = np.ones(exps.shape[:2])
+    for k, d in enumerate(partials):
+        for s in d:
+            coef[:, k] *= exps[:, k, s]
+            exps[:, k, s] -= 1
+    return coef, np.maximum(exps, 0)
+
+
 def modal_tables(bary, order):
-    """Values and barycentric derivatives of the 10 scalar monomials.
+    """Values and barycentric derivatives of the 10 scalar monomials:
+    the table of :func:`modal_derivatives` evaluated at the points.
 
     Parameters
     ----------
@@ -62,53 +90,28 @@ def modal_tables(bary, order):
     d2bary : (npts, 10, 3, 3), second partials (only for order == 2)
     """
     L = np.asarray(bary, dtype=float)
-    q = L.shape[0]
     # powers of each coordinate, exponent 0..2
-    P = np.ones((q, 3, 3))
+    P = np.ones((len(L), 3, 3))
     P[:, :, 1] = L
     P[:, :, 2] = L * L
-
-    val = np.empty((q, 10))
-    dbary = np.empty((q, 10, 3)) if order >= 1 else None
-    d2bary = np.empty((q, 10, 3, 3)) if order >= 2 else None
-
-    for j, exp in enumerate(MODAL_EXPONENTS):
-        facs = [P[:, s, exp[s]] for s in range(3)]
-        val[:, j] = facs[0] * facs[1] * facs[2]
-        if order >= 1:
-            for s in range(3):
-                a = exp[s]
-                if a == 0:
-                    dbary[:, j, s] = 0.0
-                else:
-                    others = [P[:, u, exp[u]] for u in range(3) if u != s]
-                    dbary[:, j, s] = a * P[:, s, a - 1] * others[0] * others[1]
-        if order >= 2:
-            for s in range(3):
-                for u in range(s, 3):
-                    a, b = exp[s], exp[u]
-                    if s == u:
-                        if a < 2:
-                            term = np.zeros(q)
-                        else:
-                            others = [P[:, w, exp[w]] for w in range(3)
-                                      if w != s]
-                            term = a * (a - 1) * others[0] * others[1]
-                    else:
-                        if a == 0 or b == 0:
-                            term = np.zeros(q)
-                        else:
-                            w = 3 - s - u
-                            term = (a * b * P[:, s, a - 1] * P[:, u, b - 1]
-                                    * P[:, w, exp[w]])
-                    d2bary[:, j, s, u] = term
-                    d2bary[:, j, u, s] = term
-
-    if order == 0:
-        return val
-    if order == 1:
-        return val, dbary
-    return val, dbary, d2bary
+    tables = []
+    for partials in (((),), FIRST_PARTIALS, _ORDERED_PAIRS)[:order + 1]:
+        coef, exps = modal_derivatives(partials)
+        table = np.zeros((len(L), 10, len(partials)))
+        for k, d in enumerate(partials):
+            # fixed product order, differentiated coordinates first and
+            # then the others ascending: the tables' last bits depend on it
+            factors = sorted(set(d)) + [s for s in range(3) if s not in d]
+            for j in np.flatnonzero(coef[:, k]):
+                v = coef[j, k]
+                for s in factors:
+                    v = v * P[:, s, exps[j, k, s]]
+                table[:, j, k] = v
+        tables.append(table)
+    tables[0] = tables[0][:, :, 0]
+    if order == 2:
+        tables[2] = tables[2].reshape(len(L), 10, 3, 3)
+    return tables[0] if order == 0 else tuple(tables)
 
 
 # universal ingredients of the DoF matrix ---------------------------------
@@ -170,6 +173,19 @@ def batched_scalar_dof_matrices(mesh, tris=None):
     return M
 
 
+def _scaled_conditions(M, h):
+    """:func:`scaled_conditions` of the DoF matrices M (T, 10, 10) of
+    triangles with diameters h, from a scaled copy of M."""
+    M = M.copy()
+    M[:, 6:9] *= h[:, None, None]
+    cond = np.full(len(M), np.inf)
+    finite = np.isfinite(M).all(axis=(1, 2))
+    sv = np.linalg.svd(M[finite], compute_uv=False)
+    regular = sv[:, -1] > 0.0
+    cond[np.flatnonzero(finite)[regular]] = sv[regular, 0] / sv[regular, -1]
+    return cond
+
+
 def scaled_conditions(mesh):
     """2-norm condition numbers of the length-scaled scalar DoF matrices,
     one per triangle, from a stacked SVD.
@@ -179,14 +195,8 @@ def scaled_conditions(mesh):
     finite (zero area, non-finite vertices) or exactly singular maps to
     inf; nothing is raised.
     """
-    M = batched_scalar_dof_matrices(mesh)
-    M[:, 6:9] *= mesh.h_of_triangle[:, None, None]
-    cond = np.full(mesh.num_triangles, np.inf)
-    finite = np.isfinite(M).all(axis=(1, 2))
-    sv = np.linalg.svd(M[finite], compute_uv=False)
-    regular = sv[:, -1] > 0.0
-    cond[np.flatnonzero(finite)[regular]] = sv[regular, 0] / sv[regular, -1]
-    return cond
+    return _scaled_conditions(batched_scalar_dof_matrices(mesh),
+                              mesh.h_of_triangle)
 
 
 def batched_scalar_coeff(mesh):
@@ -196,9 +206,10 @@ def batched_scalar_coeff(mesh):
     Raises :class:`SingularElementError` when a length-scaled DoF matrix
     has condition number above 1e10 (see :func:`scaled_conditions`).
     """
-    cond = scaled_conditions(mesh)
+    M = batched_scalar_dof_matrices(mesh)
+    cond = _scaled_conditions(M, mesh.h_of_triangle)
     if not np.all(cond <= _COND_LIMIT):
         raise SingularElementError(
             "DoF matrix nearly singular (condition number %.3e)"
             % cond.max())
-    return np.linalg.inv(batched_scalar_dof_matrices(mesh))
+    return np.linalg.inv(M)

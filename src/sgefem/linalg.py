@@ -61,6 +61,11 @@ class SolverBreakdown(RuntimeError):
         self.iterations = iterations
 
 
+def _row_sums(M, axis=1):
+    """Row (axis 1) or column (axis 0) sums of |M|."""
+    return np.asarray(abs(M).sum(axis=axis)).ravel()
+
+
 def spd_factor(M):
     """Sparse LU of a symmetric positive definite M, for the solver and
     the inf-sup check: a symmetric fill-reducing ordering and diagonal
@@ -91,6 +96,14 @@ class SaddleFactors:
         # steps 0, 1, ... of the sequence: alpha_k, beta_k, z_k and
         # y_k = A^-1 B^T z_k, and r_{k+1} . z_{k+1}
         self._steps = []
+
+    @cached_property
+    def abs_sums(self):
+        """The lambda-independent parts of the bordered matrix's
+        infinity norm: the row sums of |A| plus the column sums of |B|,
+        the row sums of |B|, and |m|."""
+        return (_row_sums(self.A) + _row_sums(self.B, axis=0),
+                _row_sums(self.B), np.abs(self.m))
 
     @cached_property
     def solve_a(self):
@@ -185,32 +198,29 @@ class SaddleSystem:
 
     @cached_property
     def norm_inf(self):
-        """||S||_inf of the bordered matrix, from the blocks' row sums."""
-        def row_sums(M, axis=1):
-            return np.asarray(abs(M).sum(axis=axis)).ravel()
-
-        abs_m = np.abs(self.m)
-        rows_u = row_sums(self.A) + row_sums(self.B, axis=0)
-        rows_p = row_sums(self.B) + row_sums(self.C) + abs_m
+        """||S||_inf of the bordered matrix, from the blocks' row sums;
+        only those of C are this lambda's own."""
+        rows_u, rows_b, abs_m = self.factors.abs_sums
+        rows_p = rows_b + _row_sums(self.C) + abs_m
         return max(rows_u.max(initial=0.0), rows_p.max(initial=0.0),
                    abs_m.sum())
 
-    def backward_error(self, u, p, xi):
-        """Normwise backward error ||Sx - b|| / (||S|| ||x|| + ||b||) of
+    def backward_error(self, u, p):
+        """(xi, err) of the iterate (u, p): the multiplier xi that best
+        fits the pressure rows B u - C p + m xi = 0, and the normwise
+        backward error ||Sx - b|| / (||S|| ||x|| + ||b||) of
         x = (u, p, xi); the plain residual over ||b|| has a roundoff
         floor of eps ||S|| ||x|| that an accurate solve cannot
         undercut."""
+        bu, cp = self.B @ u, self.C @ p
+        xi = float(self.m @ (cp - bu)) / float(self.m @ self.m)
         r_u = self.A @ u + self.B.T @ p - self.rhs_u
-        r_p = self.B @ u - self.C @ p + xi * self.m
+        r_p = bu - cp + xi * self.m
         r_m = self.m @ p
         num = np.sqrt(r_u @ r_u + r_p @ r_p + r_m * r_m)
         x_norm = np.sqrt(u @ u + p @ p + xi * xi)
-        return num / (self.norm_inf * x_norm + np.linalg.norm(self.rhs_u))
-
-    def multiplier(self, u, p):
-        """The xi that best fits the pressure rows B u - C p + m xi = 0."""
-        return float(self.m @ (self.C @ p - self.B @ u)) \
-            / float(self.m @ self.m)
+        return xi, num / (self.norm_inf * x_norm
+                          + np.linalg.norm(self.rhs_u))
 
 
 def projected_pcg(system):
@@ -234,8 +244,8 @@ def projected_pcg(system):
     sigma = system.shift
     u, rz = f.start
     p = np.zeros(system.n_p)
-    xi = system.multiplier(u, p)
-    best = (u, p, xi, 0, system.backward_error(u, p, xi))
+    xi, err = system.backward_error(u, p)
+    best = (u, p, xi, 0, err)
     # zeta_{k-1}, zeta_k, alpha_{k-1}, beta_{k-1} with zeta_{-1} = 1
     zeta_prev = zeta = alpha_prev = 1.0
     beta_prev = 0.0
@@ -259,8 +269,7 @@ def projected_pcg(system):
         alpha_s = alpha * zeta_next / zeta
         p = p + alpha_s * d
         u = u - alpha_s * w
-        xi = system.multiplier(u, p)
-        err = system.backward_error(u, p, xi)
+        xi, err = system.backward_error(u, p)
         if err < best[4]:
             best = (u, p, xi, it, err)
             stalled = 0
@@ -293,8 +302,6 @@ def solve_saddle(system, tol=1e-10):
         raise SolverBreakdown("projected CG missed the tolerance %.1e"
                               % tol, err, iterations)
 
-    drift = abs(system.m @ p)
-    if drift > 1e-12 * max(np.linalg.norm(p), 1e-300):
-        # project out the constraint drift (exact correction direction)
-        p = p - (system.m @ p) / (system.m @ system.m) * system.m
+    if abs(system.m @ p) > 1e-12 * max(np.linalg.norm(p), 1e-300):
+        p = system.factors.drop_mean_row(p)     # the constraint drift
     return u, p, xi

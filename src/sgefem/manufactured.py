@@ -16,7 +16,6 @@ point of a mesh chunk at once.
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -198,11 +197,10 @@ class Jet2:
 
 
 class AnalyticField:
-    """A named exact displacement field on the unit square."""
+    """An exact displacement field (u1, u2) = builder(x1, x2) on the unit
+    square."""
 
-    def __init__(self, name, builder, divergence_free):
-        self.name = name
-        self.divergence_free = divergence_free
+    def __init__(self, builder):
         self._builder = builder
 
     def jets(self, x, degree=4):
@@ -232,8 +230,8 @@ def _example2(x1, x2):
 
 
 FIELDS = {
-    "example1": AnalyticField("example1", _example1, divergence_free=True),
-    "example2": AnalyticField("example2", _example2, divergence_free=True),
+    "example1": AnalyticField(_example1),
+    "example2": AnalyticField(_example2),
 }
 
 
@@ -270,21 +268,12 @@ def load_parts(example, x):
     return f0, f2
 
 
-class ExactTables(NamedTuple):
-    """Derivatives of an exact field at the error quadrature points.
-
-    ``chunks`` holds one (grad, hess) pair per batch of
-    :func:`~sgefem.assembly.chunks`: grad (Tc, q, 2, 2) with
-    grad[..., a, b] = du_a/dx_b, and hess (Tc, q, 2, 3) with the
-    distinct second derivatives (xx, xy, yy) of each component u_a.
-    """
-    chunks: tuple
-    divergence_free: bool
-
-
 def exact_tables(mesh, field):
-    """The :class:`ExactTables` of ``field`` at the degree-12 points of
-    ``mesh``, from one degree-2 jets call per chunk of triangles."""
+    """Derivatives of ``field`` at the degree-12 points of ``mesh``, one
+    (grad, hess) pair per batch of :func:`~sgefem.assembly.chunks`: grad
+    (Tc, q, 2, 2) with grad[..., a, b] = du_a/dx_b, and hess (Tc, q, 2, 3)
+    with the distinct second derivatives (xx, xy, yy) of each component
+    u_a; from one degree-2 jets call per chunk of triangles."""
     rule = rule_for_degree(DEGREE_LOAD)
     out = []
     for tris in chunks(mesh.num_triangles):
@@ -298,21 +287,19 @@ def exact_tables(mesh, field):
             for k, (dx, dy) in enumerate(((2, 0), (1, 1), (0, 2))):
                 hess[..., a, k] = j.partial(dx, dy).reshape(shape)
         out.append((grad, hess))
-    return ExactTables(tuple(out), field.divergence_free)
+    return tuple(out)
 
 
-def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h=None, qmap=None,
-                lam=1.0):
-    """Discrete errors of a solve against an exact field.
+def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h, qmap):
+    """Discrete errors of a solve against a divergence-free exact field.
 
     Returns (|e|_1, |e|_{2,h}, ||e||_{V,h}, ||e_p||_Q) where e = u_h - u,
     ||e||_{V,h}^2 = |e|_1^2 + iota^2 |e|_{2,h}^2, and the pressure error
-    is measured against p = lambda div u in the norm
+    is measured against p = lambda div u = 0 in the norm
     (||.||_0^2 + iota^2 |.|_1^2)^{1/2}.  ``coeff`` holds the nodal
     coefficients of all triangles; ``exact`` holds the field's
     derivatives from :func:`exact_tables`, so the field itself is not
     evaluated here and one table serves every solve on the mesh.
-    Pressure terms are zero unless both ``p_h`` and ``qmap`` are given.
     The broken seminorm |e|_{2,h} sums one squared term per
     second-derivative multi-index (the mixed derivative counts once).
 
@@ -329,11 +316,9 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h=None, qmap=None,
     d1 = dbary.transpose(0, 2, 1).reshape(-1, 10)
     d2 = d2bary.transpose(0, 2, 3, 1).reshape(-1, 10)
     uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
-    pressure = p_h is not None and qmap is not None
-    if pressure:
-        pext = np.concatenate([np.asarray(p_h, dtype=float), [0.0]])
+    pext = np.concatenate([np.asarray(p_h, dtype=float), [0.0]])
     s1 = s2 = sp0 = sp1 = 0.0
-    for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact.chunks,
+    for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact,
                               strict=True):
         Tc = len(tris)
         G = mesh.bary_grads[tris]                               # (Tc, 3, 2)
@@ -353,18 +338,12 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h=None, qmap=None,
         s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
         s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))
 
-        if pressure:
-            pl = pext[qmap.cell_dofs[tris]]
-            ep = np.einsum("qs,ts->tq", rule.points, pl)
-            gep = np.einsum("ts,tsx->tx", pl, G)
-            gep = np.broadcast_to(gep[:, None, :], (Tc, q, 2)).copy()
-            if not exact.divergence_free:
-                # p = lambda div u and its gradient, from the same tables
-                ep = ep - lam * (ge[..., 0, 0] + ge[..., 1, 1])
-                gep[..., 0] -= lam * (he[..., 0, 0] + he[..., 1, 1])
-                gep[..., 1] -= lam * (he[..., 0, 1] + he[..., 1, 2])
-            sp0 += float(np.einsum("tq,tq->", w, ep ** 2))
-            sp1 += float(np.einsum("tq,tqx->", w, gep ** 2))
+        pl = pext[qmap.cell_dofs[tris]]
+        ep = np.einsum("qs,ts->tq", rule.points, pl)
+        gep = np.einsum("ts,tsx->tx", pl, G)
+        gep = np.broadcast_to(gep[:, None, :], (Tc, q, 2))
+        sp0 += float(np.einsum("tq,tq->", w, ep ** 2))
+        sp1 += float(np.einsum("tq,tqx->", w, gep ** 2))
 
     i2 = iota ** 2
     return (math.sqrt(s1), math.sqrt(s2), math.sqrt(s1 + i2 * s2),

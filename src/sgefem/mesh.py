@@ -10,11 +10,6 @@ incident triangle it came from.
 import numpy as np
 
 
-def _rot_ccw(v):
-    # (x, y) -> (-y, x)
-    return np.stack([-v[..., 1], v[..., 0]], axis=-1)
-
-
 class Mesh:
     """Triangulation with adjacency and affine geometry tables.
 
@@ -41,20 +36,18 @@ class Mesh:
                                         return_inverse=True)
         self.edge_of_triangle = inverse.reshape(-1, 3)
 
-        # +1 when the counterclockwise traversal of the edge inside the
-        # triangle runs from the lower to the higher vertex index
-        self.edge_sign = np.where(pairs[..., 0] < pairs[..., 1], 1, -1)
-
-        # incident triangles per edge (-1 marks an absent second one)
+        # incident triangles per edge in triangle order, at most two
+        # (-1 marks an absent second one)
         E = len(self.edges)
+        flat = self.edge_of_triangle.ravel()
+        order = np.argsort(flat, kind="stable")
+        counts = np.bincount(flat, minlength=E)
+        starts = np.cumsum(counts) - counts
+        rank = np.arange(len(flat)) - starts[flat[order]]
+        keep = rank < 2
         self.triangles_of_edge = np.full((E, 2), -1, dtype=np.int64)
-        counts = np.zeros(E, dtype=np.int64)
-        for t in range(len(tri)):
-            for s in range(3):
-                e = self.edge_of_triangle[t, s]
-                if counts[e] < 2:
-                    self.triangles_of_edge[e, counts[e]] = t
-                counts[e] += 1
+        self.triangles_of_edge[flat[order][keep], rank[keep]] = \
+            order[keep] // 3
 
         self.edge_is_boundary = counts == 1
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
@@ -70,21 +63,17 @@ class Mesh:
         d2 = xy[:, 2] - xy[:, 0]
         self.area = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
-        # grad(lambda_s) = rot_ccw(p_{s+2} - p_{s+1}) / (2 area)
-        g = np.empty((len(self.triangles), 3, 2))
-        for s in range(3):
-            edge_vec = xy[:, (s + 2) % 3] - xy[:, (s + 1) % 3]
-            g[:, s] = _rot_ccw(edge_vec)
-        self.bary_grads = g / (2.0 * self.area)[:, None, None]
+        # grad(lambda_s) = rot_ccw(p_{s+2} - p_{s+1}) / (2 area), with
+        # rot_ccw (x, y) = (-y, x)
+        e = xy[:, [2, 0, 1]] - xy[:, [1, 2, 0]]
+        self.bary_grads = np.stack([-e[..., 1], e[..., 0]], axis=-1) \
+            / (2.0 * self.area)[:, None, None]
 
         ev = self.vertices[self.edges[:, 1]] - self.vertices[self.edges[:, 0]]
         self.edge_length = np.hypot(ev[:, 0], ev[:, 1])
-        self.edge_tangent = ev / self.edge_length[:, None]
+        tangent = ev / self.edge_length[:, None]
         # global normal: tangent rotated by -90 degrees
-        self.edge_normal = np.stack([self.edge_tangent[:, 1],
-                                     -self.edge_tangent[:, 0]], axis=1)
-        self.edge_midpoint = 0.5 * (self.vertices[self.edges[:, 0]]
-                                    + self.vertices[self.edges[:, 1]])
+        self.edge_normal = np.stack([tangent[:, 1], -tangent[:, 0]], axis=1)
 
         tri_edge_len = self.edge_length[self.edge_of_triangle]
         self.h_of_triangle = tri_edge_len.max(axis=1)
@@ -116,16 +105,9 @@ def build_uniform_unit_square(n):
     X, Y = np.meshgrid(ij, ij)                       # Y slow, X fast
     vertices = np.stack([X.ravel(), Y.ravel()], axis=1)
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
-
-    tris = []
-    for iy in range(n):
-        for ix in range(n):
-            ll = vid(ix, iy)
-            lr = vid(ix + 1, iy)
-            ul = vid(ix, iy + 1)
-            ur = vid(ix + 1, iy + 1)
-            tris.append((ll, lr, ur))
-            tris.append((ll, ur, ul))
-    return Mesh(vertices, np.array(tris, dtype=np.int64))
+    # cell (ix, iy) has lower-left vertex iy (n + 1) + ix and the two
+    # triangles (ll, lr, ur) and (ll, ur, ul)
+    ll = (np.arange(n)[:, None] * (n + 1) + np.arange(n)).ravel()
+    lr, ul, ur = ll + 1, ll + n + 1, ll + n + 2
+    tris = np.stack([ll, lr, ur, ll, ur, ul], axis=1).reshape(-1, 3)
+    return Mesh(vertices, tris)

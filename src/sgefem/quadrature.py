@@ -24,13 +24,11 @@ class QuadratureRule:
 
     points : (npts, 3) barycentric coordinates
     weights : (npts,) weights summing to 1
-    exact_degree : largest polynomial degree integrated exactly
     """
 
-    def __init__(self, points, weights, exact_degree):
+    def __init__(self, points, weights):
         self.points = np.ascontiguousarray(points, dtype=float)
         self.weights = np.ascontiguousarray(weights, dtype=float)
-        self.exact_degree = int(exact_degree)
         self.points.setflags(write=False)
         self.weights.setflags(write=False)
 
@@ -65,7 +63,7 @@ def rule_for_degree(deg):
     rule = _DEGREE_TO_RULE[deg]
     if rule not in _CACHE:
         pts, wts = _expand(ORBITS[rule])
-        _CACHE[rule] = QuadratureRule(pts, wts, rule)
+        _CACHE[rule] = QuadratureRule(pts, wts)
     return _CACHE[rule]
 
 

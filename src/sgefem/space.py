@@ -11,6 +11,16 @@ not eliminated here but handled by a multiplier row in the solver.
 import numpy as np
 
 
+def cell_entities(mesh):
+    """(T, 10) global entity of each local scalar DoF, numbered vertices
+    first, then edges (midpoint values), edges again (normal means) and
+    triangles (means): V + 2 E + T entities."""
+    V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+    etri = mesh.edge_of_triangle
+    return np.concatenate([mesh.triangles, V + etri, V + E + etri,
+                           (V + 2 * E + np.arange(T))[:, None]], axis=1)
+
+
 class VDofMap:
     """Displacement DoF map.
 
@@ -22,7 +32,7 @@ class VDofMap:
     """
 
     def __init__(self, mesh):
-        V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+        V, T = mesh.num_vertices, mesh.num_triangles
         free = np.concatenate([~mesh.vertex_is_boundary,
                                ~mesh.edge_is_boundary,      # midpoint values
                                ~mesh.edge_is_boundary,      # normal means
@@ -31,12 +41,7 @@ class VDofMap:
         scalar_index[free] = np.arange(free.sum())
         self.n_u = int(2 * free.sum())
 
-        tri = mesh.triangles
-        etri = mesh.edge_of_triangle
-        entities = np.concatenate([tri, V + etri, V + E + etri,
-                                   (V + 2 * E + np.arange(T))[:, None]],
-                                  axis=1)                   # (T, 10)
-        scal = scalar_index[entities]                       # (T, 10)
+        scal = scalar_index[cell_entities(mesh)]            # (T, 10)
         cd = np.empty((T, 20), dtype=np.int64)
         cd[:, 0::2] = np.where(scal >= 0, 2 * scal, -1)
         cd[:, 1::2] = np.where(scal >= 0, 2 * scal + 1, -1)

@@ -20,6 +20,7 @@ from .element import (batched_scalar_dof_matrices, modal_tables,
 from .linalg import spd_factor
 from .mesh import Mesh, build_uniform_unit_square
 from .quadrature import edge_rule
+from .space import cell_entities
 
 #: regression bound on the length-scaled DoF-matrix condition number of
 #: shape-regular triangles (aspect <= 5); the reference triangle sits
@@ -180,10 +181,6 @@ def check_weak_continuity(disc, flip_edge=None, label=""):
         coeff[k] = np.linalg.inv(M0)
 
     t, w = edge_rule(5)
-    V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
-    etri = mesh.edge_of_triangle
-    entities = np.concatenate([mesh.triangles, V + etri, V + E + etri,
-                               (V + 2 * E + np.arange(T))[:, None]], axis=1)
     inner = np.flatnonzero(~mesh.edge_is_boundary)
     tri = mesh.triangles_of_edge[inner]                        # (n, 2)
     ends = mesh.vertices[mesh.edges[inner]]                    # (n, 2, 2)
@@ -202,8 +199,9 @@ def check_weak_continuity(disc, flip_edge=None, label=""):
     integ = length[:, None, None, None] * np.einsum("q,esqix->esix", w, grad)
     integ[:, 1] *= -1.0
     # sum both sides per (edge, global entity), then the largest jump
-    n_entities = V + 2 * E + T
-    key = np.arange(len(inner))[:, None, None] * n_entities + entities[tri]
+    n_entities = mesh.num_vertices + 2 * mesh.num_edges + mesh.num_triangles
+    key = np.arange(len(inner))[:, None, None] * n_entities \
+        + cell_entities(mesh)[tri]
     ukey, inv = np.unique(key.ravel(), return_inverse=True)
     jumps = np.zeros((len(ukey), 2))
     np.add.at(jumps, inv, integ.reshape(-1, 2))

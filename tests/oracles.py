@@ -2,13 +2,15 @@
 
 The quadrature and calculus oracles deliberately avoid the code paths of
 the package under test: exact barycentric moments come from the
-factorial formula, and the reference quadrature is a conical-product
+factorial formula, the reference quadrature is a conical-product
 Gauss-Jacobi rule built from scipy's Jacobi nodes instead of the
-symmetric triangle tables.  The per-point basis evaluator and the local
-interpolant take only the nodal coefficients from the package; they
-evaluate one triangle at arbitrary physical points and apply the DoF
-functionals by their own quadrature, where the package works on batches
-at fixed quadrature points.
+symmetric triangle tables, and the monomial tables come from
+per-monomial branches instead of the package's derivative table.  The
+per-point basis evaluator and the local interpolant take only the
+nodal coefficients from the package; they evaluate one triangle at
+arbitrary physical points and apply the DoF functionals by their own
+quadrature, where the package works on batches at fixed quadrature
+points.
 
 The unsplit body forces (with their material parameters), pointwise
 field values and gradients, and the inf-sup constant of one mesh and
@@ -20,9 +22,10 @@ the per-edge weak-continuity loop (which the batched check replaced),
 the bordered sparse LU with iterative refinement (which the
 projected conjugate gradients on the pressures replaced), the dense
 inf-sup computation with its generalized eigenvalue helper (which the
-sparse factorization of G_V replaced), and the displacement error
+sparse factorization of G_V replaced), the displacement error
 seminorms with the per-point derivative maps (which one matmul per
-triangle replaced).
+triangle replaced), and the per-triangle loop over the edges of the
+mesh (which one stable argsort replaced).
 """
 
 import numpy as np
@@ -35,7 +38,7 @@ from scipy.sparse.linalg import norm as sparse_norm, splu
 
 from sgefem.assembly import DEGREE_LOAD, chunks, modal_rule
 from sgefem.discretization import Discretization
-from sgefem.element import (batched_scalar_coeff,
+from sgefem.element import (MODAL_EXPONENTS, batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables)
 from sgefem.quadrature import edge_rule
 from sgefem.verify import _infsup_parts
@@ -45,6 +48,64 @@ def bary_moment(a, b, c):
     """(1/|K|) * integral over K of l1^a l2^b l3^c (exact, any triangle)."""
     return 2.0 * factorial(a) * factorial(b) * factorial(c) \
         / factorial(a + b + c + 2)
+
+
+def loop_modal_tables(bary, order):
+    """Values and barycentric derivatives of the 10 scalar monomials by
+    per-monomial branches: the tables that evaluating the derivative
+    table of ``sgefem.element.modal_derivatives`` replaced, bit for bit.
+
+    Returns val (npts, 10), and for order >= 1 dbary (npts, 10, 3), and
+    for order 2 d2bary (npts, 10, 3, 3).
+    """
+    L = np.asarray(bary, dtype=float)
+    q = L.shape[0]
+    # powers of each coordinate, exponent 0..2
+    P = np.ones((q, 3, 3))
+    P[:, :, 1] = L
+    P[:, :, 2] = L * L
+
+    val = np.empty((q, 10))
+    dbary = np.empty((q, 10, 3)) if order >= 1 else None
+    d2bary = np.empty((q, 10, 3, 3)) if order >= 2 else None
+
+    for j, exp in enumerate(MODAL_EXPONENTS):
+        facs = [P[:, s, exp[s]] for s in range(3)]
+        val[:, j] = facs[0] * facs[1] * facs[2]
+        if order >= 1:
+            for s in range(3):
+                a = exp[s]
+                if a == 0:
+                    dbary[:, j, s] = 0.0
+                else:
+                    others = [P[:, u, exp[u]] for u in range(3) if u != s]
+                    dbary[:, j, s] = a * P[:, s, a - 1] * others[0] * others[1]
+        if order >= 2:
+            for s in range(3):
+                for u in range(s, 3):
+                    a, b = exp[s], exp[u]
+                    if s == u:
+                        if a < 2:
+                            term = np.zeros(q)
+                        else:
+                            others = [P[:, w, exp[w]] for w in range(3)
+                                      if w != s]
+                            term = a * (a - 1) * others[0] * others[1]
+                    else:
+                        if a == 0 or b == 0:
+                            term = np.zeros(q)
+                        else:
+                            w = 3 - s - u
+                            term = (a * b * P[:, s, a - 1] * P[:, u, b - 1]
+                                    * P[:, w, exp[w]])
+                    d2bary[:, j, s, u] = term
+                    d2bary[:, j, u, s] = term
+
+    if order == 0:
+        return val
+    if order == 1:
+        return val, dbary
+    return val, dbary, d2bary
 
 
 def conical_rule(p):
@@ -212,13 +273,14 @@ def _divergence_parts(j1, j2):
     return gdiv, glapdiv
 
 
-def body_force_sge(field, params):
+def body_force_sge(field, params, divergence_free=True):
     """f = -div sigma(u) + iota^2 div(laplace(sigma(u))) as a callable.
 
     With sigma(u) = 2 mu eps(u) + lambda (div u) I this expands to
     -mu lap(u) - (mu+lambda) grad(div u) plus iota^2 times the
-    bilaplacian counterpart; for divergence-free fields the grad(div)
-    terms are dropped identically, so lambda never enters.
+    bilaplacian counterpart; for a field declared divergence-free (both
+    study fields are) the grad(div) terms are dropped identically, so
+    lambda never enters.
     """
     mu, lam, i2 = params.mu, params.lam, params.iota ** 2
 
@@ -230,7 +292,7 @@ def body_force_sge(field, params):
             bilap = (j.partial(4, 0) + 2.0 * j.partial(2, 2)
                      + j.partial(0, 4))
             out[..., a] = -mu * lap + i2 * mu * bilap
-        if not field.divergence_free:
+        if not divergence_free:
             gdiv, glapdiv = _divergence_parts(j1, j2)
             for a in (0, 1):
                 out[..., a] += (mu + lam) * (-gdiv[a] + i2 * glapdiv[a])
@@ -239,11 +301,11 @@ def body_force_sge(field, params):
     return f
 
 
-def body_force_elasticity(field, params):
+def body_force_elasticity(field, params, divergence_free=True):
     """f = -mu lap(u) - (mu+lambda) grad(div u); the classical limit load.
 
-    For a divergence-free field this is -mu lap(u), independent of both
-    lambda and iota.
+    For a field declared divergence-free this is -mu lap(u), independent
+    of both lambda and iota.
     """
     mu, lam = params.mu, params.lam
 
@@ -252,7 +314,7 @@ def body_force_elasticity(field, params):
         out = np.empty(np.asarray(x).shape[:-1] + (2,))
         out[..., 0] = -mu * (j1.partial(2, 0) + j1.partial(0, 2))
         out[..., 1] = -mu * (j2.partial(2, 0) + j2.partial(0, 2))
-        if not field.divergence_free:
+        if not divergence_free:
             gdiv, _ = _divergence_parts(j1, j2)
             for a in (0, 1):
                 out[..., a] -= (mu + lam) * gdiv[a]
@@ -486,7 +548,7 @@ def per_point_error_seminorms(mesh, coeff, vmap, u_h, exact):
     d2 = d2bary.transpose(0, 2, 3, 1).reshape(-1, 10)
     uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
     s1 = s2 = 0.0
-    for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact.chunks,
+    for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact,
                               strict=True):
         Tc = len(tris)
         G = mesh.bary_grads[tris]
@@ -501,3 +563,18 @@ def per_point_error_seminorms(mesh, coeff, vmap, u_h, exact):
         s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
         s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))
     return sqrt(s1), sqrt(s2)
+
+
+def loop_triangles_of_edge(mesh):
+    """(E, 2) incident triangles of each edge by a loop over the
+    triangles in order, keeping the first two (-1 where there is no
+    second): the table the mesh now builds with one stable argsort."""
+    out = np.full((mesh.num_edges, 2), -1, dtype=np.int64)
+    counts = np.zeros(mesh.num_edges, dtype=np.int64)
+    for t in range(mesh.num_triangles):
+        for s in range(3):
+            e = mesh.edge_of_triangle[t, s]
+            if counts[e] < 2:
+                out[e, counts[e]] = t
+            counts[e] += 1
+    return out

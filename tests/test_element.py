@@ -1,12 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sgefem.element
+from sgefem.assembly import reference_moments
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from sgefem.element import (SingularElementError, batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables,
                             scaled_conditions)
-from oracles import eval_basis, local_interpolant
+from sgefem.quadrature import edge_rule, rule_for_degree
+from oracles import eval_basis, local_interpolant, loop_modal_tables
 
 
 def triangle_mesh(verts):
@@ -249,3 +254,64 @@ def test_unisolvence_random_shape_regular(seed):
     cond = scaled_conditions(triangle_mesh(verts))[0]
     assert np.isfinite(cond)
     assert cond < 1e6
+
+
+def _edge_gauss_points():
+    """The barycentric points of the normal-derivative DoF rows: the
+    Gauss points of each edge s, from local vertex s+1 to s+2."""
+    t, _ = edge_rule(sgefem.element._EDGE_DOF_DEGREE)
+    pts = np.zeros((3, len(t), 3))
+    for s in range(3):
+        pts[s, :, (s + 1) % 3] = 1.0 - t
+        pts[s, :, (s + 2) % 3] = t
+    return pts.reshape(-1, 3)
+
+
+def test_modal_tables_are_the_loop_tables_bit_for_bit():
+    rng = np.random.default_rng(17)
+    xy = rng.uniform(-0.5, 1.5, (2000, 2))      # some outside the triangle
+    point_sets = {
+        "degree-12 rule": rule_for_degree(12).points,
+        "vertices and midpoints": np.array(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0],
+             [0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]]),
+        "edge gauss points": _edge_gauss_points(),
+        "random": np.column_stack([xy, 1.0 - xy.sum(axis=1)]),
+    }
+    assert (point_sets["random"] < 0.0).any()
+    for name, pts in point_sets.items():
+        for order in (0, 1, 2):
+            got, want = modal_tables(pts, order), loop_modal_tables(pts,
+                                                                    order)
+            if order == 0:
+                got, want = (got,), (want,)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes(), \
+                    (name, order)
+
+
+def test_reference_moments_are_frozen_bit_for_bit():
+    # the exact moments are correctly rounded rationals, so their bytes
+    # are fixed on every IEEE platform
+    digest = hashlib.sha256()
+    for table in reference_moments():
+        digest.update(table.tobytes())
+    assert digest.hexdigest() == ("be08a137c130025d7f05d91b18684ac2"
+                                  "d56df8be66f0f7c840156335ecec1ce4")
+
+
+def test_coefficients_build_the_dof_matrices_once(monkeypatch):
+    calls = []
+    build = sgefem.element.batched_scalar_dof_matrices
+
+    def counting(mesh, tris=None):
+        calls.append(None)
+        return build(mesh, tris)
+
+    monkeypatch.setattr(sgefem.element, "batched_scalar_dof_matrices",
+                        counting)
+    m = build_uniform_unit_square(3)
+    coeff = batched_scalar_coeff(m)
+    assert len(calls) == 1
+    M = build(m)
+    assert np.array_equal(coeff, np.linalg.inv(M))

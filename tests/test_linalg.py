@@ -152,7 +152,7 @@ def test_pcg_matches_bordered_lu_oracle(example, n, mu, u_rtol):
             u_ref, p_ref, _, err_ref = bordered_lu_solve(sys_)
             assert np.linalg.norm(u - u_ref) \
                 <= u_rtol * np.linalg.norm(u_ref), (iota, lam)
-            assert sys_.backward_error(u, p, xi) <= 1e-15, (iota, lam)
+            assert sys_.backward_error(u, p)[1] <= 1e-15, (iota, lam)
             assert err_ref <= 1e-15, (iota, lam)
 
 
@@ -177,11 +177,11 @@ def test_pcg_continues_past_a_rise_of_the_backward_error():
     true_error = sys_.backward_error
     calls = []
 
-    def rising_once(u, p, xi):
+    def rising_once(u, p):
         # the second iterate reads as worse than the first
         calls.append(None)
-        err = true_error(u, p, xi)
-        return 1e3 * err if len(calls) == 3 else err
+        xi, err = true_error(u, p)
+        return xi, 1e3 * err if len(calls) == 3 else err
 
     sys_.backward_error = rising_once
     _, _, _, iterations, err = projected_pcg(sys_)
@@ -194,9 +194,15 @@ def test_backward_error_from_blocks_matches_bordered_matrix():
     norm_S = sparse_norm(S, np.inf)
     assert sys_.norm_inf == pytest.approx(norm_S, rel=1e-14)
     x = np.random.default_rng(5).standard_normal(S.shape[0])
+    xi, got = sys_.backward_error(x[:sys_.n_u], x[sys_.n_u:-1])
+    # xi is the least-squares multiplier of the pressure rows
+    pressure_rows = slice(sys_.n_u, -1)
+    r_drawn = (S @ x - b)[pressure_rows]
+    x[-1] = xi
+    r_fit = (S @ x - b)[pressure_rows]
+    assert np.linalg.norm(r_fit) <= np.linalg.norm(r_drawn)
     want = np.linalg.norm(S @ x - b) \
         / (norm_S * np.linalg.norm(x) + np.linalg.norm(b))
-    got = sys_.backward_error(x[:sys_.n_u], x[sys_.n_u:-1], x[-1])
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -357,3 +363,22 @@ def test_min_generalized_eig_residual():
     v = Vt[-1]
     assert np.linalg.norm(K @ v - theta * (G @ v)) \
         <= 1e-9 * np.linalg.norm(K)
+
+
+def test_lambda_cells_share_the_row_sums_of_a(monkeypatch):
+    # the |A| and |B| row sums of the backward error's ||S|| belong to
+    # the (mu, iota); only those of C = G / lambda are per lambda
+    disc = Discretization(build_uniform_unit_square(4), "example2")
+    A = disc.factors(1.0, 1e-2).A
+    passes = []
+    row_sums = sgefem.linalg._row_sums
+
+    def counting(M, axis=1):
+        passes.append(M is A)
+        return row_sums(M, axis)
+
+    monkeypatch.setattr(sgefem.linalg, "_row_sums", counting)
+    for lam in GRID_LAMBDAS:
+        solve_saddle(disc.system(1.0, lam, 1e-2))
+    assert sum(passes) == 1
+    assert len(passes) == 3 + len(GRID_LAMBDAS)

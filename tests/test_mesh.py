@@ -3,6 +3,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgefem.mesh import Mesh, build_uniform_unit_square
+from oracles import loop_triangles_of_edge
+
+
+def edge_sign(m):
+    """(T, 3): +1 where the counterclockwise traversal of local edge s
+    (opposite local vertex s) runs from the lower to the higher vertex
+    index, else -1."""
+    tri = m.triangles
+    pairs = np.stack([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]],
+                     axis=1)
+    return np.where(pairs[..., 0] < pairs[..., 1], 1, -1)
 
 
 def test_smallest_mesh_counts():
@@ -92,17 +103,33 @@ def test_global_normal_single_valued():
         # both triangles look the normal up from the same edge table,
         # so check the orientation bookkeeping instead: the two signs
         # must be opposite
-        s0 = m.edge_sign[t0][list(m.edge_of_triangle[t0]).index(e)]
-        s1 = m.edge_sign[t1][list(m.edge_of_triangle[t1]).index(e)]
+        s0 = edge_sign(m)[t0][list(m.edge_of_triangle[t0]).index(e)]
+        s1 = edge_sign(m)[t1][list(m.edge_of_triangle[t1]).index(e)]
         assert s0 * s1 == -1
 
 
 def test_outward_normal_orientation():
     # sign * global normal must point out of the triangle
     m = build_uniform_unit_square(3)
+    sign = edge_sign(m)
+    midpoint = 0.5 * (m.vertices[m.edges[:, 0]] + m.vertices[m.edges[:, 1]])
     for k in (0, 5, 11):
         centroid = m.tri_coords[k].mean(axis=0)
         for s in range(3):
             e = m.edge_of_triangle[k, s]
-            out = m.edge_sign[k, s] * m.edge_normal[e]
-            assert out @ (m.edge_midpoint[e] - centroid) > 0
+            out = sign[k, s] * m.edge_normal[e]
+            assert out @ (midpoint[e] - centroid) > 0
+
+
+def test_triangles_of_edge_match_the_loop_oracle():
+    # uniform meshes, and a triangle set in which one edge has three
+    # incident triangles, of which the first two are kept
+    meshes = [build_uniform_unit_square(n) for n in (1, 2, 5, 16)]
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0],
+                      [-1.0, -1.0]])
+    meshes.append(Mesh(verts, np.array([[0, 1, 2], [1, 3, 2], [2, 1, 4]])))
+    for m in meshes:
+        want = loop_triangles_of_edge(m)
+        assert m.triangles_of_edge.dtype == want.dtype
+        assert np.array_equal(m.triangles_of_edge, want)
+    assert (meshes[-1].triangles_of_edge == [[0, 1]]).all(axis=1).any()

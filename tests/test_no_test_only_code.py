@@ -5,6 +5,9 @@ is not a dunder, must be referenced from src/sgefem or perfbench/: by a
 name or an attribute, or through the module and attribute strings of the
 tracer's TARGETS, which wraps functions by name.  A method that overrides
 one of a base class (argparse's ``error``) is reached through the base.
+Every instance attribute a src/sgefem class sets (``self.x = ...``) must
+be read as an attribute in src/sgefem or perfbench/; the payload of an
+exception class is fault data for whoever catches it, and is exempt.
 A definition only the tests reach belongs in tests/oracles.py.
 """
 import ast
@@ -86,3 +89,48 @@ def test_every_definition_is_used_outside_the_tests():
                 unused.append("%s:%d %s" % (path.name, line, name))
     assert not unused, "defined in src/ but read only by tests: %s" \
         % ", ".join(unused)
+
+
+def instance_attributes(tree):
+    """(class name, attribute, line) of every ``self.x = ...`` in the
+    top-level classes, including tuple and augmented assignments."""
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in ast.walk(cls):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            for target in targets:
+                for el in getattr(target, "elts", [target]):
+                    if isinstance(el, ast.Attribute) \
+                            and isinstance(el.value, ast.Name) \
+                            and el.value.id == "self":
+                        yield cls.name, el.attr, el.lineno
+
+
+def attribute_reads(tree):
+    """Attribute names read (loaded) anywhere in the module."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_instance_attributes_are_read_outside_the_tests():
+    reads = set()
+    for path in SOURCES + PERFBENCH:
+        reads |= attribute_reads(_parse(path))
+    unread = []
+    for path in SOURCES:
+        module = importlib.import_module("sgefem." + path.stem)
+        for cls_name, attr, line in instance_attributes(_parse(path)):
+            if issubclass(getattr(module, cls_name), BaseException):
+                continue
+            if attr not in reads:
+                unread.append("%s:%d %s.%s" % (path.name, line, cls_name,
+                                               attr))
+    assert unread == [], "set in src/ but read only by tests: %s" \
+        % ", ".join(unread)
