@@ -238,10 +238,12 @@ class ScatterPlan:
         rows = np.broadcast_to(row_dofs[:, :, None], full)
         cols = np.broadcast_to(col_dofs[:, None, :], full)
         self.shape = shape
-        self.mask = (rows >= 0) & (cols >= 0)
-        key = rows[self.mask] * n_cols + cols[self.mask]
-        self.order = np.argsort(key, kind="stable")
-        key = key[self.order]
+        mask = (rows >= 0) & (cols >= 0)
+        key = rows[mask] * n_cols + cols[mask]
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        # flat kernel positions of the sorted entries: one gather per part
+        self.take = np.flatnonzero(mask)[order]
         first = np.ones(len(key), dtype=bool)
         first[1:] = key[1:] != key[:-1]
         self.starts = np.flatnonzero(first)
@@ -257,7 +259,7 @@ class ScatterPlan:
 
     def csr(self, kernels):
         """The assembled matrix of per-triangle kernels (T, nr, nc)."""
-        data = np.add.reduceat(kernels[self.mask][self.order], self.starts)
+        data = np.add.reduceat(kernels.reshape(-1)[self.take], self.starts)
         return csr_matrix((data, self.indices, self.indptr),
                           shape=self.shape)
 

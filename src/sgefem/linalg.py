@@ -173,7 +173,6 @@ class SaddleSystem:
 
     def __init__(self, factors, lam):
         self.factors = factors
-        self.lam = lam
         self.C = factors.G / lam
         self.shift = 1.0 / lam
 

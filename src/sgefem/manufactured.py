@@ -7,11 +7,12 @@ truncated at a chosen total degree d is propagated through the
 closed-form expression, and any mixed partial up to order d is read off
 the coefficients exactly.  Each consumer asks for the degree it reads:
 4 for the strain gradient load, 2 for the elasticity load and the
-error tables.  A jet also records its support, the coefficients that
-can be nonzero (a coordinate has two, a function of x2 alone no x1
-term), and products skip every term with a factor outside it.  A
-trailing batch axis lets one call produce jets at every quadrature
-point of a mesh chunk at once.
+error tables.  A jet stores only the coefficients that can be nonzero,
+keyed by their exponents (a coordinate has two, a function of x2 alone
+no x1 term), so sums and scalings touch only those and products skip
+every term with an absent factor.  Each coefficient is an array over a
+batch of expansion points, so one call produces jets at every
+quadrature point of a mesh chunk at once.
 """
 
 import functools
@@ -25,61 +26,48 @@ from .quadrature import rule_for_degree
 
 @functools.cache
 def monomials(degree):
-    """The exponents (i, j) with i + j <= degree, in the row order of
-    :attr:`Jet2.c`."""
+    """The exponents (i, j) with i + j <= degree, i ascending, then j."""
     return tuple((i, j) for i in range(degree + 1)
                  for j in range(degree + 1 - i))
 
 
-@functools.cache
-def _row(degree):
-    return {ij: r for r, ij in enumerate(monomials(degree))}
-
-
 @functools.lru_cache(maxsize=256)
-def _rows(degree, support):
-    """Row indices of the exponents in ``support``, ascending."""
-    row = _row(degree)
-    return np.array(sorted(row[ij] for ij in support), dtype=np.intp)
-
-
-@functools.lru_cache(maxsize=256)
-def _product_terms(degree, sa, sb):
-    """(terms, support) of the truncated product of jets with supports
-    sa and sb: one (out, a, b) row triple per term whose two factors are
-    both in support, each output's terms in the (k, l) order of the full
-    sum over a[k, l] b[i - k, j - l], and the outputs that get a term."""
-    row = _row(degree)
+def _product_terms(degree, ka, kb):
+    """The truncated product of jets keyed by the exponent sets ka and
+    kb: one (out, pairs) entry per output exponent that gets a term, in
+    :func:`monomials` order, where pairs are the (a, b) exponents of its
+    terms with both factors present, in the (k, l) order of the full sum
+    over a[k, l] b[i - k, j - l]."""
     terms = []
     for i, j in monomials(degree):
-        for k in range(i + 1):
-            for l in range(j + 1):
-                if (k, l) in sa and (i - k, j - l) in sb:
-                    terms.append((row[i, j], row[k, l], row[i - k, j - l]))
-    filled = {t[0] for t in terms}
-    support = frozenset(ij for ij in monomials(degree) if row[ij] in filled)
-    return tuple(terms), support
+        pairs = tuple(((k, l), (i - k, j - l)) for k in range(i + 1)
+                      for l in range(j + 1)
+                      if (k, l) in ka and (i - k, j - l) in kb)
+        if pairs:
+            terms.append(((i, j), pairs))
+    return tuple(terms)
 
 
 class Jet2:
     """Bivariate Taylor polynomial truncated at total degree ``degree``.
 
-    Row r of ``c`` is the coefficient of (x-x0)^i (y-y0)^j for
-    (i, j) = ``monomials(degree)[r]``; axes after the first carry a
-    batch of expansion points.  ``support`` is the frozenset of the
-    (i, j) whose coefficient can be nonzero; every other row is exactly
-    zero.  A skipped product term is therefore an exact zero, and a
-    running sum that starts at +0.0 never becomes -0.0, so skipping it
-    leaves every sum bitwise unchanged.  The coefficients of degree
-    <= d' of a degree-d jet are bitwise those of its degree-d' twin.
+    ``c`` maps an exponent (i, j) with i + j <= ``degree`` to the
+    coefficient of (x-x0)^i (y-y0)^j, an array over a batch of
+    expansion points.  Its keys are the support: the coefficient of
+    every absent exponent is exactly zero.  A skipped product term is
+    therefore an exact zero, and a running sum that starts at +0.0
+    never becomes -0.0, so skipping it leaves every sum bitwise
+    unchanged.  The coefficients of degree <= d' of a degree-d jet are
+    bitwise those of its degree-d' twin.  Jets share coefficient arrays
+    (a sum keeps the array of an exponent only one operand has), so no
+    array is ever written in place.
     """
 
-    __slots__ = ("c", "degree", "support")
+    __slots__ = ("c", "degree")
 
-    def __init__(self, c, degree, support):
+    def __init__(self, c, degree):
         self.c = c
         self.degree = degree
-        self.support = support
 
     @classmethod
     def variables(cls, x, degree=4):
@@ -88,25 +76,22 @@ class Jet2:
         if not (isinstance(degree, int) and degree >= 1):
             raise ValueError("jet degree must be a positive integer")
         x = np.asarray(x, dtype=float)
-        jets = []
-        for axis in (0, 1):
-            c = np.zeros((len(monomials(degree)),) + x.shape[:-1])
-            c[0] = x[..., axis]
-            linear = (1 - axis, axis)
-            c[_row(degree)[linear]] = 1.0
-            jets.append(cls(c, degree, frozenset({(0, 0), linear})))
-        return tuple(jets)
+        return tuple(cls({(0, 0): x[..., axis].copy(),
+                          (1 - axis, axis): np.ones(x.shape[:-1])}, degree)
+                     for axis in (0, 1))
 
     @property
     def value(self):
-        return self.c[0]
+        return self.coeff(0, 0)
 
     def coeff(self, i, j):
         """The Taylor coefficient of (x-x0)^i (y-y0)^j."""
         if i + j > self.degree:
             raise ValueError("order %d exceeds the jet degree %d"
                              % (i + j, self.degree))
-        return self.c[_row(self.degree)[i, j]]
+        if (i, j) in self.c:
+            return self.c[i, j]
+        return np.zeros_like(next(iter(self.c.values())))
 
     def partial(self, i, j):
         """The mixed partial d^{i+j} f / dx^i dy^j at the expansion point."""
@@ -119,18 +104,18 @@ class Jet2:
                              % (self.degree, other.degree))
 
     def __add__(self, other):
-        if isinstance(other, Jet2):
-            self._same_degree(other)
-            return Jet2(self.c + other.c, self.degree,
-                        self.support | other.support)
-        c = self.c.copy()
-        c[0] = c[0] + other
-        return Jet2(c, self.degree, self.support | {(0, 0)})
+        if not isinstance(other, Jet2):
+            return Jet2({**self.c, (0, 0): self.value + other}, self.degree)
+        self._same_degree(other)
+        c = dict(self.c)
+        for e, v in other.c.items():
+            c[e] = c[e] + v if e in c else v
+        return Jet2(c, self.degree)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.c, self.degree, self.support)
+        return Jet2({e: -v for e, v in self.c.items()}, self.degree)
 
     def __sub__(self, other):
         return self + (-other)
@@ -140,15 +125,18 @@ class Jet2:
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
-            return Jet2(self.c * other, self.degree, self.support)
+            return Jet2({e: v * other for e, v in self.c.items()},
+                        self.degree)
         self._same_degree(other)
-        terms, support = _product_terms(self.degree, self.support,
-                                        other.support)
         a, b = self.c, other.c
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        for r, ka, kb in terms:
-            out[r] += a[ka] * b[kb]
-        return Jet2(out, self.degree, support)
+        c = {}
+        for e, pairs in _product_terms(self.degree, frozenset(a),
+                                       frozenset(b)):
+            s = 0.0
+            for ka, kb in pairs:
+                s = s + a[ka] * b[kb]
+            c[e] = s
+        return Jet2(c, self.degree)
 
     __rmul__ = __mul__
 
@@ -165,24 +153,20 @@ class Jet2:
         (nilpotent) and f_k = derivatives[k % len(derivatives)] is the
         k-th derivative of the function at the value.  t^k for even k is
         the square of t^(k/2), otherwise t^(k-1) t."""
-        t = Jet2(np.zeros_like(self.c), self.degree,
-                 self.support - {(0, 0)})
-        rows = _rows(self.degree, t.support)
-        t.c[rows] = self.c[rows]
+        t = Jet2({e: v for e, v in self.c.items() if e != (0, 0)},
+                 self.degree)
+        f1 = derivatives[1 % len(derivatives)]
+        c = {e: f1 * v for e, v in t.c.items()}
         powers = [None, t]
-        c = np.zeros_like(self.c)
-        c[rows] = derivatives[1 % len(derivatives)] * t.c[rows]
-        support = {(0, 0)} | t.support
         for k in range(2, self.degree + 1):
             half = powers[k // 2]
             tk = half * half if k % 2 == 0 else powers[k - 1] * t
             powers.append(tk)
-            rows = _rows(self.degree, tk.support)
-            c[rows] += (derivatives[k % len(derivatives)]
-                        / float(math.factorial(k))) * tk.c[rows]
-            support |= tk.support
-        c[0] = c[0] + derivatives[0]
-        return Jet2(c, self.degree, frozenset(support))
+            fk = derivatives[k % len(derivatives)] / float(math.factorial(k))
+            for e, v in tk.c.items():
+                c[e] = c.get(e, 0.0) + fk * v
+        c[0, 0] = 0.0 + derivatives[0]
+        return Jet2(c, self.degree)
 
     def exp(self):
         return self._series((np.exp(self.value),))

@@ -30,10 +30,11 @@ class Mesh:
         # edges of each triangle; local edge s is opposite local vertex s
         pairs = np.stack([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]],
                          axis=1)                     # (T, 3, 2)
-        sorted_pairs = np.stack([pairs.min(axis=2), pairs.max(axis=2)],
-                                axis=2).reshape(-1, 2)
-        self.edges, inverse = np.unique(sorted_pairs, axis=0,
-                                        return_inverse=True)
+        # one int64 key per (lower, higher) pair sorts as the pair does
+        V = len(self.vertices)
+        keys, inverse = np.unique(pairs.min(axis=2) * V + pairs.max(axis=2),
+                                  return_inverse=True)
+        self.edges = np.stack(divmod(keys, V), axis=1)
         self.edge_of_triangle = inverse.reshape(-1, 3)
 
         # incident triangles per edge in triangle order, at most two

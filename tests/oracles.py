@@ -25,7 +25,9 @@ inf-sup computation with its generalized eigenvalue helper (which the
 sparse factorization of G_V replaced), the displacement error
 seminorms with the per-point derivative maps (which one matmul per
 triangle replaced), and the per-triangle loop over the edges of the
-mesh (which one stable argsort replaced).
+mesh (which one stable argsort replaced).  The dense packed jet sums
+every product term over every stored row, where the package's jets
+store only their support and skip the terms outside it.
 """
 
 import numpy as np
@@ -40,6 +42,7 @@ from sgefem.assembly import DEGREE_LOAD, chunks, modal_rule
 from sgefem.discretization import Discretization
 from sgefem.element import (MODAL_EXPONENTS, batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables)
+from sgefem.manufactured import monomials
 from sgefem.quadrature import edge_rule
 from sgefem.verify import _infsup_parts
 
@@ -260,6 +263,105 @@ def field_gradient(field, x):
         g[..., a, 0] = j.partial(1, 0)
         g[..., a, 1] = j.partial(0, 1)
     return g
+
+
+class DenseJet:
+    """Bivariate Taylor polynomial truncated at total degree ``degree``,
+    packed as one row of ``c`` per exponent of ``monomials(degree)``.
+
+    Every row is stored and every product sums all its terms, in the
+    (k, l) order of a[k, l] b[i - k, j - l]; the series builds t^k as
+    the package does.  While every coefficient is finite, where the
+    package's jet stores an exponent its coefficient is this one's up to
+    the sign of an exact zero, and where it stores none this one's is
+    zero.
+    """
+
+    def __init__(self, c, degree):
+        self.c = c
+        self.degree = degree
+
+    @classmethod
+    def variables(cls, x, degree):
+        x = np.asarray(x, dtype=float)
+        rows = monomials(degree)
+        jets = []
+        for axis in (0, 1):
+            c = np.zeros((len(rows),) + x.shape[:-1])
+            c[0] = x[..., axis]
+            c[rows.index((1 - axis, axis))] = 1.0
+            jets.append(cls(c, degree))
+        return tuple(jets)
+
+    @property
+    def value(self):
+        return self.c[0]
+
+    def coeff(self, i, j):
+        return self.c[monomials(self.degree).index((i, j))]
+
+    def __add__(self, other):
+        if isinstance(other, DenseJet):
+            return DenseJet(self.c + other.c, self.degree)
+        c = self.c.copy()
+        c[0] = c[0] + other
+        return DenseJet(c, self.degree)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DenseJet(-self.c, self.degree)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if not isinstance(other, DenseJet):
+            return DenseJet(self.c * other, self.degree)
+        rows = monomials(self.degree)
+        out = np.zeros(np.broadcast_shapes(self.c.shape, other.c.shape))
+        for r, (i, j) in enumerate(rows):
+            for k in range(i + 1):
+                for l in range(j + 1):
+                    out[r] += (self.c[rows.index((k, l))]
+                               * other.c[rows.index((i - k, j - l))])
+        return DenseJet(out, self.degree)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        out = self
+        for _ in range(n - 1):
+            out = out * self
+        return out
+
+    def _series(self, derivatives):
+        t = DenseJet(self.c.copy(), self.degree)
+        t.c[0] = 0.0
+        powers = [None, t]
+        c = derivatives[1 % len(derivatives)] * t.c
+        for k in range(2, self.degree + 1):
+            half = powers[k // 2]
+            tk = half * half if k % 2 == 0 else powers[k - 1] * t
+            powers.append(tk)
+            c = c + (derivatives[k % len(derivatives)]
+                     / float(factorial(k))) * tk.c
+        c[0] = c[0] + derivatives[0]
+        return DenseJet(c, self.degree)
+
+    def exp(self):
+        return self._series((np.exp(self.value),))
+
+    def sin(self):
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self._series((s, c, -s, -c))
+
+    def cos(self):
+        s, c = np.sin(self.value), np.cos(self.value)
+        return self._series((c, -s, -c, s))
 
 
 def _divergence_parts(j1, j2):

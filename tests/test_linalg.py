@@ -22,16 +22,16 @@ def example2_system(n=2, mu=1.0, lam=1.0, iota=1e-2):
     return disc.system(mu, lam, iota)
 
 
-def with_load(sys_, rhs_u):
-    """The system of ``sys_`` with the load ``rhs_u``, on factors and a
-    lambda = infinity sequence of its own."""
+def with_load(sys_, rhs_u, lam):
+    """The system of ``sys_`` (built with ``lam``) with the load
+    ``rhs_u``, on factors and a lambda = infinity sequence of its own."""
     f = sys_.factors
-    return SaddleSystem(SaddleFactors(f.A, f.B, f.G, f.m, rhs_u), sys_.lam)
+    return SaddleSystem(SaddleFactors(f.A, f.B, f.G, f.m, rhs_u), lam)
 
 
 def test_homogeneous_rhs_gives_zero():
-    sys_ = example2_system()
-    sys_ = with_load(sys_, np.zeros(sys_.n_u))
+    sys_ = example2_system(lam=1.0)
+    sys_ = with_load(sys_, np.zeros(sys_.n_u), 1.0)
     u, p, xi = solve_saddle(sys_)
     assert np.all(u == 0.0) and np.all(p == 0.0) and xi == 0.0
 
@@ -70,21 +70,21 @@ def test_residual_of_block_system():
 
 
 def test_fixed_point_under_residual_correction():
-    sys_ = example2_system(n=2)
+    sys_ = example2_system(n=2, lam=1.0)
     tol = 1e-10
     u, p, xi = solve_saddle(sys_, tol=tol)
     x = np.concatenate([u, p, [xi]])
     r = sys_.full_rhs() - sys_.block_matrix() @ x
-    sys_ = with_load(sys_, sys_.rhs_u + r[:sys_.n_u])
+    sys_ = with_load(sys_, sys_.rhs_u + r[:sys_.n_u], 1.0)
     u2, p2, xi2 = solve_saddle(sys_, tol=tol)
     x2 = np.concatenate([u2, p2, [xi2]])
     assert np.linalg.norm(x2 - x) <= tol * np.linalg.norm(x)
 
 
 def test_scale_equivariance():
-    sys_ = example2_system(n=2)
+    sys_ = example2_system(n=2, lam=1.0)
     u, p, xi = solve_saddle(sys_)
-    u8, p8, xi8 = solve_saddle(with_load(sys_, 8.0 * sys_.rhs_u))
+    u8, p8, xi8 = solve_saddle(with_load(sys_, 8.0 * sys_.rhs_u, 1.0))
     # scaling by a power of two is exact through every solver operation
     assert np.array_equal(u8, 8.0 * u)
     assert np.array_equal(p8, 8.0 * p)

@@ -14,8 +14,8 @@ from sgefem.manufactured import (FIELDS, AnalyticField, Jet2, error_norms,
 from sgefem.linalg import solve_saddle
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from sgefem.space import build_qdofmap, cell_entities
-from oracles import (ProblemParams, body_force_elasticity, body_force_sge,
-                     fd_derivative, field_gradient,
+from oracles import (DenseJet, ProblemParams, body_force_elasticity,
+                     body_force_sge, fd_derivative, field_gradient,
                      field_value, local_interpolant,
                      per_point_error_seminorms, quad_triangle)
 
@@ -51,9 +51,8 @@ def test_constant_embeds_with_zero_higher_coefficients():
     x1, _ = Jet2.variables(np.array([0.4, 0.9]))
     j = 0.0 * x1 + 3.5
     assert j.coeff(0, 0) == 3.5
-    c = j.c.copy()
-    c[0] = 0.0
-    assert np.all(c == 0.0)
+    for i, j_ in monomials(j.degree)[1:]:
+        assert np.all(j.coeff(i, j_) == 0.0)
 
 
 def test_monomial_taylor_coefficient_at_shifted_point():
@@ -66,14 +65,14 @@ def test_monomial_taylor_coefficient_at_shifted_point():
 
 
 def test_truncation_keeps_high_coefficients_zero():
-    # a degree-4 jet holds one row per monomial with i + j <= 4 and
-    # nothing above: the coefficients of higher degree are zero by
+    # a degree-4 jet holds one coefficient per monomial with i + j <= 4
+    # and nothing above: the coefficients of higher degree are zero by
     # construction and cannot be asked for
     x1, x2 = Jet2.variables(np.array([0.3, 0.8]))
     j = (x1 ** 2 + x2 ** 2 + x1 * x2) ** 2
     assert monomials(4) == tuple((i, j_) for i in range(5)
                                  for j_ in range(5) if i + j_ <= 4)
-    assert j.c.shape == (len(monomials(4)),)
+    assert set(j.c) == set(monomials(4))
     for i, j_ in ((5, 0), (3, 2), (0, 5)):
         with pytest.raises(ValueError, match="exceeds the jet degree"):
             j.coeff(i, j_)
@@ -136,31 +135,35 @@ POINTS = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
                   min_size=1, max_size=4)
 
 
-def evaluate(expr, x, degree, seen):
-    """The jet (or scalar) of ``expr`` at points x; every jet formed on
-    the way is appended to ``seen``."""
+def evaluate(expr, x, degree, seen, jet=Jet2):
+    """The jet (or scalar) of ``expr`` at points x in the arithmetic of
+    the class ``jet``; every jet formed on the way is appended to
+    ``seen``."""
     if isinstance(expr, float):
         return expr
     if isinstance(expr, str):
         if expr in ("x1", "x2"):
-            out = Jet2.variables(x, degree)[expr == "x2"]
+            out = jet.variables(x, degree)[expr == "x2"]
         else:
             name, component = expr.split(".")
-            out = FIELDS[name].jets(x, degree)[component == "u2"]
+            field = FIELDS[name]
+            u = field.jets(x, degree) if jet is Jet2 \
+                else field._builder(*jet.variables(x, degree))
+            out = u[component == "u2"]
     else:
         op, *args = expr
-        vals = [evaluate(a, x, degree, seen) for a in args]
+        vals = [evaluate(a, x, degree, seen, jet) for a in args]
         if op == "add":
             out = vals[0] + vals[1]
         elif op == "mul":
             out = vals[0] * vals[1]
         elif op == "neg":
             out = -vals[0]
-        elif isinstance(vals[0], Jet2):
+        elif isinstance(vals[0], jet):
             out = getattr(vals[0], op)()
         else:
             out = float(getattr(np, op)(vals[0]))
-    if isinstance(out, Jet2):
+    if isinstance(out, jet):
         seen.append(out)
     return out
 
@@ -169,7 +172,7 @@ def _finite_jets(expr, x, degree):
     seen = []
     out = evaluate(expr, x, degree, seen)
     assume(isinstance(out, Jet2))
-    assume(all(np.all(np.isfinite(j.c)) for j in seen))
+    assume(all(np.all(np.isfinite(v)) for j in seen for v in j.c.values()))
     return out, seen
 
 
@@ -181,7 +184,7 @@ def test_degree_2_partials_are_bitwise_those_of_degree_4(expr, pts):
     j2 = evaluate(expr, x, 2, [])
     for i, j in monomials(2):
         assert j2.partial(i, j).tobytes() == j4.partial(i, j).tobytes()
-    assert j2.support == {ij for ij in j4.support if sum(ij) <= 2}
+    assert set(j2.c) == {ij for ij in j4.c if sum(ij) <= 2}
 
 
 @given(EXPRESSIONS, EXPRESSIONS, POINTS, st.sampled_from([2, 4]))
@@ -191,25 +194,46 @@ def test_support_skipping_product_is_bitwise_the_full_sum(ea, eb, pts,
     x = np.array(pts)
     a, _ = _finite_jets(ea, x, degree)
     b, _ = _finite_jets(eb, x, degree)
-    full = np.zeros(a.c.shape)
-    for r, (i, j) in enumerate(monomials(degree)):
+    product = a * b
+    for i, j in monomials(degree):
+        full = np.zeros(x.shape[:-1])
         for k in range(i + 1):
             for l in range(j + 1):
-                full[r] += a.coeff(k, l) * b.coeff(i - k, j - l)
-    assert (a * b).c.tobytes() == full.tobytes()
+                full += a.coeff(k, l) * b.coeff(i - k, j - l)
+        assert product.coeff(i, j).tobytes() == full.tobytes()
 
 
 @given(EXPRESSIONS, POINTS, st.sampled_from([2, 4]))
 @settings(max_examples=150, deadline=None)
 def test_coefficients_outside_the_support_are_zero(expr, pts, degree):
     # a support that leaves out a coefficient the arithmetic fills
-    # would let products drop its terms silently
-    seen = []
-    evaluate(expr, np.array(pts), degree, seen)
-    for jet in seen:
-        outside = [r for r, ij in enumerate(monomials(degree))
-                   if ij not in jet.support]
-        assert np.all(jet.c[outside] == 0.0)
+    # would let products drop its terms silently; the dense jet sums
+    # every term, so each stored coefficient must be its coefficient
+    # (x + 0.0 equates only the two zeros: a sum keeps an exponent
+    # only one operand has as it is, where the dense sum adds +0.0)
+    # and each absent one must be zero there
+    x = np.array(pts)
+    seen, dense = [], []
+    evaluate(expr, x, degree, dense, DenseJet)
+    assume(all(np.all(np.isfinite(d.c)) for d in dense))
+    evaluate(expr, x, degree, seen)
+    for jet, ref in zip(seen, dense, strict=True):
+        for i, j in monomials(degree):
+            if (i, j) in jet.c:
+                assert ((jet.c[i, j] + 0.0).tobytes()
+                        == (ref.coeff(i, j) + 0.0).tobytes())
+            else:
+                assert np.all(ref.coeff(i, j) == 0.0)
+
+
+def test_coeff_outside_the_keys_is_zero_of_the_batch_shape():
+    x = np.linspace(0.1, 0.9, 12).reshape(2, 3, 2)
+    _, x2 = Jet2.variables(x)
+    j = (x2 * x2).sin()
+    # a function of x2 alone stores no x1 term
+    assert set(j.c) == {(0, k) for k in range(5)}
+    for i, k in ((1, 0), (2, 1), (4, 0)):
+        assert j.coeff(i, k).tobytes() == np.zeros((2, 3)).tobytes()
 
 
 def test_exp_sin_cos_taylor_coefficients():
