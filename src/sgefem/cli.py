@@ -60,8 +60,8 @@ class StudyConfig:
         if example not in _EXAMPLES:
             raise ConfigError("example must be one of %s" % (_EXAMPLES,))
         _check_lists([("lambda", lams), ("iota", iotas), ("n", ns)])
-        if not mu > 0:
-            raise ConfigError("mu must be positive")
+        if not 0 < mu < math.inf:
+            raise ConfigError("mu must be positive and finite")
         if not 1e-14 < tol < 1e-6:
             raise ConfigError("tol must lie in (1e-14, 1e-6)")
         if threads is not None and threads < 1:
@@ -175,6 +175,16 @@ def _limit_threads(threads):
             os.environ[var] = str(threads)
 
 
+def _check_writable(path):
+    """ConfigError, before any mesh is built, unless ``path`` (None:
+    stdout) opens for writing; append mode keeps an existing file."""
+    try:
+        if path is not None:
+            open(path, "a").close()
+    except OSError as exc:
+        raise ConfigError("cannot write the output: %s" % exc)
+
+
 def _study_rows(config):
     """Solve the grid n-major (one discretization per mesh, reused across
     lambda and iota) and yield results keyed (lam, iota, n)."""
@@ -227,6 +237,7 @@ def format_table(config, results):
 
 
 def run_convergence(config):
+    _check_writable(config.out)
     results = _study_rows(config)
     table = format_table(config, results)
     if config.out:
@@ -251,6 +262,7 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
         raise ConfigError("verify takes n values in 2..32: inf-sup runs at "
                           "3 <= n <= 32, n = 2 is continuity-only")
     infsup_ns = [n for n in ns if n >= 3]
+    _check_writable(out)
     try:
         report = run_verification(
             seed=seed, flip_edge=flip_edge, continuity_ns=ns,
@@ -268,6 +280,8 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
 
 def run_solve(config):
     """Single solve; writes vertex-sampled (x, y, u1, u2, p) rows."""
+    import numpy as np
+
     from . import linalg
     from .discretization import Discretization
     from .mesh import build_uniform_unit_square
@@ -278,6 +292,8 @@ def run_solve(config):
     if config.large:
         raise ConfigError("solve takes no large key: it runs one n")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
+    path = config.out or "solution.csv"
+    _check_writable(path)
     disc = Discretization(build_uniform_unit_square(n), config.example)
     try:
         u, p, _ = linalg.solve_saddle(disc.system(config.mu, lam, iota),
@@ -286,19 +302,12 @@ def run_solve(config):
         sys.stderr.write("solver breakdown: %s\n" % exc)
         return 2
 
-    mesh, vmap, qmap = disc.mesh, disc.vmap, disc.qmap
-    path = config.out or "solution.csv"
-    with open(path, "w") as fh:
-        fh.write("x,y,u1,u2,p\n")
-        for v in range(mesh.num_vertices):
-            d1, d2 = vmap.vertex_dofs[v]
-            u1 = u[d1] if d1 >= 0 else 0.0
-            u2 = u[d2] if d2 >= 0 else 0.0
-            q = qmap.vertex_index[v]
-            pv = p[q] if q >= 0 else 0.0
-            fh.write("%.8e,%.8e,%.8e,%.8e,%.8e\n"
-                     % (mesh.vertices[v, 0], mesh.vertices[v, 1],
-                        u1, u2, pv))
+    # index -1, a boundary vertex, reads the appended 0
+    columns = np.column_stack([disc.mesh.vertices,
+                               np.append(u, 0.0)[disc.vmap.vertex_dofs],
+                               np.append(p, 0.0)[disc.qmap.vertex_index]])
+    np.savetxt(path, columns, fmt="%.8e", delimiter=",",
+               header="x,y,u1,u2,p", comments="")
     return 0
 
 

@@ -130,9 +130,10 @@ class Discretization:
                               + i2 * i2 * G[1, 1])
 
     def errors(self, u, p, iota):
-        """(|e|_1, |e|_{2,h}, ||e||_{V,h}, ||e_p||_Q) of a solution
-        against the exact field (see
-        :func:`sgefem.manufactured.error_norms`), measured with the
-        exact tables of this mesh."""
+        """(|e|_1, |e|_{2,h}, ||e||_{V,h}, ||e_p||_Q) of a solution:
+        :func:`sgefem.manufactured.error_norms` with this mesh's exact
+        tables, and (p^T (M_p + iota^2 K_p) p)^{1/2} as lambda div u = 0."""
+        mp, kp = self.pressure_parts
+        e_p = math.sqrt(p @ ((mp + iota ** 2 * kp) @ p))
         return error_norms(self.mesh, self.coeff, self.vmap, u, self.exact,
-                           iota, p, self.qmap)
+                           iota) + (e_p,)

@@ -132,9 +132,9 @@ def _universal_rows():
 
 _UNIVERSAL_ROWS = _universal_rows()
 
-# barycentric points and modal gradients on the three edges, for the
-# normal-derivative rows; edge s runs from local vertex (s+1) to (s+2)
-_EDGE_T, _EDGE_W = edge_rule(_EDGE_DOF_DEGREE)
+# modal gradients and weights at the Gauss points of the three edges, for
+# the normal-derivative rows; edge s runs from local vertex (s+1) to (s+2)
+_EDGE_T, EDGE_WEIGHTS = edge_rule(_EDGE_DOF_DEGREE)
 
 
 def _edge_point_tables():
@@ -149,7 +149,7 @@ def _edge_point_tables():
     return dbary.reshape(3, len(_EDGE_T), 10, 3)  # (edge, gauss, modal, coord)
 
 
-_EDGE_DBARY = _edge_point_tables()
+EDGE_DBARY = _edge_point_tables()
 
 
 def batched_scalar_dof_matrices(mesh, tris=None):
@@ -169,7 +169,7 @@ def batched_scalar_dof_matrices(mesh, tris=None):
     # gn[t, e, u] = grad(l_u) . n_e
     gn = np.einsum("tux,tex->teu", G, normals)
     # mean over gauss points of sum_u dbary[e, g, j, u] * gn[t, e, u]
-    M[:, 6:9, :] = np.einsum("egju,teu,g->tej", _EDGE_DBARY, gn, _EDGE_W)
+    M[:, 6:9] = np.einsum("egju,teu,g->tej", EDGE_DBARY, gn, EDGE_WEIGHTS)
     return M
 
 

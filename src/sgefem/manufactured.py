@@ -274,13 +274,11 @@ def exact_tables(mesh, field):
     return tuple(out)
 
 
-def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h, qmap):
-    """Discrete errors of a solve against a divergence-free exact field.
+def error_norms(mesh, coeff, vmap, u_h, exact, iota):
+    """Discrete displacement errors of a solve against an exact field.
 
-    Returns (|e|_1, |e|_{2,h}, ||e||_{V,h}, ||e_p||_Q) where e = u_h - u,
-    ||e||_{V,h}^2 = |e|_1^2 + iota^2 |e|_{2,h}^2, and the pressure error
-    is measured against p = lambda div u = 0 in the norm
-    (||.||_0^2 + iota^2 |.|_1^2)^{1/2}.  ``coeff`` holds the nodal
+    Returns (|e|_1, |e|_{2,h}, ||e||_{V,h}) where e = u_h - u and
+    ||e||_{V,h}^2 = |e|_1^2 + iota^2 |e|_{2,h}^2.  ``coeff`` holds the nodal
     coefficients of all triangles; ``exact`` holds the field's
     derivatives from :func:`exact_tables`, so the field itself is not
     evaluated here and one table serves every solve on the mesh.
@@ -300,8 +298,7 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h, qmap):
     d1 = dbary.transpose(0, 2, 1).reshape(-1, 10)
     d2 = d2bary.transpose(0, 2, 3, 1).reshape(-1, 10)
     uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
-    pext = np.concatenate([np.asarray(p_h, dtype=float), [0.0]])
-    s1 = s2 = sp0 = sp1 = 0.0
+    s1 = s2 = 0.0
     for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact,
                               strict=True):
         Tc = len(tris)
@@ -321,14 +318,4 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota, p_h, qmap):
         w = rule.weights[None, :] * mesh.area[tris][:, None]
         s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
         s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))
-
-        pl = pext[qmap.cell_dofs[tris]]
-        ep = np.einsum("qs,ts->tq", rule.points, pl)
-        gep = np.einsum("ts,tsx->tx", pl, G)
-        gep = np.broadcast_to(gep[:, None, :], (Tc, q, 2))
-        sp0 += float(np.einsum("tq,tq->", w, ep ** 2))
-        sp1 += float(np.einsum("tq,tqx->", w, gep ** 2))
-
-    i2 = iota ** 2
-    return (math.sqrt(s1), math.sqrt(s2), math.sqrt(s1 + i2 * s2),
-            math.sqrt(sp0 + i2 * sp1))
+    return math.sqrt(s1), math.sqrt(s2), math.sqrt(s1 + iota ** 2 * s2)

@@ -15,11 +15,10 @@ import numpy as np
 from scipy.linalg import eigh, null_space
 
 from .discretization import Discretization
-from .element import (batched_scalar_dof_matrices, modal_tables,
+from .element import (EDGE_DBARY, EDGE_WEIGHTS, batched_scalar_dof_matrices,
                       scaled_conditions)
 from .linalg import spd_factor
 from .mesh import Mesh, build_uniform_unit_square
-from .quadrature import edge_rule
 from .space import cell_entities
 
 #: regression bound on the length-scaled DoF-matrix condition number of
@@ -180,23 +179,20 @@ def check_weak_continuity(disc, flip_edge=None, label=""):
         M0[6 + s] *= -1.0
         coeff[k] = np.linalg.inv(M0)
 
-    t, w = edge_rule(5)
     inner = np.flatnonzero(~mesh.edge_is_boundary)
     tri = mesh.triangles_of_edge[inner]                        # (n, 2)
-    ends = mesh.vertices[mesh.edges[inner]]                    # (n, 2, 2)
-    pts = (np.multiply.outer(1.0 - t, ends[:, 0])
-           + np.multiply.outer(t, ends[:, 1])).swapaxes(0, 1)  # (n, g, 2)
+    # each side reads the element's edge table at its local edge index;
+    # it walks the edge in its own direction, but the Gauss rule is
+    # symmetric, so the jump integral and the scale do not depend on it
+    local = np.argmax(mesh.edge_of_triangle[tri] == inner[:, None, None], 2)
     G = mesh.bary_grads[tri]                                   # (n, 2, 3, 2)
-    centroid = mesh.tri_coords[tri].mean(axis=2)               # (n, 2, 2)
-    bary = 1.0 / 3.0 + (pts[:, None] - centroid[:, :, None]) \
-        @ G.swapaxes(2, 3)                                     # (n, 2, g, 3)
-    _, dbary = modal_tables(bary.reshape(-1, 3), 1)
-    dbary = dbary.reshape(bary.shape[:3] + (10, 3))
     # grad[e, side, q, i, x] of scalar nodal function i on either side
-    grad = coeff[tri].swapaxes(2, 3)[:, :, None] @ (dbary @ G[:, :, None])
+    grad = coeff[tri].swapaxes(2, 3)[:, :, None] \
+        @ (EDGE_DBARY[local] @ G[:, :, None])
     scale = np.abs(grad).max(axis=(1, 2, 3, 4))
     length = mesh.edge_length[inner]
-    integ = length[:, None, None, None] * np.einsum("q,esqix->esix", w, grad)
+    integ = length[:, None, None, None] * np.einsum("q,esqix->esix",
+                                                    EDGE_WEIGHTS, grad)
     integ[:, 1] *= -1.0
     # sum both sides per (edge, global entity), then the largest jump
     n_entities = mesh.num_vertices + 2 * mesh.num_edges + mesh.num_triangles

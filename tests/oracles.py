@@ -24,7 +24,8 @@ projected conjugate gradients on the pressures replaced), the dense
 inf-sup computation with its generalized eigenvalue helper (which the
 sparse factorization of G_V replaced), the displacement error
 seminorms with the per-point derivative maps (which one matmul per
-triangle replaced), and the per-triangle loop over the edges of the
+triangle replaced), the P1 pressure norm by quadrature (which the
+pressure Gram matrix replaced), and the per-triangle loop over the edges of the
 mesh (which one stable argsort replaced).  The dense packed jet sums
 every product term over every stored row, where the package's jets
 store only their support and skip the terms outside it.
@@ -43,7 +44,7 @@ from sgefem.discretization import Discretization
 from sgefem.element import (MODAL_EXPONENTS, batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables)
 from sgefem.manufactured import monomials
-from sgefem.quadrature import edge_rule
+from sgefem.quadrature import edge_rule, rule_for_degree
 from sgefem.verify import _infsup_parts
 
 
@@ -665,6 +666,26 @@ def per_point_error_seminorms(mesh, coeff, vmap, u_h, exact):
         s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
         s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))
     return sqrt(s1), sqrt(s2)
+
+
+def quadrature_pressure_norm(mesh, qmap, p_h, iota):
+    """(||p_h||_0^2 + iota^2 |p_h|_1^2)^{1/2} of a P1 pressure by the
+    degree-12 rule, one chunk of triangles at a time: the pressure error
+    ``sgefem.manufactured.error_norms`` integrated before E_p came from
+    the pressure Gram matrix."""
+    rule = rule_for_degree(DEGREE_LOAD)
+    q = rule.npts
+    pext = np.concatenate([np.asarray(p_h, dtype=float), [0.0]])
+    sp0 = sp1 = 0.0
+    for tris in chunks(mesh.num_triangles):
+        w = rule.weights[None, :] * mesh.area[tris][:, None]
+        pl = pext[qmap.cell_dofs[tris]]
+        ep = np.einsum("qs,ts->tq", rule.points, pl)
+        gep = np.einsum("ts,tsx->tx", pl, mesh.bary_grads[tris])
+        gep = np.broadcast_to(gep[:, None, :], (len(tris), q, 2))
+        sp0 += float(np.einsum("tq,tq->", w, ep ** 2))
+        sp1 += float(np.einsum("tq,tqx->", w, gep ** 2))
+    return sqrt(sp0 + iota ** 2 * sp1)
 
 
 def loop_triangles_of_edge(mesh):

@@ -141,13 +141,21 @@ def test_bad_flag_exits_3(capsys):
     (["verify", "--iota", "nan"], None, "iota values must lie in (0, 1]"),
     (["verify", "--n", "3,3"], None, "n values must be distinct"),
     (["verify", "--seed", "-1"], None, "seed must be at least 0"),
+    # an infinite mu is invalid input, not a breakdown of every cell
+    (["convergence", "--mu", "inf"], None, "mu must be positive and finite"),
+    (["convergence", "--mu", "1e400"], None,
+     "mu must be positive and finite"),
+    (["convergence"], "mu = inf\n", "mu must be positive and finite"),
+    (["solve", "--n", "2", "--lambda", "1", "--iota", "1e-6", "--mu",
+      "inf"], None, "mu must be positive and finite"),
 ], ids=["n", "mu", "tol", "threads", "verify-threads", "lambda-empty",
         "iota-empty", "config-mu", "config-mu-text", "config-threads-float",
         "config-large", "n-repeated", "lambda-repeated", "iota-repeated",
         "lambda-nan", "config-n-repeated", "config-lambda-nan",
         "verify-n-empty", "verify-iota-empty", "verify-iota-negative",
         "verify-iota-zero", "verify-iota-above-1", "verify-iota-nan",
-        "verify-n-repeated", "verify-seed-negative"])
+        "verify-n-repeated", "verify-seed-negative", "mu-inf", "mu-overflow",
+        "config-mu-inf", "solve-mu-inf"])
 def test_bad_config_value_returns_3(tmp_path, capsys, args, config_text,
                                     message):
     # an explicit value is validated, never replaced by the default
@@ -322,6 +330,45 @@ def test_verify_flip_edge_builds_each_mesh_once(monkeypatch, capsys):
                 "--debug-flip-edge", "0"]) == 3
     assert built == [2]
     assert "interior edge" in capsys.readouterr().err
+
+
+def test_infinite_lambda_stays_accepted(capsys):
+    # lambda = infinity is the incompressible limit, solved with shift 0
+    assert run(["convergence", "--n", "2", "--lambda", "inf", "--iota",
+                "1e-6"]) == 0
+    assert capsys.readouterr().out.split("\n")[1].endswith(",ok")
+
+
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--n", "2", "--lambda", "1", "--iota", "1e-6"],
+    ["solve", "--n", "2", "--lambda", "1", "--iota", "1e-6"],
+    ["verify", "--n", "2,3", "--iota", "1"],
+], ids=["convergence", "solve", "verify"])
+def test_unwritable_out_exits_3_before_any_work(argv, tmp_path,
+                                                monkeypatch, capsys):
+    import sgefem.linalg
+    import sgefem.mesh
+    import sgefem.verify
+
+    work = []
+
+    def build(n):
+        work.append("mesh")
+        raise AssertionError("a mesh was built")
+
+    def solve(*args, **kwargs):
+        work.append("solve")
+        raise AssertionError("a system was solved")
+
+    monkeypatch.setattr(sgefem.mesh, "build_uniform_unit_square", build)
+    monkeypatch.setattr(sgefem.verify, "build_uniform_unit_square", build)
+    monkeypatch.setattr(sgefem.linalg, "solve_saddle", solve)
+    out = tmp_path / "missing" / "x.csv"
+    assert run(argv + ["--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the output")
+    assert err.count("\n") == 1
+    assert work == [] and not out.parent.exists()
 
 
 def test_solve_export(tmp_path):

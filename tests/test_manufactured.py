@@ -13,11 +13,12 @@ from sgefem.manufactured import (FIELDS, AnalyticField, Jet2, error_norms,
                                  exact_tables, field_by_name, monomials)
 from sgefem.linalg import solve_saddle
 from sgefem.mesh import Mesh, build_uniform_unit_square
-from sgefem.space import build_qdofmap, cell_entities
+from sgefem.space import cell_entities
 from oracles import (DenseJet, ProblemParams, body_force_elasticity,
                      body_force_sge, fd_derivative, field_gradient,
                      field_value, local_interpolant,
-                     per_point_error_seminorms, quad_triangle)
+                     per_point_error_seminorms, quad_triangle,
+                     quadrature_pressure_norm)
 
 
 def jet_of_poly(coeffs, x):
@@ -443,15 +444,15 @@ def test_error_norms_reproduce_quadratic_field():
         u_full[fmap.cell_dofs[k]] = local_interpolant(
             mesh, k, valuef, gradf)
     coeff = batched_scalar_coeff(mesh)
-    qmap = build_qdofmap(mesh)
-    e1, e2, ev, epq = error_norms(mesh, coeff, fmap, u_full,
-                                  exact_tables(mesh, p2), 0.5,
-                                  np.zeros(qmap.n_p), qmap)
-    assert e1 < 1e-10 and e2 < 1e-10 and ev < 1e-10 and epq == 0.0
+    e1, e2, ev = error_norms(mesh, coeff, fmap, u_full,
+                             exact_tables(mesh, p2), 0.5)
+    assert e1 < 1e-10 and e2 < 1e-10 and ev < 1e-10
 
 
 def test_error_norms_match_gram_matrices_for_zero_field():
-    d = Discretization(build_uniform_unit_square(4))
+    # the example only feeds the exact tables of d.errors, which E_p
+    # does not read
+    d = Discretization(build_uniform_unit_square(4), "example1")
     vmap, qmap = d.vmap, d.qmap
     iota = 0.3
     (g1, g2), (mp, kp) = d.norm_gram_parts, d.pressure_parts
@@ -460,8 +461,9 @@ def test_error_norms_match_gram_matrices_for_zero_field():
     u_h = rng.standard_normal(vmap.n_u)
     p_h = rng.standard_normal(qmap.n_p)
     zero = AnalyticField(lambda x1, x2: (0.0 * x1, 0.0 * x2))
-    _, _, ev, epq = error_norms(d.mesh, d.coeff, vmap, u_h,
-                                exact_tables(d.mesh, zero), iota, p_h, qmap)
+    _, _, ev = error_norms(d.mesh, d.coeff, vmap, u_h,
+                           exact_tables(d.mesh, zero), iota)
+    epq = d.errors(u_h, p_h, iota)[3]
     assert ev == pytest.approx(math.sqrt(u_h @ (GV @ u_h)), rel=1e-10)
     assert epq == pytest.approx(math.sqrt(p_h @ (GQ @ p_h)), rel=1e-10)
 
@@ -487,8 +489,7 @@ def test_error_norms_per_triangle_maps_are_the_per_point_maps(example,
     j = Discretization(Mesh(verts, mesh.triangles))
     tables = exact_tables(j.mesh, FIELDS[example])
     u_r = rng.standard_normal(j.vmap.n_u)
-    e1, e2, _, _ = error_norms(j.mesh, j.coeff, j.vmap, u_r, tables, iota,
-                               np.zeros(j.qmap.n_p), j.qmap)
+    e1, e2, _ = error_norms(j.mesh, j.coeff, j.vmap, u_r, tables, iota)
     want = per_point_error_seminorms(j.mesh, j.coeff, j.vmap, u_r, tables)
     assert e1 == pytest.approx(want[0], rel=1e-14)
     assert e2 == pytest.approx(want[1], rel=1e-14)
@@ -518,8 +519,26 @@ def test_error_norms_combination_identity():
     rng = np.random.default_rng(9)
     u_h = rng.standard_normal(d.vmap.n_u)
     iota = 0.2
-    e1, e2, ev, _ = d.errors(u_h, np.zeros(d.qmap.n_p), iota)
+    e1, e2, ev, epq = d.errors(u_h, np.zeros(d.qmap.n_p), iota)
     assert ev == pytest.approx(math.hypot(e1, iota * e2), rel=1e-14)
+    assert epq == 0.0
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_pressure_error_is_the_quadrature_norm(n):
+    # E_p from the pressure Gram matrix against the P1 pressure
+    # integrated with the degree-12 rule, on a jittered mesh
+    mesh = build_uniform_unit_square(n)
+    rng = np.random.default_rng(n)
+    verts = mesh.vertices.copy()
+    inner = ~mesh.vertex_is_boundary
+    verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
+    d = Discretization(Mesh(verts, mesh.triangles), "example1")
+    u_h = rng.standard_normal(d.vmap.n_u)
+    p_h = rng.standard_normal(d.qmap.n_p)
+    for iota in (1.0, 0.3, 1e-2, 1e-8):
+        assert d.errors(u_h, p_h, iota)[3] == pytest.approx(
+            quadrature_pressure_norm(d.mesh, d.qmap, p_h, iota), rel=1e-13)
 
 
 def test_load_split_matches_direct_assembly():
