@@ -309,7 +309,9 @@ def assemble_load(mesh, coeff, vmap, load):
     """Load vectors of the parts of a load and the Gram matrix of the parts.
 
     ``load`` maps points (npts, 2) to a tuple of m part values, each
-    (npts, 2), so that one evaluation per chunk serves every part.
+    (npts, 2), so that one evaluation per chunk serves every part; a part
+    given as None is identically zero, and its load vector and Gram
+    entries stay zero without being assembled.
     Returns F (m, n_u) with F[k, i] = (f_k, phi_i) over the free DoFs,
     and G (m, m) with G[k, l] = (f_k, f_l).
     """
@@ -318,7 +320,8 @@ def assemble_load(mesh, coeff, vmap, load):
     for tris in chunks(mesh.num_triangles):
         val = np.einsum("qj,tji->tqi", modal, coeff[tris])
         pts = np.einsum("qs,tsx->tqx", rule.points, mesh.tri_coords[tris])
-        parts = [fv.reshape(pts.shape) for fv in load(pts.reshape(-1, 2))]
+        parts = [None if fv is None else fv.reshape(pts.shape)
+                 for fv in load(pts.reshape(-1, 2))]
         if F is None:
             F = np.zeros((len(parts), vmap.n_u))
             G = np.zeros((len(parts), len(parts)))
@@ -326,13 +329,16 @@ def assemble_load(mesh, coeff, vmap, load):
         dofs = vmap.cell_dofs[tris]
         mask = dofs >= 0
         for k, fv in enumerate(parts):
+            if fv is None:
+                continue
             loc = np.empty((len(tris), 20))
             for c in (0, 1):
                 loc[:, c::2] = np.einsum("tq,tq,tqi->ti", w, fv[..., c], val)
             np.add.at(F[k], dofs[mask], loc[mask])
             for l in range(k + 1):
-                G[k, l] += float(np.einsum("tq,tqa->", w, fv * parts[l]))
-                G[l, k] = G[k, l]
+                if parts[l] is not None:
+                    G[k, l] += float(np.einsum("tq,tqa->", w, fv * parts[l]))
+                    G[l, k] = G[k, l]
     return F, G
 
 

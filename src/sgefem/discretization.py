@@ -116,8 +116,8 @@ class Discretization:
 
     def system(self, mu, lam, iota):
         """The saddle system of one (mu, lambda, iota) cell."""
-        if mu <= 0:
-            raise ValueError("the method needs mu > 0")
+        if not 0 < mu < math.inf:
+            raise ValueError("the method needs a finite mu > 0")
         if lam <= 0:
             raise ValueError("the mixed form needs lambda > 0")
         return SaddleSystem(self.factors(mu, iota), lam)

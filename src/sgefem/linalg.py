@@ -68,11 +68,16 @@ def _row_sums(M, axis=1):
 
 def spd_factor(M):
     """Sparse LU of a symmetric positive definite M, for the solver and
-    the inf-sup check: a symmetric fill-reducing ordering and diagonal
-    pivots only, so the row and column permutations agree and U's
-    diagonal holds the LDL^T pivots.  As M is symmetric, the CSC view
-    M.T of a CSR M is factored, without a copy."""
-    return splu(M.T, permc_spec="MMD_AT_PLUS_A",
+    the inf-sup check: in the natural order, which is fill-reducing
+    because the DoF maps number the unknowns by nested dissection
+    (:mod:`sgefem.space`), with diagonal pivots only, so the row and
+    column permutations agree and U's diagonal holds the LDL^T pivots.
+    As M is symmetric, the CSC view M.T of a CSR M is factored, without
+    a copy.  Non-finite entries raise RuntimeError, as a failed
+    factorization does; SuperLU is not given them."""
+    if not np.isfinite(M.data).all():
+        raise RuntimeError("the matrix has non-finite entries")
+    return splu(M.T, permc_spec="NATURAL",
                 options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 
 

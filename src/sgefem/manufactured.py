@@ -235,15 +235,16 @@ def load_parts(example, x):
     f = -div sigma(u) + iota^2 div(lap sigma(u)), so f0 = -lap u and
     f2 = bilap u; example2 by the elasticity limit load
     f = -div sigma(u), so f0 = -lap u and f2 = 0, the limit its
-    boundary layer is measured against.  Both fields are divergence
-    free, so the grad(div u) terms vanish and lambda does not enter.
-    The jets are of degree 4 where f2 needs the bilaplacian, else 2.
+    boundary layer is measured against; f2 is then None, the mark of a
+    part that is identically zero.  Both fields are divergence free, so
+    the grad(div u) terms vanish and lambda does not enter.  The jets
+    are of degree 4 where f2 needs the bilaplacian, else 2.
     """
     gradient_load = example == "example1"
     j1, j2 = field_by_name(example).jets(x, degree=4 if gradient_load
                                          else 2)
     f0 = np.empty(np.asarray(x).shape[:-1] + (2,))
-    f2 = np.zeros_like(f0)
+    f2 = np.empty_like(f0) if gradient_load else None
     for a, j in enumerate((j1, j2)):
         f0[..., a] = -(j.partial(2, 0) + j.partial(0, 2))
         if gradient_load:
@@ -290,13 +291,14 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota):
     and the barycentric gradients by a few batched products, without
     tabulating the 10 shape functions at every point; the map from
     barycentric to Cartesian derivatives is one matmul per triangle
-    over all its points, for the gradients and for the Hessians.
+    over all its points for the gradients, and two for the Hessians.
     """
     rule, (_, dbary, d2bary) = modal_rule(DEGREE_LOAD, 2)
     q = rule.npts
-    # (q*3, 10) and (q*9, 10): barycentric derivatives of the monomials
+    # (q*3, 10) and (10, q*9): barycentric derivatives of the monomials,
+    # the second ones with columns (q, r, s)
     d1 = dbary.transpose(0, 2, 1).reshape(-1, 10)
-    d2 = d2bary.transpose(0, 2, 3, 1).reshape(-1, 10)
+    d2 = np.ascontiguousarray(d2bary.transpose(1, 0, 3, 2).reshape(10, -1))
     uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
     s1 = s2 = 0.0
     for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact,
@@ -304,15 +306,17 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota):
         Tc = len(tris)
         G = mesh.bary_grads[tris]                               # (Tc, 3, 2)
         M = coeff[tris] @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
-        # one matmul per triangle maps the barycentric derivatives of
-        # every point and component: rows (q, a), then (q, a, k) with
-        # k = xx, xy, yy through K[(s, r), k] = G[s, x_k] G[r, y_k]
+        # one matmul per triangle and contraction maps the barycentric
+        # derivatives of every point and component: a gradient D to D G,
+        # a Hessian H to (G^T H) G, summing over s and then over r as the
+        # per-point products do
         db = (d1 @ M).reshape(Tc, q, 3, 2).swapaxes(2, 3)      # [a, s]
         gh = (db.reshape(Tc, 2 * q, 3) @ G).reshape(Tc, q, 2, 2)
-        hb = (d2 @ M).reshape(Tc, q, 9, 2).swapaxes(2, 3)      # [a, (s, r)]
-        K = (G[:, :, None, (0, 0, 1)]
-             * G[:, None, :, (0, 1, 1)]).reshape(Tc, 9, 3)
-        hh = (hb.reshape(Tc, 2 * q, 9) @ K).reshape(Tc, q, 2, 3)
+        hb = M.swapaxes(1, 2) @ d2                              # [a, q, r, s]
+        hs = (hb.reshape(Tc, 6 * q, 3) @ G).reshape(Tc, 2, q, 3, 2)
+        hh = hs.swapaxes(3, 4).reshape(Tc, 4 * q, 3) @ G        # [a, q, x, y]
+        # (xx, xy, yy) in [q, a, k] order
+        hh = hh.reshape(Tc, 2, q, 4).swapaxes(1, 2).take((0, 1, 3), axis=3)
         e1 = gh - ge
         e2 = hh - he
         w = rule.weights[None, :] * mesh.area[tris][:, None]

@@ -233,7 +233,8 @@ def _infsup_from_parts(parts, iota):
     if not spd:
         raise ValueError("G_V is not symmetric positive definite")
     B = b0 + i2 * b2
-    K = B @ lu.solve(B.T.toarray())
+    # B^T in Fortran order, the layout SuperLU solves in without a copy
+    K = B @ lu.solve(B.toarray().T)
     K = 0.5 * (K + K.T)
     GQ = (mp + i2 * kp).toarray()
     theta = eigh(Z.T @ K @ Z, Z.T @ GQ @ Z, eigvals_only=True)[0]

@@ -28,7 +28,9 @@ triangle replaced), the P1 pressure norm by quadrature (which the
 pressure Gram matrix replaced), and the per-triangle loop over the edges of the
 mesh (which one stable argsort replaced).  The dense packed jet sums
 every product term over every stored row, where the package's jets
-store only their support and skip the terms outside it.
+store only their support and skip the terms outside it.  The nested
+dissection recursion cuts one part at a time, where the package cuts
+every part of a level at once.
 """
 
 import numpy as np
@@ -701,3 +703,48 @@ def loop_triangles_of_edge(mesh):
                 out[e, counts[e]] = t
             counts[e] += 1
     return out
+
+
+def recursive_dissection(points, cells, leaf=8):
+    """The numbering of ``sgefem.space.dissection_numbers`` by recursion
+    over the parts, one at a time, with the neighbours of every node as
+    sets.  Returns (number, siblings): the number of each node, and the
+    (low, high) node lists of the two parts each cut leaves."""
+    n = len(points)
+    neighbours = [set() for _ in range(n)]
+    for cell in cells:
+        held = [v for v in cell if v >= 0]
+        for v in held:
+            neighbours[v].update(held)
+    number = np.full(n, -1, dtype=np.int64)
+    siblings = []
+
+    def dissect(nodes, start):
+        xy = points[nodes]
+        extent = xy.max(axis=0) - xy.min(axis=0)
+        axis = 1 if extent[1] > extent[0] else 0
+        nodes = [nodes[i] for i in np.argsort(xy[:, axis], kind="stable")]
+        v = points[nodes, axis]
+        m = v[len(nodes) // 2]
+        high = v >= m if v[0] < m else v > m
+        if len(nodes) <= leaf or not high.any():
+            number[nodes] = start + np.arange(len(nodes))
+            return
+        hs = {x for x, h in zip(nodes, high) if h}
+        ls = set(nodes) - hs
+        layer_high = [x for x in nodes if x in hs and neighbours[x] & ls]
+        layer_low = [x for x in nodes if x in ls and neighbours[x] & hs]
+        sep = layer_high if len(layer_high) <= len(layer_low) else layer_low
+        number[sep] = start + len(nodes) - len(sep) + np.arange(len(sep))
+        rest = set(nodes) - set(sep)
+        low = [x for x in nodes if x in ls & rest]
+        high = [x for x in nodes if x in hs & rest]
+        siblings.append((low, high))
+        if low:
+            dissect(low, start)
+        if high:
+            dissect(high, start + len(low))
+
+    if n:
+        dissect(list(range(n)), 0)
+    return number, siblings

@@ -316,6 +316,30 @@ def test_system_rejects_non_positive_mu(mu):
         disc.system(mu, 1.0, 1e-2)
 
 
+@pytest.mark.parametrize("mu", [np.inf, np.nan])
+def test_system_rejects_non_finite_mu(mu):
+    disc = Discretization(build_uniform_unit_square(2), "example2")
+    with pytest.raises(ValueError, match="finite mu"):
+        disc.system(mu, 1.0, 1e-2)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_matrix_is_a_factorization_failure(bad):
+    # SuperLU is never handed non-finite data: spd_factor raises the
+    # RuntimeError of a failed factorization, which solve_saddle reports
+    # as a breakdown before the first iteration
+    sys_ = example2_system(n=4, lam=1e4)
+    f = sys_.factors
+    A = f.A.copy()
+    A.data[A.indptr[3]] = bad
+    with pytest.raises(RuntimeError, match="non-finite"):
+        spd_factor(A)
+    broken = SaddleSystem(SaddleFactors(A, f.B, f.G, f.m, f.rhs_u), 1e4)
+    with pytest.raises(SolverBreakdown, match="non-finite") as exc:
+        solve_saddle(broken)
+    assert exc.value.residual == np.inf and exc.value.iterations == 0
+
+
 @pytest.mark.parametrize("which", ["A", "G"])
 def test_spd_factor_of_the_transpose_view_is_the_csc_copy(which):
     # a bitwise-symmetric CSR matrix's transpose holds its CSC arrays,
@@ -328,7 +352,7 @@ def test_spd_factor_of_the_transpose_view_is_the_csc_copy(which):
     assert np.shares_memory(view.indices, M.indices)
     rhs = np.random.default_rng(8).standard_normal((M.shape[0], 3))
     copied = sgefem.linalg.splu(
-        M.tocsc(), permc_spec="MMD_AT_PLUS_A",
+        M.tocsc(), permc_spec="NATURAL",
         options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
     assert np.array_equal(spd_factor(M).solve(rhs), copied.solve(rhs))
 
