@@ -20,17 +20,25 @@ triangles are affine, so each stiffness and coupling integral is a
 triangle-independent reference moment of the monomials' barycentric
 derivatives: :func:`reference_moments` integrates exactly the one
 derivative table, :func:`sgefem.element.modal_derivatives`, that
-:func:`sgefem.element.modal_tables` evaluates at points.  Per chunk of
-triangles the moments are contracted with the barycentric gradients
-and then with the nodal coefficients C as C^T Q C, giving the scalar
-Grams of first and second derivatives; the 20 x 20 vector kernels are
-filled from them (Kirby, Knepley, Logg and Scott, SIAM J. Sci. Comput.
-27, 2005).  No quadrature-point axis enters the per-element work.
+:func:`sgefem.element.modal_tables` evaluates at points.  The moments
+are contracted with the barycentric gradients and then with the nodal
+coefficients C as C^T Q C, giving the scalar Grams of first and second
+derivatives; the 20 x 20 vector kernels are filled from them (Kirby,
+Knepley, Logg and Scott, SIAM J. Sci. Comput. 27, 2005).  No
+quadrature-point axis enters the per-element work, and it runs once per
+shape class of the mesh (see :class:`sgefem.mesh.Mesh`), in chunks of
+classes: triangles of bitwise-equal geometry have equal kernels, and a
+uniform mesh has two classes.
 
 Kernels reach CSR through a :class:`ScatterPlan` built once per
-assembly call for its (row map, column map) and shared by both parts:
-one stable argsort of the entry keys, then a sum per run.  The result is
-deterministic and the block system is symmetric bit for bit.
+assembly call for its (row map, column map) and shared by both parts.
+It sorts one key per (row entity, column entity) pair of a triangle by
+one stable argsort, a quarter of the vector DoF pairs, derives every
+component entry of a pair by index arithmetic, gathers it from its
+triangle's class kernel and sums each run in triangle order.  The
+result is deterministic, the block system is symmetric bit for bit, and
+the parts of one plan share one pattern, on which
+:func:`combine_parts` forms their iota-combinations.
 """
 
 import functools
@@ -220,58 +228,116 @@ def kernel_b_parts(mesh, coeff, tris):
 
 
 class ScatterPlan:
-    """COO -> CSR map of one (row DoF map, column DoF map) pair.
+    """COO -> CSR map of one (row DoF map, column DoF map) pair, for
+    element kernels given once per shape class.
 
-    Every triangle contributes a dense (nr, nc) kernel; entries with an
-    eliminated row or column (index -1) are masked out.  The remaining
-    entries are ordered by one stable argsort of the key
-    row * n_cols + col, which keeps the emission (triangle) order
-    inside each (row, col) run, and each run is summed.  Summands of
-    (r, c) and (c, r) of a symmetric assembly are then added in the same
-    order, so the result is symmetric bit for bit.  All parts assembled
-    through one plan share its ``indices`` and ``indptr`` arrays.
+    A DoF map puts node s (a scalar entity) at the DoFs k s + c of its
+    k ``components``, and local DoF k i + c at local node i of
+    ``cell_nodes``.  Triangle t contributes the kernel of its class
+    ``classes[t]`` from an array (K, nr k_r, nc k_c); pairs with an
+    eliminated node (-1) are masked out.  One stable argsort of a key
+    per (row node, column node) pair of a triangle orders the pairs by
+    (row, col) and, inside a run of equal keys, by triangle; every
+    component entry (k_r r + c, k_c s + d) of a node pair sums that run.
+    Per component block (c, d) the summands are gathered from the class
+    kernels and one 1-D reduceat sums all runs; a permutation puts the
+    sums in CSR order.  Each entry is thus the sum of a stable lexsort
+    of the per-triangle entries, bit for bit, and (r, c) and (c, r) of a
+    symmetric assembly add the same summands in the same order, so the
+    result is symmetric bit for bit.
+
+    With ``diagonal`` only the (c, c) blocks are scattered, for kernels
+    that couple no components.  All parts assembled through one plan
+    share its ``indices`` and ``indptr`` arrays (see
+    :func:`combine_parts`).
     """
 
-    def __init__(self, row_dofs, col_dofs, shape):
-        n_rows, n_cols = shape
-        full = (len(row_dofs), row_dofs.shape[1], col_dofs.shape[1])
-        rows = np.broadcast_to(row_dofs[:, :, None], full)
-        cols = np.broadcast_to(col_dofs[:, None, :], full)
+    def __init__(self, row_map, col_map, shape, classes, diagonal=False):
+        rows, cols = row_map.cell_nodes, col_map.cell_nodes
+        cr, cc = row_map.components, col_map.components
+        nr, nc = rows.shape[1], cols.shape[1]
+        n_rows, n_cols = shape[0] // cr, shape[1] // cc
         self.shape = shape
-        mask = (rows >= 0) & (cols >= 0)
-        key = rows[mask] * n_cols + cols[mask]
+        mask = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
+        key = (rows[:, :, None] * n_cols + cols[:, None, :])[mask]
         order = np.argsort(key, kind="stable")
         key = key[order]
-        # flat kernel positions of the sorted entries: one gather per part
-        self.take = np.flatnonzero(mask)[order]
         first = np.ones(len(key), dtype=bool)
         first[1:] = key[1:] != key[:-1]
-        self.starts = np.flatnonzero(first)
-        key = key[self.starts]
+        run_start = np.flatnonzero(first)
+        run_row, run_col = divmod(key[run_start], n_cols)
+        del key, first          # the index arrays below are larger
+        runs_of_row = np.bincount(run_row, minlength=n_rows)
+        runs_before = np.cumsum(runs_of_row) - runs_of_row
+        # the component blocks (c, d) scattered, d = c for a diagonal plan
+        c, d = (np.arange(cr),) * 2 if diagonal else \
+            np.divmod(np.arange(cr * cc), cc)
+        nd = len(c) // cr                   # column components per row
+
+        # CSR order: row k_r r + c holds the runs of row node r in
+        # column order, each once per column component d; its entries
+        # are the sums of those runs in the blocks (c, d)
+        nruns = len(run_start)
+        per_row = np.repeat(runs_of_row, cr)        # runs per CSR row
+        run = np.repeat(np.repeat(runs_before, cr)
+                        - (np.cumsum(per_row) - per_row), per_row)
+        run = np.repeat(run + np.arange(len(run)), nd)
+        block = np.repeat(np.tile(nd * np.arange(cr), n_rows), nd * per_row)
+        block += np.tile(np.arange(nd), cr * nruns)
         # scipy keeps int32 indices when they fit; matching its choice
         # avoids a per-matrix copy and keeps the arrays shared
-        idx = np.int32 if max(n_rows, n_cols, len(key)) < 2 ** 31 \
+        idx = np.int32 if max(shape[0], shape[1], len(run)) < 2 ** 31 \
             else np.int64
-        self.indices = (key % n_cols).astype(idx)
-        self.indptr = np.zeros(n_rows + 1, dtype=idx)
-        np.cumsum(np.bincount(key // n_cols, minlength=n_rows),
-                  out=self.indptr[1:])
+        self.indices = (cc * run_col).astype(idx)[run]
+        self.indices += d.astype(idx)[block]
+        self.indptr = np.zeros(shape[0] + 1, dtype=idx)
+        np.cumsum(nd * per_row, out=self.indptr[1:])
+        # each entry's sum in the reduceat's (block, run) layout
+        block *= nruns
+        block += run
+        self.order = block
+        del run                 # before the summand tables
+
+        # the summands block by block, each block in key order: the
+        # class-kernel position of (k_r i + c, k_c j + d) of triangle t
+        base = ((classes[:, None, None] * (nr * cr)
+                 + cr * np.arange(nr)[:, None]) * (nc * cc)
+                + cc * np.arange(nc))[mask][order]
+        self.take = ((c * (nc * cc) + d)[:, None] + base).ravel()
+        self.starts = (len(base) * np.arange(len(c))[:, None]
+                       + run_start).ravel()
 
     def csr(self, kernels):
-        """The assembled matrix of per-triangle kernels (T, nr, nc)."""
-        data = np.add.reduceat(kernels.reshape(-1)[self.take], self.starts)
-        return csr_matrix((data, self.indices, self.indptr),
+        """The assembled matrix of the class kernels (K, nr k_r, nc k_c)."""
+        sums = np.add.reduceat(kernels.reshape(-1)[self.take], self.starts)
+        return csr_matrix((sums[self.order], self.indices, self.indptr),
                           shape=self.shape)
 
 
-def _assemble_pair(kernel, mesh, coeff, row_dofs, col_dofs, shape):
-    """Both parts of a chunked kernel pair through one scatter plan."""
-    T = mesh.num_triangles
-    parts = [np.empty((T, row_dofs.shape[1], col_dofs.shape[1]))
-             for _ in range(2)]
-    for tris in chunks(T):
-        parts[0][tris], parts[1][tris] = kernel(mesh, coeff, tris)
-    plan = ScatterPlan(row_dofs, col_dofs, shape)
+def combine_parts(first, second, iota2, scale=1.0):
+    """scale (first + iota2 second) of two parts of one pattern, such as
+    those of one :class:`ScatterPlan`, as a matrix that holds the first
+    part's ``indices`` and ``indptr``.  The data are those of scipy's
+    sum bit for bit; unlike it, an entry that cancels to zero stays
+    stored."""
+    if not (np.array_equal(first.indptr, second.indptr)
+            and np.array_equal(first.indices, second.indices)):
+        raise ValueError("the parts do not share one pattern")
+    return csr_matrix(((first.data + iota2 * second.data) * scale,
+                       first.indices, first.indptr), shape=first.shape)
+
+
+def _assemble_pair(kernel, mesh, coeff, row_map, col_map, shape,
+                   diagonal=False):
+    """Both parts of a kernel pair, computed once per shape class in
+    chunks of classes, through one scatter plan."""
+    reps = mesh.shape_rep
+    size = (len(reps), row_map.cell_dofs.shape[1], col_map.cell_dofs.shape[1])
+    parts = [np.empty(size) for _ in range(2)]
+    for batch in chunks(len(reps)):
+        parts[0][batch], parts[1][batch] = kernel(mesh, coeff, reps[batch])
+    plan = ScatterPlan(row_map, col_map, shape, mesh.shape_of_triangle,
+                       diagonal)
     return plan.csr(parts[0]), plan.csr(parts[1])
 
 
@@ -280,29 +346,33 @@ def assemble_a_parts(mesh, coeff, vmap):
     (eps, eps) and (grad eps, grad eps).  a_h = 2 mu (first + iota^2 second).
     """
     n = vmap.n_u
-    return _assemble_pair(kernel_a_parts, mesh, coeff, vmap.cell_dofs,
-                          vmap.cell_dofs, (n, n))
+    return _assemble_pair(kernel_a_parts, mesh, coeff, vmap, vmap, (n, n))
 
 
 def assemble_b_parts(mesh, coeff, vmap, qmap):
     """(div v, q) and (grad div v, grad q); b_h = first + iota^2 second."""
-    return _assemble_pair(kernel_b_parts, mesh, coeff, qmap.cell_dofs,
-                          vmap.cell_dofs, (qmap.n_p, vmap.n_u))
+    return _assemble_pair(kernel_b_parts, mesh, coeff, qmap, vmap,
+                          (qmap.n_p, vmap.n_u))
 
 
-def assemble_pressure_parts(mesh, qmap):
-    """P1 mass and stiffness matrices on the free pressure DoFs."""
+def kernel_pressure_parts(mesh, coeff, tris):
+    """P1 mass and stiffness kernels (Tc, 3, 3) of a batch of triangles
+    (``coeff`` is not read)."""
     rule = rule_for_degree(2)
     lam = rule.points
     mass_loc = np.einsum("q,qa,qb->ab", rule.weights, lam, lam)
     mass_loc = 0.5 * (mass_loc + mass_loc.T)
-    G = mesh.bary_grads
-    area = mesh.area
-    km = area[:, None, None] * mass_loc[None, :, :]
-    kk = _symmetrize(area[:, None, None] * np.einsum("taz,tbz->tab", G, G))
+    G = mesh.bary_grads[tris]
+    area = mesh.area[tris][:, None, None]
+    return (area * mass_loc,
+            _symmetrize(area * np.einsum("taz,tbz->tab", G, G)))
+
+
+def assemble_pressure_parts(mesh, qmap):
+    """P1 mass and stiffness matrices on the free pressure DoFs."""
     n = qmap.n_p
-    plan = ScatterPlan(qmap.cell_dofs, qmap.cell_dofs, (n, n))
-    return plan.csr(km), plan.csr(kk)
+    return _assemble_pair(kernel_pressure_parts, mesh, None, qmap, qmap,
+                          (n, n))
 
 
 def assemble_load(mesh, coeff, vmap, load):
@@ -316,9 +386,11 @@ def assemble_load(mesh, coeff, vmap, load):
     and G (m, m) with G[k, l] = (f_k, f_l).
     """
     rule, modal = modal_rule(DEGREE_LOAD, 0)
+    # the nodal functions at the rule's points, once per shape class
+    shape_val = np.einsum("qj,tji->tqi", modal, coeff[mesh.shape_rep])
     F = G = None
     for tris in chunks(mesh.num_triangles):
-        val = np.einsum("qj,tji->tqi", modal, coeff[tris])
+        val = shape_val[mesh.shape_of_triangle[tris]]
         pts = np.einsum("qs,tsx->tqx", rule.points, mesh.tri_coords[tris])
         parts = [None if fv is None else fv.reshape(pts.shape)
                  for fv in load(pts.reshape(-1, 2))]
@@ -344,10 +416,11 @@ def assemble_load(mesh, coeff, vmap, load):
 
 def assemble_norm_gram_parts(mesh, coeff, vmap):
     """Gradient and second-derivative Gram matrices of the displacement
-    space (the iota-split of G_V); same pattern as the a_h parts."""
+    space (the iota-split of G_V).  They couple no components, so their
+    pattern is the (c, c) half of the a_h parts' pattern."""
     n = vmap.n_u
-    return _assemble_pair(kernel_norm_gram_parts, mesh, coeff,
-                          vmap.cell_dofs, vmap.cell_dofs, (n, n))
+    return _assemble_pair(kernel_norm_gram_parts, mesh, coeff, vmap, vmap,
+                          (n, n), diagonal=True)
 
 
 def mean_constraint_vector(mesh, qmap):

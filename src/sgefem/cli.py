@@ -95,7 +95,8 @@ def load_config_file(path):
     """Flat key=value file; '#' starts a comment."""
     values = {}
     try:
-        lines = open(path).read().splitlines()
+        with open(path) as fh:
+            lines = fh.read().splitlines()
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
     for lineno, raw in enumerate(lines, 1):

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 
 from .assembly import (assemble_a_parts, assemble_b_parts, assemble_load,
                        assemble_norm_gram_parts, assemble_pressure_parts,
-                       mean_constraint_vector)
+                       combine_parts, mean_constraint_vector)
 from .element import batched_scalar_coeff
 from .linalg import SaddleFactors, SaddleSystem
 from .manufactured import (error_norms, exact_tables, field_by_name,
@@ -99,6 +99,8 @@ class Discretization:
         B = b0 + iota^2 b2, G = M_p + iota^2 K_p and load
         mu (F0 + iota^2 F2) of (mu, iota), with the solver's factors of
         A and G and its lambda = infinity sequence, built on first use.
+        A and G hold the index arrays of their parts' shared pattern; B
+        is scipy's sum, which drops the entries that cancel to zero.
         One entry is kept: a study runs its lambdas inside each iota, so
         the previous pair is released when iota changes."""
         key = (mu, iota)
@@ -110,8 +112,9 @@ class Discretization:
             mp, kp = self.pressure_parts
             (F0, F2), _ = self.load
             self._factors = (key, SaddleFactors(
-                2.0 * mu * (a0 + i2 * a2), b0 + i2 * b2, mp + i2 * kp,
-                self.mean_constraint, mu * (F0 + i2 * F2)))
+                combine_parts(a0, a2, i2, 2.0 * mu), b0 + i2 * b2,
+                combine_parts(mp, kp, i2), self.mean_constraint,
+                mu * (F0 + i2 * F2)))
         return self._factors[1]
 
     def system(self, mu, lam, iota):

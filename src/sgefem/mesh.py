@@ -13,6 +13,16 @@ import numpy as np
 class Mesh:
     """Triangulation with adjacency and affine geometry tables.
 
+    The element is an affine family, so triangles of equal geometry have
+    equal element matrices.  Two triangles share a *shape class* when
+    every per-triangle input of the element and kernel code is bitwise
+    equal: ``bary_grads``, ``area``, the ``edge_normal`` of their three
+    edges and ``h_of_triangle``.  ``shape_of_triangle`` (T,) holds the
+    class of each triangle, numbered in the order of first appearance,
+    and ``shape_rep`` (K,) the first triangle of each class; per-element
+    work runs once per class.  A uniform mesh has 2 classes, a mesh with
+    no repeated shape T.
+
     Parameters
     ----------
     vertices : (V, 2) array
@@ -79,6 +89,25 @@ class Mesh:
         tri_edge_len = self.edge_length[self.edge_of_triangle]
         self.h_of_triangle = tri_edge_len.max(axis=1)
         self.h = float(self.h_of_triangle.max()) if len(self.triangles) else 0.0
+        self._build_shapes()
+
+    def _build_shapes(self):
+        # every per-triangle input of the element and kernel code, one
+        # row per triangle, compared as raw bytes by one np.unique
+        T = len(self.triangles)
+        rows = np.concatenate([
+            self.bary_grads.reshape(T, 6), self.area[:, None],
+            self.edge_normal[self.edge_of_triangle].reshape(T, 6),
+            self.h_of_triangle[:, None]], axis=1)
+        _, first, inverse = np.unique(
+            rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))),
+            return_index=True, return_inverse=True)
+        # classes numbered in the order of their first triangles
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        self.shape_rep = first[order]
+        self.shape_of_triangle = rank[inverse.ravel()]
 
     @property
     def num_vertices(self):

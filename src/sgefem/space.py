@@ -128,8 +128,14 @@ class VDofMap:
     ----------
     n_u : number of free (global) displacement DoFs
     cell_dofs : (T, 20) int, global index per local DoF, -1 if eliminated
+    cell_nodes : (T, 10) int, free scalar entity per local scalar DoF,
+        -1 if eliminated; local DoF 2 i + c is global DoF
+        2 cell_nodes[:, i] + c
+    components : 2, the DoFs per scalar entity
     vertex_dofs : (V, 2) int, global index of each vertex-value DoF
     """
+
+    components = 2
 
     def __init__(self, mesh):
         V, T = mesh.num_vertices, mesh.num_triangles
@@ -149,6 +155,7 @@ class VDofMap:
         cd[:, 0::2] = np.where(scal >= 0, 2 * scal, -1)
         cd[:, 1::2] = np.where(scal >= 0, 2 * scal + 1, -1)
         self.cell_dofs = cd
+        self.cell_nodes = scal
 
         vs = scalar_index[:V]
         self.vertex_dofs = np.stack(
@@ -161,8 +168,12 @@ class QDofMap:
     dissection).
 
     Attributes: ``n_p``, ``vertex_index`` (V,) with -1 at boundary
-    vertices, and ``cell_dofs`` (T, 3) per local vertex.
+    vertices, and ``cell_dofs`` (T, 3) per local vertex.  Each vertex
+    holds one DoF, so ``cell_nodes`` is ``cell_dofs`` and ``components``
+    is 1.
     """
+
+    components = 1
 
     def __init__(self, mesh):
         interior = ~mesh.vertex_is_boundary
@@ -172,7 +183,7 @@ class QDofMap:
         idx = _numbered(interior, mesh.vertices, mesh.triangles)
         self.n_p = int(interior.sum())
         self.vertex_index = idx
-        self.cell_dofs = idx[mesh.triangles]
+        self.cell_dofs = self.cell_nodes = idx[mesh.triangles]
 
 
 def build_vdofmap(mesh):

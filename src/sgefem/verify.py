@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh, null_space
 
+from .assembly import combine_parts
 from .discretization import Discretization
 from .element import (EDGE_DBARY, EDGE_WEIGHTS, batched_scalar_dof_matrices,
                       scaled_conditions)
@@ -225,7 +226,7 @@ def _infsup_from_parts(parts, iota):
     (b0, b2), (g1, g2), (mp, kp), Z = parts
     i2 = iota ** 2
     try:
-        lu = spd_factor(g1 + i2 * g2)
+        lu = spd_factor(combine_parts(g1, g2, i2))
         spd = np.array_equal(lu.perm_r, lu.perm_c) \
             and np.all(lu.U.diagonal() > 0.0)
     except RuntimeError:    # an exactly zero pivot

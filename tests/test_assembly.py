@@ -3,16 +3,20 @@ import pytest
 from scipy.linalg import eigh
 
 from sgefem.assembly import (ScatterPlan, assemble_load,
-                             assemble_pressure_parts, kernel_a_parts,
-                             kernel_b_parts, kernel_norm_gram_parts,
+                             assemble_pressure_parts, chunks, combine_parts,
+                             kernel_a_parts, kernel_b_parts,
+                             kernel_norm_gram_parts, kernel_pressure_parts,
                              mean_constraint_vector, modal_rule,
                              reference_moments)
 from sgefem.discretization import Discretization
+from sgefem.element import batched_scalar_dof_matrices
+from sgefem.linalg import spd_factor
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from oracles import (DEGREE_COUPLING, DEGREE_STIFFNESS, ProblemParams,
                      conical_rule, eval_basis, lexsort_csr,
                      quadrature_kernel_a_parts, quadrature_kernel_b_parts,
                      quadrature_kernel_norm_gram_parts)
+from test_space import flipped
 
 
 def setup(n):
@@ -206,11 +210,10 @@ def test_grad_div_kernel_vanishes_on_midpoint_and_mean_functions():
 
 
 def plan_cases(d):
-    """(row DoFs, column DoFs, shape) of the three scatter plans."""
+    """(row map, column map, shape) of the three scatter plans."""
     v, q = d.vmap, d.qmap
-    return ((v.cell_dofs, v.cell_dofs, (v.n_u, v.n_u)),
-            (q.cell_dofs, v.cell_dofs, (q.n_p, v.n_u)),
-            (q.cell_dofs, q.cell_dofs, (q.n_p, q.n_p)))
+    return ((v, v, (v.n_u, v.n_u)), (q, v, (q.n_p, v.n_u)),
+            (q, q, (q.n_p, q.n_p)))
 
 
 def assert_same_csr(got, expect):
@@ -220,28 +223,143 @@ def assert_same_csr(got, expect):
     assert np.array_equal(got.data, expect.data)      # bit for bit
 
 
+def without_zeros(m):
+    m = m.copy()
+    m.eliminate_zeros()
+    return m
+
+
+PLAN_MESHES = {"uniform": lambda: setup(4), "jittered": jittered,
+               "flipped": lambda: Discretization(flipped(4))}
+
+
 def test_scatter_plan_matches_lexsort_accumulation():
-    d = jittered()
+    # the plan gathers each triangle's entries from its class kernel
     rng = np.random.default_rng(7)
-    for rows, cols, shape in plan_cases(d):
-        kernels = rng.standard_normal((len(rows), rows.shape[1],
-                                       cols.shape[1]))
-        assert_same_csr(ScatterPlan(rows, cols, shape).csr(kernels),
-                        lexsort_csr(kernels, rows, cols, shape))
+    for make in PLAN_MESHES.values():
+        d = make()
+        classes = d.mesh.shape_of_triangle
+        for rows, cols, shape in plan_cases(d):
+            kernels = rng.standard_normal((len(d.mesh.shape_rep),
+                                           rows.cell_dofs.shape[1],
+                                           cols.cell_dofs.shape[1]))
+            assert_same_csr(
+                ScatterPlan(rows, cols, shape, classes).csr(kernels),
+                lexsort_csr(kernels[classes], rows.cell_dofs,
+                            cols.cell_dofs, shape))
+
+
+@pytest.mark.parametrize("kind", sorted(PLAN_MESHES))
+def test_diagonal_plan_scatters_only_the_component_blocks(kind):
+    d = PLAN_MESHES[kind]()
+    classes = d.mesh.shape_of_triangle
+    v, shape = d.vmap, (d.vmap.n_u, d.vmap.n_u)
+    rng = np.random.default_rng(8)
+    kernels = rng.standard_normal((len(d.mesh.shape_rep), 20, 20))
+    blocks = kernels.copy()
+    blocks[:, 0::2, 1::2] = blocks[:, 1::2, 0::2] = 0.0
+    got = ScatterPlan(v, v, shape, classes, diagonal=True).csr(kernels)
+    assert_same_csr(got, without_zeros(lexsort_csr(
+        blocks[classes], v.cell_dofs, v.cell_dofs, shape)))
+    assert np.all((got.indices - np.repeat(np.arange(shape[0]),
+                                           np.diff(got.indptr))) % 2 == 0)
 
 
 def test_assembled_parts_are_the_lexsort_sums_of_their_kernels():
     d = jittered()
     tris = np.arange(d.mesh.num_triangles)
-    (rows_v, cols_v, shape_v), (rows_b, cols_b, shape_b), _ = plan_cases(d)
-    for parts, kernels, rows, cols, shape in (
-            (d.a_parts, kernel_a_parts, rows_v, cols_v, shape_v),
-            (d.norm_gram_parts, kernel_norm_gram_parts, rows_v, cols_v,
-             shape_v),
-            (d.b_parts, kernel_b_parts, rows_b, cols_b, shape_b)):
+    (v, _, shape_v), (q, _, shape_b), _ = plan_cases(d)
+    for parts, kernels, rows, cols, shape, zeros in (
+            (d.a_parts, kernel_a_parts, v, v, shape_v, False),
+            # the norm Grams couple no components and store none of the
+            # cross-component zeros
+            (d.norm_gram_parts, kernel_norm_gram_parts, v, v, shape_v,
+             True),
+            (d.b_parts, kernel_b_parts, q, v, shape_b, False)):
         for got, k in zip(parts, kernels(d.mesh, d.coeff, tris),
                           strict=True):
-            assert_same_csr(got, lexsort_csr(k, rows, cols, shape))
+            expect = lexsort_csr(k, rows.cell_dofs, cols.cell_dofs, shape)
+            assert_same_csr(got, without_zeros(expect) if zeros else expect)
+
+
+def per_triangle_parts(d):
+    """The a, b, norm-Gram and pressure parts and the coefficients of
+    ``d`` from per-triangle DoF matrices and kernels, scattered by
+    :func:`oracles.lexsort_csr`."""
+    mesh, T = d.mesh, d.mesh.num_triangles
+    coeff = np.linalg.inv(batched_scalar_dof_matrices(mesh))
+    (v, _, shape_v), (q, _, shape_b), (_, _, shape_q) = plan_cases(d)
+
+    def scatter(kernel, rows, cols, shape):
+        ks = [kernel(mesh, coeff, tris) for tris in chunks(T)]
+        return tuple(lexsort_csr(np.concatenate(k), rows.cell_dofs,
+                                 cols.cell_dofs, shape) for k in zip(*ks))
+
+    return {"coeff": coeff,
+            "a": scatter(kernel_a_parts, v, v, shape_v),
+            "b": scatter(kernel_b_parts, q, v, shape_b),
+            "norm_gram": tuple(map(without_zeros, scatter(
+                kernel_norm_gram_parts, v, v, shape_v))),
+            "pressure": scatter(kernel_pressure_parts, q, q, shape_q)}
+
+
+def test_class_assembly_is_the_per_triangle_assembly_at_n16():
+    """Per-class kernels on the two shapes of the uniform n = 16 mesh
+    against the kernels of every triangle.  Equal inputs give equal
+    kernels, so the parts agree bit for bit, except the second-derivative
+    parts a2 and g2: the scalar Grams' H of a batch of <= 4 triangles
+    comes from OpenBLAS's small-matrix path of ``r2 @ g2``, whose sums
+    round differently from its path for batches of >= 8 (seen with
+    OpenBLAS 0.3.31), so those agree to roundoff of their largest
+    entry."""
+    d = setup(16)
+    assert len(d.mesh.shape_rep) == 2
+    ref = per_triangle_parts(d)
+    assert np.array_equal(d.coeff, ref["coeff"])
+    got = {"a": d.a_parts, "b": d.b_parts, "norm_gram": d.norm_gram_parts,
+           "pressure": d.pressure_parts}
+    for name, second_to_roundoff in (("a", True), ("b", False),
+                                     ("norm_gram", True),
+                                     ("pressure", False)):
+        for k, (g, e) in enumerate(zip(got[name], ref[name], strict=True)):
+            if k == 1 and second_to_roundoff:
+                assert np.array_equal(g.indptr, e.indptr)
+                assert np.array_equal(g.indices, e.indices)
+                assert np.abs(g.data - e.data).max() \
+                    <= 1e-15 * np.abs(e.data).max()
+            else:
+                assert_same_csr(g, e)
+
+
+def test_a_and_g_are_the_sums_of_their_parts_on_one_pattern():
+    # A = 2 mu (a0 + iota^2 a2) and G = M_p + iota^2 K_p hold their
+    # parts' index arrays and equal scipy's sums bit for bit
+    for n in (4, 16):
+        d = setup(n)
+        a0, a2 = d.a_parts
+        mp, kp = d.pressure_parts
+        for iota in (1.0, 1e-1, 1e-6, 1e-8):
+            f = d.factors(1.3, iota)
+            i2 = iota ** 2
+            for got, expect, first in ((f.A, 2.0 * 1.3 * (a0 + i2 * a2), a0),
+                                       (f.G, mp + i2 * kp, mp)):
+                assert_same_csr(got, expect)
+                assert np.shares_memory(got.indices, first.indices)
+                assert np.shares_memory(got.indptr, first.indptr)
+
+
+def test_factoring_a_leaves_its_parts_unchanged():
+    d = setup(8)
+    a0, _ = d.a_parts
+    before = [x.tobytes() for x in (a0.data, a0.indices, a0.indptr)]
+    spd_factor(d.factors(1.0, 1e-2).A)
+    assert [x.tobytes() for x in (a0.data, a0.indices, a0.indptr)] == before
+
+
+def test_combine_parts_rejects_two_patterns():
+    d = setup(4)
+    with pytest.raises(ValueError, match="one pattern"):
+        combine_parts(d.a_parts[0], d.norm_gram_parts[0], 1.0)
 
 
 def test_parts_of_one_call_share_their_pattern():

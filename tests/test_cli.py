@@ -1,5 +1,8 @@
+import gc
 import math
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -42,6 +45,24 @@ def test_config_file_parsing(tmp_path):
     bad.write_text("lambda 1e0\n")
     with pytest.raises(ConfigError, match="key=value"):
         load_config_file(str(bad))
+
+
+def test_config_file_is_closed(tmp_path, monkeypatch):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("example = example2\n")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("lambda 1e0\n")
+    # a file left open warns when it is freed; under "error" that warning
+    # is raised inside the finalizer and reaches sys.unraisablehook
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert load_config_file(str(cfg)) == {"example": "example2"}
+        with pytest.raises(ConfigError, match="key=value"):
+            load_config_file(str(bad))
+        gc.collect()
+    assert [u.exc_type for u in unraisable] == []
 
 
 def test_command_line_overrides_config_file(tmp_path):

@@ -12,6 +12,8 @@ from sgefem.element import (SingularElementError, batched_scalar_coeff,
                             scaled_conditions)
 from sgefem.quadrature import edge_rule, rule_for_degree
 from oracles import eval_basis, local_interpolant, loop_modal_tables
+from test_mesh import relabeled
+from test_space import flipped
 
 
 def triangle_mesh(verts):
@@ -221,6 +223,29 @@ def test_degenerate_triangle_raises():
     m = triangle_mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 1e-14]])
     with pytest.raises(SingularElementError):
         batched_scalar_coeff(m)
+
+
+def test_one_degenerate_triangle_in_a_mesh_raises():
+    # a degenerate triangle is a shape class of its own, so its DoF
+    # matrix is still checked
+    m = build_uniform_unit_square(4)
+    V = m.num_vertices
+    verts = np.concatenate([m.vertices,
+                            [[2.0, 0.0], [3.0, 0.0], [4.0, 1e-14]]])
+    tris = np.concatenate([m.triangles, [[V, V + 1, V + 2]]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        mesh = Mesh(verts, tris)
+    assert len(mesh.shape_rep) == 3
+    with pytest.raises(SingularElementError):
+        batched_scalar_coeff(mesh)
+
+
+@pytest.mark.parametrize("kind", ["relabeled", "flipped"])
+def test_class_coefficients_are_the_per_triangle_coefficients(kind):
+    m = relabeled(4) if kind == "relabeled" else flipped(5)
+    assert len(m.shape_rep) < m.num_triangles
+    assert np.array_equal(batched_scalar_coeff(m),
+                          np.linalg.inv(batched_scalar_dof_matrices(m)))
 
 
 def test_batched_matches_single():

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from oracles import loop_triangles_of_edge
+from test_space import flipped, jittered
 
 
 def edge_sign(m):
@@ -133,3 +134,71 @@ def test_triangles_of_edge_match_the_loop_oracle():
         assert m.triangles_of_edge.dtype == want.dtype
         assert np.array_equal(m.triangles_of_edge, want)
     assert (meshes[-1].triangles_of_edge == [[0, 1]]).all(axis=1).any()
+
+
+def shape_inputs(m):
+    """Per triangle, the bytes of every input of the element and kernel
+    code: barycentric gradients, area, edge normals and diameter."""
+    T = m.num_triangles
+    rows = np.concatenate([m.bary_grads.reshape(T, 6), m.area[:, None],
+                           m.edge_normal[m.edge_of_triangle].reshape(T, 6),
+                           m.h_of_triangle[:, None]], axis=1)
+    return [row.tobytes() for row in rows]
+
+
+@pytest.mark.parametrize("n, classes", [(2, 2), (4, 2), (16, 2), (5, 18)])
+def test_shape_classes_of_uniform_meshes(n, classes):
+    m = build_uniform_unit_square(n)
+    assert len(m.shape_rep) == classes
+    assert m.shape_of_triangle.shape == (m.num_triangles,)
+
+
+def test_every_jittered_triangle_is_its_own_class():
+    m = jittered(5)
+    assert np.array_equal(m.shape_rep, np.arange(m.num_triangles))
+    assert np.array_equal(m.shape_of_triangle, np.arange(m.num_triangles))
+
+
+def relabeled(n, seed=5):
+    """The uniform mesh with its vertices numbered at random, so that
+    congruent triangles can see opposite global edge normals."""
+    m = build_uniform_unit_square(n)
+    perm = np.random.default_rng(seed).permutation(m.num_vertices)
+    verts = np.empty_like(m.vertices)
+    verts[perm] = m.vertices
+    return Mesh(verts, perm[m.triangles])
+
+
+@pytest.mark.parametrize("make", [lambda: flipped(6),
+                                  lambda: build_uniform_unit_square(7),
+                                  lambda: relabeled(4)],
+                         ids=["flipped", "uniform", "relabeled"])
+def test_shape_classes_are_the_classes_of_equal_inputs(make):
+    m = make()
+    inputs = shape_inputs(m)
+    cls, rep = m.shape_of_triangle, m.shape_rep
+    # members share their representative's inputs bit for bit, and
+    # different classes have different inputs
+    assert all(inputs[t] == inputs[rep[c]] for t, c in enumerate(cls))
+    assert len(set(inputs)) == len(rep)
+    # each representative is its class's first triangle, and classes are
+    # numbered in the order of those
+    first = [int(np.flatnonzero(cls == c)[0]) for c in range(len(rep))]
+    assert np.array_equal(rep, first)
+    assert np.all(np.diff(rep) > 0)
+
+
+def test_edge_normals_split_congruent_triangles():
+    # the relabeled mesh has the two shapes of the uniform one, but the
+    # global normals of their edges point either way
+    m = relabeled(4)
+    geometry = {np.concatenate([m.bary_grads[t].ravel(), [m.area[t]]])
+                .tobytes() for t in range(m.num_triangles)}
+    assert len(geometry) == 2
+    assert len(m.shape_rep) > 2
+
+
+def test_shape_classes_are_deterministic():
+    a, b = flipped(8), flipped(8)
+    assert np.array_equal(a.shape_of_triangle, b.shape_of_triangle)
+    assert np.array_equal(a.shape_rep, b.shape_rep)
