@@ -28,7 +28,8 @@ Knepley, Logg and Scott, SIAM J. Sci. Comput. 27, 2005).  No
 quadrature-point axis enters the per-element work, and it runs once per
 shape class of the mesh (see :class:`sgefem.mesh.Mesh`), in chunks of
 classes: triangles of bitwise-equal geometry have equal kernels, and a
-uniform mesh has two classes.
+uniform mesh has two classes.  A kernel function takes the nodal
+coefficients ``coeff`` (Tc, 10, 10) of the batch ``tris`` it is given.
 
 Kernels reach CSR through a :class:`ScatterPlan` built once per
 assembly call for its (row map, column map) and shared by both parts.
@@ -124,7 +125,7 @@ def reference_moments():
     return tables
 
 
-def _hessian_map(G):
+def hessian_map(G):
     """P (Tc, 6, 3) taking the distinct barycentric second partials of a
     function to its physical (xx, xy, yy) ones: D_k f = sum_a d2_a f
     P[a, k], the off-diagonal pairs counting both orders."""
@@ -146,7 +147,7 @@ def _scalar_grams(mesh, coeff, tris):
     Tc = len(tris)
     area = mesh.area[tris][:, None, None, None, None]
     G = mesh.bary_grads[tris]
-    P = _hessian_map(G)
+    P = hessian_map(G)
     g1 = area * G[:, :, None, :, None] * G[:, None, :, None, :]  # [s,u,x,y]
     g2 = area * P[:, :, None, :, None] * P[:, None, :, None, :]  # [a,b,k,l]
     q1 = r1 @ g1.reshape(Tc, 9, 4).transpose(1, 0, 2).reshape(9, -1)
@@ -154,9 +155,8 @@ def _scalar_grams(mesh, coeff, tris):
     Q = np.concatenate([q1.reshape(10, 10, Tc, 4),
                         q2.reshape(10, 10, Tc, 9)], axis=3)
     Q = np.ascontiguousarray(Q.transpose(2, 0, 3, 1))     # [t, m, kl, n]
-    C = coeff[tris]
-    QC = (Q.reshape(Tc, 130, 10) @ C).reshape(Tc, 10, 130)
-    grams = (C.swapaxes(1, 2) @ QC).reshape(Tc, 10, 13, 10)
+    QC = (Q.reshape(Tc, 130, 10) @ coeff).reshape(Tc, 10, 130)
+    grams = (coeff.swapaxes(1, 2) @ QC).reshape(Tc, 10, 13, 10)
     grams = grams.transpose(0, 2, 1, 3)                     # [t, kl, i, j]
     return (grams[:, :4].reshape(Tc, 2, 2, 10, 10),
             grams[:, 4:].reshape(Tc, 3, 3, 10, 10))
@@ -216,9 +216,9 @@ def kernel_b_parts(mesh, coeff, tris):
     Tc = len(tris)
     area = mesh.area[tris][:, None, None, None]
     G = mesh.bary_grads[tris]
-    Ct = coeff[tris].swapaxes(1, 2)[:, None]                # [t, 1, j, m]
+    Ct = coeff.swapaxes(1, 2)[:, None]                      # [t, 1, j, m]
     k0 = Ct @ (b1 @ G).reshape(Tc, 3, 10, 2)                # [t, l, j, c]
-    hm = b2 @ _hessian_map(G)                               # [t, m, k]
+    hm = b2 @ hessian_map(G)                                # [t, m, k]
     # sum_z G[l, z] D_zc psi_m, with (z, c) -> k = (xx, xy, yy)
     gd = (G[:, :, None, None, 0] * hm[:, None, :, :2]
           + G[:, :, None, None, 1] * hm[:, None, :, 1:])
@@ -335,7 +335,8 @@ def _assemble_pair(kernel, mesh, coeff, row_map, col_map, shape,
     size = (len(reps), row_map.cell_dofs.shape[1], col_map.cell_dofs.shape[1])
     parts = [np.empty(size) for _ in range(2)]
     for batch in chunks(len(reps)):
-        parts[0][batch], parts[1][batch] = kernel(mesh, coeff, reps[batch])
+        parts[0][batch], parts[1][batch] = kernel(mesh, coeff[batch],
+                                                  reps[batch])
     plan = ScatterPlan(row_map, col_map, shape, mesh.shape_of_triangle,
                        diagonal)
     return plan.csr(parts[0]), plan.csr(parts[1])
@@ -357,7 +358,7 @@ def assemble_b_parts(mesh, coeff, vmap, qmap):
 
 def kernel_pressure_parts(mesh, coeff, tris):
     """P1 mass and stiffness kernels (Tc, 3, 3) of a batch of triangles
-    (``coeff`` is not read)."""
+    (``coeff`` is not read: P1 functions need no nodal coefficients)."""
     rule = rule_for_degree(2)
     lam = rule.points
     mass_loc = np.einsum("q,qa,qb->ab", rule.weights, lam, lam)
@@ -370,9 +371,9 @@ def kernel_pressure_parts(mesh, coeff, tris):
 
 def assemble_pressure_parts(mesh, qmap):
     """P1 mass and stiffness matrices on the free pressure DoFs."""
-    n = qmap.n_p
-    return _assemble_pair(kernel_pressure_parts, mesh, None, qmap, qmap,
-                          (n, n))
+    n, K = qmap.n_p, len(mesh.shape_rep)
+    return _assemble_pair(kernel_pressure_parts, mesh, np.empty((K, 0)),
+                          qmap, qmap, (n, n))
 
 
 def assemble_load(mesh, coeff, vmap, load):
@@ -387,7 +388,7 @@ def assemble_load(mesh, coeff, vmap, load):
     """
     rule, modal = modal_rule(DEGREE_LOAD, 0)
     # the nodal functions at the rule's points, once per shape class
-    shape_val = np.einsum("qj,tji->tqi", modal, coeff[mesh.shape_rep])
+    shape_val = np.einsum("qj,tji->tqi", modal, coeff)
     F = G = None
     for tris in chunks(mesh.num_triangles):
         val = shape_val[mesh.shape_of_triangle[tris]]

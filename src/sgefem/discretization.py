@@ -2,15 +2,15 @@
 
 Every matrix of the method splits as part0 + iota^2 part2 and lambda
 enters only the pressure block, so one mesh carries everything the
-(iota, lambda) cells of a study need: the nodal coefficients, the DoF
-maps, the matrix parts, the load parts F = F0 + iota^2 F2 (for mu = 1),
-the parts of ||f||^2, and the exact field's gradient and second
-derivatives at the error quadrature points.  A cell then only combines
-parts, solves and measures; the lambda cells of one iota share A, B,
-the pressure Gram matrix and the load, the solver's factors of A and
-the Gram matrix, and one conjugate gradient sequence of the
-lambda = infinity system, which every lambda replays as a shift (the
-inf-sup condition makes that sequence converge, see
+(iota, lambda) cells of a study need: the nodal coefficients of its
+shape classes, the DoF maps, the matrix parts, the load parts
+F = F0 + iota^2 F2 (for mu = 1), the parts of ||f||^2, and the exact
+field's gradient and second derivatives at the error quadrature points.
+A cell then only combines parts, solves and measures; the lambda cells
+of one iota share A, B, the pressure Gram matrix and the load, the
+solver's factors of A and the Gram matrix, and one conjugate gradient
+sequence of the lambda = infinity system, which every lambda replays
+as a shift (the inf-sup condition makes that sequence converge, see
 :mod:`sgefem.linalg`).
 Each group is computed on first use, so a caller that needs only some
 of them (the verification checks) pays only for those, and the exact
@@ -46,7 +46,7 @@ class Discretization:
 
     @cached_property
     def coeff(self):
-        """Nodal coefficients (T, 10, 10) of every triangle."""
+        """Nodal coefficients (K, 10, 10) of the mesh's shape classes."""
         return batched_scalar_coeff(self.mesh)
 
     @cached_property

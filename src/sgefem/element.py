@@ -200,20 +200,24 @@ def scaled_conditions(mesh):
 
 
 def batched_scalar_coeff(mesh):
-    """Nodal coefficients (T, 10, 10) of every triangle: column j of
-    ``coeff[t]`` expands nodal shape function j in the modal monomials.
-    They are computed once per shape class of the mesh (see
-    :class:`sgefem.mesh.Mesh`), from its first triangle, so the rows of
-    one class are equal.
+    """Nodal coefficients (K, 10, 10), one per shape class of the mesh
+    (see :class:`sgefem.mesh.Mesh`), from its first triangle: column j
+    of ``coeff[k]`` expands nodal shape function j of the triangles of
+    class k in the modal monomials.
 
-    Raises :class:`SingularElementError` when a length-scaled DoF matrix
-    has condition number above 1e10 (see :func:`scaled_conditions`).
+    Raises ValueError for a clockwise triangle (negative area), and
+    :class:`SingularElementError` when a length-scaled DoF matrix has
+    condition number above 1e10 (see :func:`scaled_conditions`).
     """
     reps = mesh.shape_rep
+    clockwise = mesh.area[reps] < 0.0
+    if clockwise.any():
+        raise ValueError("triangle %d is clockwise (negative area)"
+                         % reps[clockwise][0])
     M = batched_scalar_dof_matrices(mesh, reps)
     cond = _scaled_conditions(M, mesh.h_of_triangle[reps])
     if not np.all(cond <= _COND_LIMIT):
         raise SingularElementError(
             "DoF matrix nearly singular (condition number %.3e)"
             % cond.max())
-    return np.linalg.inv(M).take(mesh.shape_of_triangle, axis=0)
+    return np.linalg.inv(M)

@@ -20,7 +20,8 @@ import math
 
 import numpy as np
 
-from .assembly import DEGREE_LOAD, chunks, modal_rule
+from .assembly import DEGREE_LOAD, chunks, hessian_map, modal_rule
+from .element import SECOND_PARTIALS
 from .quadrature import rule_for_degree
 
 
@@ -280,45 +281,38 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota):
 
     Returns (|e|_1, |e|_{2,h}, ||e||_{V,h}) where e = u_h - u and
     ||e||_{V,h}^2 = |e|_1^2 + iota^2 |e|_{2,h}^2.  ``coeff`` holds the nodal
-    coefficients of all triangles; ``exact`` holds the field's
-    derivatives from :func:`exact_tables`, so the field itself is not
-    evaluated here and one table serves every solve on the mesh.
+    coefficients of the mesh's shape classes (see
+    :func:`sgefem.element.batched_scalar_coeff`); ``exact`` holds the
+    field's derivatives from :func:`exact_tables`, so the field itself is
+    not evaluated here and one table serves every solve on the mesh.
     The broken seminorm |e|_{2,h} sums one squared term per
     second-derivative multi-index (the mixed derivative counts once).
 
-    Per chunk, the local DoFs are first turned into modal coefficients
-    M = C u_loc, so the derivatives of u_h come from the modal tables
-    and the barycentric gradients by a few batched products, without
-    tabulating the 10 shape functions at every point; the map from
-    barycentric to Cartesian derivatives is one matmul per triangle
-    over all its points for the gradients, and two for the Hessians.
+    The Cartesian gradients and (xx, xy, yy) derivatives of the nodal
+    functions at the points depend only on the shape class, so one
+    table (K, 10, q*5) holds them for every class; per chunk, the
+    derivatives of u_h are one batched product of the local DoFs with
+    the tables of their triangles' classes.
     """
     rule, (_, dbary, d2bary) = modal_rule(DEGREE_LOAD, 2)
-    q = rule.npts
-    # (q*3, 10) and (10, q*9): barycentric derivatives of the monomials,
-    # the second ones with columns (q, r, s)
-    d1 = dbary.transpose(0, 2, 1).reshape(-1, 10)
-    d2 = np.ascontiguousarray(d2bary.transpose(1, 0, 3, 2).reshape(10, -1))
+    q, K = rule.npts, len(mesh.shape_rep)
+    G = mesh.bary_grads[mesh.shape_rep]                        # (K, 3, 2)
+    pair_s, pair_u = np.array(SECOND_PARTIALS).T
+    # the monomials' derivatives [class, q, monomial, (x, y, xx, xy, yy)]
+    modal = np.concatenate(
+        [dbary @ G[:, None],
+         d2bary[..., pair_s, pair_u] @ hessian_map(G)[:, None]], axis=3)
+    table = coeff.swapaxes(1, 2) \
+        @ modal.transpose(0, 2, 1, 3).reshape(K, 10, q * 5)
     uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
     s1 = s2 = 0.0
     for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact,
                               strict=True):
-        Tc = len(tris)
-        G = mesh.bary_grads[tris]                               # (Tc, 3, 2)
-        M = coeff[tris] @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
-        # one matmul per triangle and contraction maps the barycentric
-        # derivatives of every point and component: a gradient D to D G,
-        # a Hessian H to (G^T H) G, summing over s and then over r as the
-        # per-point products do
-        db = (d1 @ M).reshape(Tc, q, 3, 2).swapaxes(2, 3)      # [a, s]
-        gh = (db.reshape(Tc, 2 * q, 3) @ G).reshape(Tc, q, 2, 2)
-        hb = M.swapaxes(1, 2) @ d2                              # [a, q, r, s]
-        hs = (hb.reshape(Tc, 6 * q, 3) @ G).reshape(Tc, 2, q, 3, 2)
-        hh = hs.swapaxes(3, 4).reshape(Tc, 4 * q, 3) @ G        # [a, q, x, y]
-        # (xx, xy, yy) in [q, a, k] order
-        hh = hh.reshape(Tc, 2, q, 4).swapaxes(1, 2).take((0, 1, 3), axis=3)
-        e1 = gh - ge
-        e2 = hh - he
+        dofs = uext[vmap.cell_dofs[tris]].reshape(-1, 10, 2).swapaxes(1, 2)
+        d = dofs @ table[mesh.shape_of_triangle[tris]]         # [t, a, q*5]
+        d = d.reshape(len(tris), 2, q, 5).swapaxes(1, 2)       # [t, q, a, 5]
+        e1 = d[..., :2] - ge
+        e2 = d[..., 2:] - he
         w = rule.weights[None, :] * mesh.area[tris][:, None]
         s1 += float(np.einsum("tq,tqab->", w, e1 ** 2))
         s2 += float(np.einsum("tq,tqak->", w, e2 ** 2))

@@ -167,13 +167,13 @@ def check_weak_continuity(disc, flip_edge=None, label=""):
     that the check catches orientation-sign bugs, and must name an
     interior edge (else :class:`NotAnInteriorEdge`).
     """
-    mesh, coeff = disc.mesh, disc.coeff
+    mesh = disc.mesh
+    coeff = disc.coeff[mesh.shape_of_triangle]   # per triangle, for the flip
     if flip_edge is not None:
         if not (0 <= flip_edge < mesh.num_edges
                 and not mesh.edge_is_boundary[flip_edge]):
             raise NotAnInteriorEdge("edge %r is not an interior edge"
                                     % (flip_edge,))
-        coeff = coeff.copy()
         k = int(mesh.triangles_of_edge[flip_edge, 0])
         s = int(np.where(mesh.edge_of_triangle[k] == flip_edge)[0][0])
         M0 = batched_scalar_dof_matrices(mesh, [k])[0]

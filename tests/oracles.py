@@ -23,14 +23,14 @@ the bordered sparse LU with iterative refinement (which the
 projected conjugate gradients on the pressures replaced), the dense
 inf-sup computation with its generalized eigenvalue helper (which the
 sparse factorization of G_V replaced), the displacement error
-seminorms with the per-point derivative maps (which one matmul per
-triangle replaced), the P1 pressure norm by quadrature (which the
-pressure Gram matrix replaced), and the per-triangle loop over the edges of the
-mesh (which one stable argsort replaced).  The dense packed jet sums
-every product term over every stored row, where the package's jets
-store only their support and skip the terms outside it.  The nested
-dissection recursion cuts one part at a time, where the package cuts
-every part of a level at once.
+seminorms with the per-point derivative maps (which one table of the
+nodal functions' derivatives per shape class replaced), the P1 pressure
+norm by quadrature (which the pressure Gram matrix replaced), and the
+per-triangle loop over the edges of the mesh (which one stable argsort
+replaced).  The dense packed jet sums every product term over every
+stored row, where the package's jets store only their support and skip
+the terms outside it.  The nested dissection recursion cuts one part
+at a time, where the package cuts every part of a level at once.
 """
 
 import numpy as np
@@ -184,7 +184,7 @@ def eval_basis(mesh, k, x, order):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     G = mesh.bary_grads[k]
-    C = batched_scalar_coeff(mesh)[k]
+    C = batched_scalar_coeff(mesh)[mesh.shape_of_triangle[k]]
     centroid = mesh.tri_coords[k].mean(axis=0)
     bary = 1.0 / 3.0 + (x.reshape(-1, 2) - centroid) @ G.T
     tables = modal_tables(bary, order)
@@ -477,11 +477,12 @@ def estimate_infsup(mesh, iota):
 DEGREE_STIFFNESS = 10
 DEGREE_COUPLING = 6
 
-def scalar_tables(mesh, coeff, tris, degree):
+def scalar_tables(mesh, C, tris, degree):
     """Values, gradients (Tc, q, 10, 2) and Hessians (Tc, q, 10, 2, 2)
-    of the scalar nodal functions at the points of the degree rule."""
+    of the scalar nodal functions at the points of the degree rule, for
+    the triangles ``tris`` with nodal coefficients C (Tc, 10, 10), as the
+    package's kernels take them."""
     rule, (val, dbary, d2bary) = modal_rule(degree, 2)
-    C = coeff[tris]
     G = mesh.bary_grads[tris]
     grad = np.einsum("qjs,tsx,tji->tqix", dbary, G, C, optimize=True)
     mh = np.einsum("qjsu,tsx,tuy->tqjxy", d2bary, G, G, optimize=True)
@@ -584,7 +585,7 @@ def loop_weak_continuity(mesh, flip_edge=None):
     """The weak-continuity measure of :func:`sgefem.verify.
     check_weak_continuity`, one interior edge at a time with a dict of
     jumps per global entity."""
-    coeff = batched_scalar_coeff(mesh)
+    coeff = batched_scalar_coeff(mesh)[mesh.shape_of_triangle]
     if flip_edge is not None:
         k = int(mesh.triangles_of_edge[flip_edge, 0])
         s = int(np.where(mesh.edge_of_triangle[k] == flip_edge)[0][0])
@@ -645,8 +646,9 @@ def bordered_lu_solve(system, tol=1e-10):
 
 def per_point_error_seminorms(mesh, coeff, vmap, u_h, exact):
     """(|e|_1, |e|_{2,h}) of ``sgefem.manufactured.error_norms``, with
-    the barycentric derivatives of u_h mapped by a 2x3 product
-    (gradients) and two 3x3 products (Hessians) per point."""
+    the class coefficients ``coeff`` expanded to every triangle and the
+    barycentric derivatives of u_h mapped by a 2x3 product (gradients)
+    and two 3x3 products (Hessians) per point."""
     rule, (_, dbary, d2bary) = modal_rule(DEGREE_LOAD, 2)
     q = rule.npts
     d1 = dbary.transpose(0, 2, 1).reshape(-1, 10)
@@ -657,7 +659,8 @@ def per_point_error_seminorms(mesh, coeff, vmap, u_h, exact):
                               strict=True):
         Tc = len(tris)
         G = mesh.bary_grads[tris]
-        M = coeff[tris] @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
+        C = coeff[mesh.shape_of_triangle[tris]]
+        M = C @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
         db = (d1 @ M).reshape(Tc, q, 3, 2)
         gh = db.swapaxes(2, 3) @ G[:, None]
         hb = (d2 @ M).reshape(Tc, q, 3, 3, 2).transpose(0, 1, 4, 2, 3)

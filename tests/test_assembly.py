@@ -38,6 +38,12 @@ def jittered(n=3, seed=1):
     return Discretization(jittered_mesh)
 
 
+def batch_kernels(kernel, d, tris):
+    """The kernels of ``d``'s triangles ``tris``, given their class
+    coefficients as the assembly does."""
+    return kernel(d.mesh, d.coeff[d.mesh.shape_of_triangle[tris]], tris)
+
+
 def oracle_kernel_a(mesh, k, mu, iota, p=7):
     """Naive per-point kernel via eval_basis and a Gauss-Jacobi rule
     (exact to degree 2p-1 = 13)."""
@@ -93,7 +99,7 @@ def rel_error(got, expect):
 def test_kernel_a_matches_oracle():
     d = setup(2)
     mu, iota = 1.0, 0.3
-    k0, k2 = kernel_a_parts(d.mesh, d.coeff, np.array([3]))
+    k0, k2 = batch_kernels(kernel_a_parts, d, np.array([3]))
     production = 2.0 * mu * (k0[0] + iota ** 2 * k2[0])
     oracle = oracle_kernel_a(d.mesh, 3, mu, iota)
     scale = np.max(np.abs(oracle))
@@ -103,7 +109,7 @@ def test_kernel_a_matches_oracle():
 def test_kernel_a_elasticity_limit():
     # iota = 0 drops the strain-gradient term entirely
     d = setup(2)
-    k0, _ = kernel_a_parts(d.mesh, d.coeff, np.array([5]))
+    k0, _ = batch_kernels(kernel_a_parts, d, np.array([5]))
     oracle = oracle_kernel_a(d.mesh, 5, 0.5, 0.0)
     scale = np.max(np.abs(oracle))
     assert np.max(np.abs(2.0 * 0.5 * k0[0] - oracle)) / scale < 1e-12
@@ -112,7 +118,7 @@ def test_kernel_a_elasticity_limit():
 def test_kernel_b_matches_oracle():
     d = setup(2)
     iota = 0.15
-    k0, k2 = kernel_b_parts(d.mesh, d.coeff, np.array([4]))
+    k0, k2 = batch_kernels(kernel_b_parts, d, np.array([4]))
     production = k0[0] + iota ** 2 * k2[0]
     oracle = oracle_kernel_b(d.mesh, 4, iota)
     scale = np.max(np.abs(oracle))
@@ -123,7 +129,7 @@ def test_kernel_a_matches_oracle_on_jittered_mesh():
     d = jittered()
     mu, iota = 1.0, 0.3
     tris = np.arange(d.mesh.num_triangles)
-    k0, k2 = kernel_a_parts(d.mesh, d.coeff, tris)
+    k0, k2 = batch_kernels(kernel_a_parts, d, tris)
     for k in tris:
         production = 2.0 * mu * (k0[k] + iota ** 2 * k2[k])
         assert rel_error(production,
@@ -133,7 +139,7 @@ def test_kernel_a_matches_oracle_on_jittered_mesh():
 def test_kernel_a_elasticity_limit_on_jittered_mesh():
     d = jittered()
     tris = np.arange(d.mesh.num_triangles)
-    k0, _ = kernel_a_parts(d.mesh, d.coeff, tris)
+    k0, _ = batch_kernels(kernel_a_parts, d, tris)
     for k in tris:
         assert rel_error(2.0 * 0.5 * k0[k],
                          oracle_kernel_a(d.mesh, k, 0.5, 0.0)) < 1e-12
@@ -143,7 +149,7 @@ def test_kernel_b_matches_oracle_on_jittered_mesh():
     d = jittered()
     iota = 0.15
     tris = np.arange(d.mesh.num_triangles)
-    k0, k2 = kernel_b_parts(d.mesh, d.coeff, tris)
+    k0, k2 = batch_kernels(kernel_b_parts, d, tris)
     for k in tris:
         assert rel_error(k0[k] + iota ** 2 * k2[k],
                          oracle_kernel_b(d.mesh, k, iota)) < 1e-12
@@ -152,7 +158,7 @@ def test_kernel_b_matches_oracle_on_jittered_mesh():
 def test_kernel_norm_gram_matches_oracle_on_jittered_mesh():
     d = jittered()
     tris = np.arange(d.mesh.num_triangles)
-    k1, k2 = kernel_norm_gram_parts(d.mesh, d.coeff, tris)
+    k1, k2 = batch_kernels(kernel_norm_gram_parts, d, tris)
     for k in tris:
         o1, o2 = oracle_kernel_norm_gram(d.mesh, k)
         assert rel_error(k1[k], o1) < 1e-12
@@ -168,13 +174,14 @@ def test_kernels_match_quadrature_kernels(make):
     # cancel where the exact kernel vanishes, see the test below)
     disc = make()
     tris = np.arange(disc.mesh.num_triangles)
+    coeff = disc.coeff[disc.mesh.shape_of_triangle]
     for production, reference, tols in (
             (kernel_a_parts, quadrature_kernel_a_parts, (1e-13, 1e-13)),
             (kernel_b_parts, quadrature_kernel_b_parts, (1e-13, 1e-12)),
             (kernel_norm_gram_parts, quadrature_kernel_norm_gram_parts,
              (1e-13, 1e-13))):
-        for got, expect, tol in zip(production(disc.mesh, disc.coeff, tris),
-                                    reference(disc.mesh, disc.coeff, tris),
+        for got, expect, tol in zip(production(disc.mesh, coeff, tris),
+                                    reference(disc.mesh, coeff, tris),
                                     tols, strict=True):
             assert rel_error(got, expect) < tol
 
@@ -202,7 +209,7 @@ def test_grad_div_kernel_vanishes_on_midpoint_and_mean_functions():
     # means (its vertex values and normal-derivative means vanish)
     for d in (setup(16), jittered()):
         tris = np.arange(d.mesh.num_triangles)
-        _, k2 = kernel_b_parts(d.mesh, d.coeff, tris)
+        _, k2 = batch_kernels(kernel_b_parts, d, tris)
         scale = np.abs(k2).max(axis=(1, 2))
         cols = np.r_[6:12, 18:20]
         assert np.all(np.abs(k2[:, :, cols]).max(axis=(1, 2))
@@ -276,7 +283,7 @@ def test_assembled_parts_are_the_lexsort_sums_of_their_kernels():
             (d.norm_gram_parts, kernel_norm_gram_parts, v, v, shape_v,
              True),
             (d.b_parts, kernel_b_parts, q, v, shape_b, False)):
-        for got, k in zip(parts, kernels(d.mesh, d.coeff, tris),
+        for got, k in zip(parts, batch_kernels(kernels, d, tris),
                           strict=True):
             expect = lexsort_csr(k, rows.cell_dofs, cols.cell_dofs, shape)
             assert_same_csr(got, without_zeros(expect) if zeros else expect)
@@ -291,7 +298,7 @@ def per_triangle_parts(d):
     (v, _, shape_v), (q, _, shape_b), (_, _, shape_q) = plan_cases(d)
 
     def scatter(kernel, rows, cols, shape):
-        ks = [kernel(mesh, coeff, tris) for tris in chunks(T)]
+        ks = [kernel(mesh, coeff[tris], tris) for tris in chunks(T)]
         return tuple(lexsort_csr(np.concatenate(k), rows.cell_dofs,
                                  cols.cell_dofs, shape) for k in zip(*ks))
 
@@ -315,7 +322,7 @@ def test_class_assembly_is_the_per_triangle_assembly_at_n16():
     d = setup(16)
     assert len(d.mesh.shape_rep) == 2
     ref = per_triangle_parts(d)
-    assert np.array_equal(d.coeff, ref["coeff"])
+    assert np.array_equal(d.coeff[d.mesh.shape_of_triangle], ref["coeff"])
     got = {"a": d.a_parts, "b": d.b_parts, "norm_gram": d.norm_gram_parts,
            "pressure": d.pressure_parts}
     for name, second_to_roundoff in (("a", True), ("b", False),

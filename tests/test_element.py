@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 import sgefem.element
 from sgefem.assembly import reference_moments
+from sgefem.discretization import Discretization
+from sgefem.linalg import solve_saddle
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from sgefem.element import (SingularElementError, batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables,
@@ -240,18 +242,33 @@ def test_one_degenerate_triangle_in_a_mesh_raises():
         batched_scalar_coeff(mesh)
 
 
+def test_clockwise_triangles_are_named_and_zero_area_stays_singular():
+    # a clockwise mesh has negative areas and a negative definite A,
+    # whose solve would break down without naming the cause
+    m = build_uniform_unit_square(8)
+    d = Discretization(Mesh(m.vertices, m.triangles[:, [0, 2, 1]]),
+                       "example2")
+    with pytest.raises(ValueError, match="clockwise"):
+        solve_saddle(d.system(1.0, 1e4, 1e-6))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        flat = triangle_mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    assert flat.area[0] == 0.0
+    with pytest.raises(SingularElementError, match="singular"):
+        batched_scalar_coeff(flat)
+
+
 @pytest.mark.parametrize("kind", ["relabeled", "flipped"])
 def test_class_coefficients_are_the_per_triangle_coefficients(kind):
     m = relabeled(4) if kind == "relabeled" else flipped(5)
     assert len(m.shape_rep) < m.num_triangles
-    assert np.array_equal(batched_scalar_coeff(m),
+    assert np.array_equal(batched_scalar_coeff(m)[m.shape_of_triangle],
                           np.linalg.inv(batched_scalar_dof_matrices(m)))
 
 
 def test_batched_matches_single():
     m = build_uniform_unit_square(3)
     batched = batched_scalar_dof_matrices(m)
-    coeff = batched_scalar_coeff(m)
+    coeff = batched_scalar_coeff(m)[m.shape_of_triangle]
     for k in (0, 7, 12):
         M0 = batched_scalar_dof_matrices(m, [k])[0]
         assert np.max(np.abs(batched[k] - M0)) < 1e-14
@@ -339,4 +356,4 @@ def test_coefficients_build_the_dof_matrices_once(monkeypatch):
     coeff = batched_scalar_coeff(m)
     assert len(calls) == 1
     M = build(m)
-    assert np.array_equal(coeff, np.linalg.inv(M))
+    assert np.array_equal(coeff[m.shape_of_triangle], np.linalg.inv(M))

@@ -182,7 +182,7 @@ def test_traces_single_valued_at_gauss_points():
     from sgefem.element import batched_scalar_coeff, modal_tables
 
     mesh = build_uniform_unit_square(2)
-    coeff = batched_scalar_coeff(mesh)
+    coeff = batched_scalar_coeff(mesh)[mesh.shape_of_triangle]
     t, _ = edge_rule(5)
     V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
     etri = mesh.edge_of_triangle
