@@ -56,7 +56,7 @@ class StudyConfig:
     """Validated parameter grid for a convergence study."""
 
     def __init__(self, example, lams, iotas, ns, mu=1.0, tol=1e-10,
-                 out=None, threads=None, large=False):
+                 out=None, threads=None):
         if example not in _EXAMPLES:
             raise ConfigError("example must be one of %s" % (_EXAMPLES,))
         _check_lists([("lambda", lams), ("iota", iotas), ("n", ns)])
@@ -74,7 +74,6 @@ class StudyConfig:
         self.tol = float(tol)
         self.out = out
         self.threads = None if threads is None else int(threads)
-        self.large = bool(large)
 
 
 def _floats(text):
@@ -148,6 +147,9 @@ def _merge_config(args):
     example = pick(args.example, "example", str, "example1")
     large = pick(getattr(args, "large", False) or None, "large", _boolean,
                  False)
+    if large and (args.n is not None or "n" in file_values):
+        raise ConfigError("large extends the default n list and takes "
+                          "no n list")
     ns = pick(args.n, "n", _ints,
               list(DEFAULT_NS) + (list(LARGE_NS) if large else []))
     return StudyConfig(
@@ -159,8 +161,7 @@ def _merge_config(args):
         mu=pick(args.mu, "mu", float, 1.0),
         tol=pick(args.tol, "tol", float, 1e-10),
         out=pick(args.out, "out", str),
-        threads=pick(args.threads, "threads", int),
-        large=large)
+        threads=pick(args.threads, "threads", int))
 
 
 def _limit_threads(threads):
@@ -187,29 +188,46 @@ def _check_writable(path):
 
 
 def _study_rows(config):
-    """Solve the grid n-major (one discretization per mesh, reused across
-    lambda and iota) and yield results keyed (lam, iota, n)."""
+    """Solve the grid n-major and yield results keyed (lam, iota, n)."""
+    results = {}
+    for n in config.ns:
+        results.update(_mesh_rows(config, n))
+    return results
+
+
+def _mesh_rows(config, n):
+    """The rows of mesh n, from one discretization, in two phases.
+    First every (iota, lambda) cell is solved, the lambdas inside each
+    iota so they share its factors, and its (u, p) kept; the a- and
+    b-parts are released once the last iota has combined them, before
+    its A is factored.  Then the factors are released and every
+    solution measured, so the exact tables the error norms build are
+    never held beside a factor."""
     from . import linalg
     from .discretization import Discretization
     from .mesh import build_uniform_unit_square
 
-    results = {}
-    for n in config.ns:
-        disc = Discretization(build_uniform_unit_square(n), config.example)
-        sizes = (disc.mesh.h, disc.vmap.n_u, disc.qmap.n_p)
-        for iota in config.iotas:
-            fnorm = disc.load_norm(config.mu, iota)
-            for lam in config.lams:
-                try:
-                    u, p, _ = linalg.solve_saddle(
-                        disc.system(config.mu, lam, iota), tol=config.tol)
-                    _, _, ev, epq = disc.errors(u, p, iota)
-                    results[lam, iota, n] = sizes + (ev / fnorm,
-                                                     epq / fnorm, "ok")
-                except linalg.SolverBreakdown:
-                    results[lam, iota, n] = sizes + (math.nan, math.nan,
-                                                     "breakdown")
-    return results
+    mu = config.mu
+    disc = Discretization(build_uniform_unit_square(n), config.example)
+    sizes = (disc.mesh.h, disc.vmap.n_u, disc.qmap.n_p)
+    rows, solutions = {}, {}
+    for iota in config.iotas:
+        disc.factors(mu, iota)
+        if iota == config.iotas[-1]:
+            disc.release()
+        for lam in config.lams:
+            try:
+                solutions[lam, iota] = linalg.solve_saddle(
+                    disc.system(mu, lam, iota), tol=config.tol)[:2]
+            except linalg.SolverBreakdown:
+                rows[lam, iota, n] = sizes + (math.nan, math.nan,
+                                              "breakdown")
+    disc.release(factors=True)
+    for (lam, iota), (u, p) in solutions.items():
+        _, _, ev, epq = disc.errors(u, p, iota)
+        fnorm = disc.load_norm(mu, iota)
+        rows[lam, iota, n] = sizes + (ev / fnorm, epq / fnorm, "ok")
+    return rows
 
 
 def format_table(config, results):
@@ -290,12 +308,12 @@ def run_solve(config):
     if len(config.lams) != 1 or len(config.iotas) != 1 \
             or len(config.ns) != 1:
         raise ConfigError("solve takes single lambda, iota, and n values")
-    if config.large:
-        raise ConfigError("solve takes no large key: it runs one n")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
     path = config.out or "solution.csv"
     _check_writable(path)
     disc = Discretization(build_uniform_unit_square(n), config.example)
+    disc.factors(config.mu, iota)
+    disc.release()      # the one iota has combined the parts
     try:
         u, p, _ = linalg.solve_saddle(disc.system(config.mu, lam, iota),
                                       tol=config.tol)
@@ -342,7 +360,9 @@ def _build_parser():
                        help="comma-separated mesh subdivisions")
         if large:
             p.add_argument("--large", action="store_true",
-                           help="extend the default n list with 128, 256")
+                           help="extend the default n list with 128, "
+                                "256 (not with --n or an n key); needs a "
+                                "few GB of memory")
         output(p)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--tol", type=float,

@@ -13,9 +13,13 @@ sequence of the lambda = infinity system, which every lambda replays
 as a shift (the inf-sup condition makes that sequence converge, see
 :mod:`sgefem.linalg`).
 Each group is computed on first use, so a caller that needs only some
-of them (the verification checks) pays only for those, and the exact
-tables of a study are built by its first error measurement, after the
-first solve, rather than held through it.
+of them (the verification checks) pays only for those.  What the
+remaining cells of a mesh will not read again can be dropped with
+:meth:`Discretization.release`: a study solves every cell of a mesh,
+releasing the a- and b-parts once its last iota has combined them and
+the solver's factors after its last solve, and only then measures the
+errors, so the exact tables are built by the first measurement and
+never held beside a factor.
 """
 
 import math
@@ -31,12 +35,30 @@ from .manufactured import (error_norms, exact_tables, field_by_name,
 from .space import build_qdofmap, build_vdofmap
 
 
+def _return_free_heap():
+    """Hand the pages of freed heap memory back to the system.  glibc
+    trims its heap only from the top, and only past a threshold that it
+    raises as large blocks are freed, so the pages of released arrays
+    can stay resident beside a factor allocated next (whose large
+    blocks it maps on their own).  A no-op where the C library has no
+    malloc_trim."""
+    import ctypes
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
+
+
 class Discretization:
     """The 20-DoF displacement space and P1 pressures on ``mesh``.
 
     ``example`` names the manufactured solution (see
     :data:`sgefem.manufactured.FIELDS`) that drives the load and the
-    error norms; the matrices need none.
+    error norms; the matrices need none.  :meth:`release` drops the
+    parts and factors that only further cells would read; whatever is
+    asked for after it is rebuilt.
     """
 
     def __init__(self, mesh, example=None):
@@ -102,7 +124,8 @@ class Discretization:
         A and G hold the index arrays of their parts' shared pattern; B
         is scipy's sum, which drops the entries that cancel to zero.
         One entry is kept: a study runs its lambdas inside each iota, so
-        the previous pair is released when iota changes."""
+        the previous pair is released when iota changes, and the last
+        one by :meth:`release` once its cells are solved."""
         key = (mu, iota)
         if self._factors is None or self._factors[0] != key:
             self._factors = None    # free the old factors before the new A
@@ -116,6 +139,19 @@ class Discretization:
                 combine_parts(mp, kp, i2), self.mean_constraint,
                 mu * (F0 + i2 * F2)))
         return self._factors[1]
+
+    def release(self, factors=False):
+        """Drop the a- and b-parts, which the held factors have already
+        combined: A keeps its own data and the a-parts' index arrays, B
+        is a matrix of its own.  With ``factors``, drop the held
+        :class:`SaddleFactors` too (the factors of A and G and the
+        stored sequence).  A later (mu, iota) rebuilds what it needs;
+        the pressure parts, which the errors read, stay."""
+        self.__dict__.pop("a_parts", None)
+        self.__dict__.pop("b_parts", None)
+        if factors:
+            self._factors = None
+        _return_free_heap()
 
     def system(self, mu, lam, iota):
         """The saddle system of one (mu, lambda, iota) cell."""

@@ -62,8 +62,17 @@ class SolverBreakdown(RuntimeError):
 
 
 def _row_sums(M, axis=1):
-    """Row (axis 1) or column (axis 0) sums of |M|."""
-    return np.asarray(abs(M).sum(axis=axis)).ravel()
+    """Row (axis 1) or column (axis 0) sums of |M|, bit for bit those of
+    ``abs(M).sum(axis)`` for a CSR M without duplicate entries (as the
+    assembled matrices are).  The row sums are the reduction of M's
+    nonempty rows that scipy runs, on |M.data| alone: scipy's abs(M)
+    would copy M's index arrays too."""
+    if axis == 0:
+        return np.asarray(abs(M).sum(axis=0)).ravel()
+    sums = np.zeros(M.shape[0])
+    rows = np.flatnonzero(np.diff(M.indptr))
+    sums[rows] = np.add.reduceat(np.abs(M.data), M.indptr[rows])
+    return sums
 
 
 def spd_factor(M):
@@ -89,7 +98,12 @@ class SaddleFactors:
     lambda = infinity system (C = 0), extended on demand by
     :meth:`step` and replayed for every lambda by :func:`projected_pcg`.
     The sequence is held here and refers to nothing that refers back,
-    so it is freed with the factors."""
+    so it is freed with the factors.
+
+    ``abs_sums`` holds the lambda-independent parts of the bordered
+    matrix's infinity norm: the row sums of |A| plus the column sums of
+    |B|, the row sums of |B|, and |m|.  They are formed here, before A
+    is factored, so no copy of A is made beside its factor."""
 
     def __init__(self, A, B, G, m, rhs_u):
         n_u, n_p = A.shape[0], m.shape[0]
@@ -98,17 +112,11 @@ class SaddleFactors:
             raise ValueError("inconsistent block dimensions")
         self.A, self.B, self.G, self.m, self.rhs_u = A, B, G, m, rhs_u
         self.n_u, self.n_p = n_u, n_p
+        self.abs_sums = (_row_sums(A) + _row_sums(B, axis=0),
+                         _row_sums(B), np.abs(m))
         # steps 0, 1, ... of the sequence: alpha_k, beta_k, z_k and
         # y_k = A^-1 B^T z_k, and r_{k+1} . z_{k+1}
         self._steps = []
-
-    @cached_property
-    def abs_sums(self):
-        """The lambda-independent parts of the bordered matrix's
-        infinity norm: the row sums of |A| plus the column sums of |B|,
-        the row sums of |B|, and |m|."""
-        return (_row_sums(self.A) + _row_sums(self.B, axis=0),
-                _row_sums(self.B), np.abs(self.m))
 
     @cached_property
     def solve_a(self):

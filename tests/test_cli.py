@@ -3,13 +3,14 @@ import math
 import os
 import sys
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
 from sgefem.cli import (CSV_HEADER, ConfigError, StudyConfig,
-                        _merge_config, format_table, load_config_file,
-                        main)
+                        _merge_config, _study_rows, format_table,
+                        load_config_file, main)
 from sgefem.linalg import SolverBreakdown
 
 
@@ -256,6 +257,116 @@ def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
     row = out.read_text().strip().split("\n")[1].split(",")
     assert row[-1] == "breakdown"
     assert row[7] == "nan" and row[9] == ""
+
+
+def _small_study(ns=(4,)):
+    return StudyConfig("example1", [1.0, 1e4, 1e8], [1.0, 1e-8], list(ns))
+
+
+def test_study_frees_the_parts_before_the_last_iotas_factor(monkeypatch):
+    # the a- and b-parts are read only while an iota combines them: when
+    # the last iota's A is factored, their data arrays are dead
+    import sgefem.discretization
+    import sgefem.linalg
+
+    parts, a_shape, alive = [], [], []
+
+    def recording(assemble):
+        def wrapper(*args):
+            result = assemble(*args)
+            parts.extend(weakref.ref(M.data) for M in result)
+            a_shape.append(result[0].shape)
+            return result
+        return wrapper
+
+    for name in ("assemble_a_parts", "assemble_b_parts"):
+        monkeypatch.setattr(sgefem.discretization, name,
+                            recording(getattr(sgefem.discretization, name)))
+    factor = sgefem.linalg.spd_factor
+
+    def checking(M):
+        if M.shape == a_shape[0]:
+            alive.append(sum(r() is not None for r in parts))
+        return factor(M)
+
+    monkeypatch.setattr(sgefem.linalg, "spd_factor", checking)
+    gc.disable()        # refcounting alone must free them
+    try:
+        _study_rows(_small_study())
+    finally:
+        gc.enable()
+    assert alive == [4, 0]
+
+
+def test_study_builds_the_exact_tables_after_the_factors_die(monkeypatch):
+    # every cell of a mesh is solved and its factors freed before the
+    # first error measurement builds the exact tables
+    import sgefem.discretization
+
+    factors, seen = [], []
+    make = sgefem.discretization.SaddleFactors
+    exact = sgefem.discretization.exact_tables
+
+    def recording(*args):
+        f = make(*args)
+        factors.append(weakref.ref(f))
+        return f
+
+    def checking(*args):
+        seen.append((len(factors), sum(r() is not None for r in factors)))
+        return exact(*args)
+
+    monkeypatch.setattr(sgefem.discretization, "SaddleFactors", recording)
+    monkeypatch.setattr(sgefem.discretization, "exact_tables", checking)
+    gc.disable()
+    try:
+        _study_rows(_small_study(ns=(3, 4)))
+    finally:
+        gc.enable()
+    # two iotas, so two factors per mesh, all dead
+    assert seen == [(2, 0), (4, 0)]
+
+
+def test_breakdown_in_the_middle_of_a_mesh_flags_only_its_row(monkeypatch):
+    import sgefem.linalg
+
+    config = _small_study()
+    clean = _study_rows(config)
+    solve, failed = sgefem.linalg.solve_saddle, []
+
+    def failing_once(system, tol=1e-10):
+        if system.shift == 1.0 / 1e4 and not failed:
+            failed.append(system)
+            raise SolverBreakdown("forced", math.inf, 0)
+        return solve(system, tol=tol)
+
+    monkeypatch.setattr(sgefem.linalg, "solve_saddle", failing_once)
+    broken = _study_rows(config)
+    assert broken.keys() == clean.keys()
+    for key, row in broken.items():
+        if key == (1e4, 1.0, 4):
+            assert row[5] == "breakdown" and math.isnan(row[3])
+        else:
+            assert row == clean[key], key
+
+
+@pytest.mark.parametrize("flags, config_text", [
+    (["--n", "4", "--large"], None),
+    (["--n", "4"], "large = yes\n"),
+    (["--large"], "n = 4\n"),
+    ([], "n = 4\nlarge = yes\n"),
+], ids=["flags", "flag-n-config-large", "config-n-flag-large", "config"])
+def test_large_with_an_n_list_exits_3(tmp_path, capsys, flags, config_text):
+    # large extends the default n list; with an explicit list it would
+    # be dropped unnoticed
+    argv = ["convergence"] + flags + ["--out", str(tmp_path / "t.csv")]
+    if config_text is not None:
+        cfg = tmp_path / "study.cfg"
+        cfg.write_text(config_text)
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 3
+    assert "large extends the default n list" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_verify_subcommand_passes_and_writes_csv(tmp_path, capsys):

@@ -6,12 +6,14 @@ import pytest
 from scipy import sparse
 from scipy.sparse.linalg import norm as sparse_norm
 
+import sgefem.discretization
 import sgefem.linalg
 from oracles import bordered_lu_solve, min_generalized_eig
+from sgefem.cli import DEFAULT_IOTAS
 from sgefem.discretization import Discretization
 from sgefem.linalg import (SaddleFactors, SaddleSystem, SolverBreakdown,
                            projected_pcg, solve_saddle, spd_factor)
-from sgefem.mesh import build_uniform_unit_square
+from sgefem.mesh import Mesh, build_uniform_unit_square
 
 GRID_IOTAS = (1.0, 1e-2, 1e-8)
 GRID_LAMBDAS = (1.0, 1e4, 1e8)
@@ -261,6 +263,39 @@ def test_a_factored_once_per_iota_and_released(monkeypatch):
         gc.enable()
 
 
+def test_released_parts_are_rebuilt_for_a_later_iota(monkeypatch):
+    # release drops the a- and b-parts and, on request, the factors; a
+    # later iota rebuilds them into the matrices a fresh mesh gives
+    assemble = sgefem.discretization.assemble_a_parts
+    built = []
+
+    def counting(*args):
+        built.append(1)
+        return assemble(*args)
+
+    monkeypatch.setattr(sgefem.discretization, "assemble_a_parts", counting)
+    disc = Discretization(build_uniform_unit_square(4), "example1")
+    solve_saddle(disc.system(1.0, 1e4, 1.0))
+    disc.release()
+    solve_saddle(disc.system(1.0, 1e4, 1.0))    # the held factors serve
+    disc.release(factors=True)
+    assert len(built) == 1
+    got = disc.factors(1.0, 1e-8)
+    assert len(built) == 2
+    monkeypatch.undo()
+    fresh = Discretization(build_uniform_unit_square(4),
+                           "example1").factors(1.0, 1e-8)
+    for name in ("A", "B", "G"):
+        M, R = getattr(got, name), getattr(fresh, name)
+        for array in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(M, array), getattr(R, array)), \
+                (name, array)
+    assert np.array_equal(got.rhs_u, fresh.rhs_u)
+    u, p, _ = solve_saddle(SaddleSystem(got, 1e4))
+    u_ref, p_ref, _ = solve_saddle(SaddleSystem(fresh, 1e4))
+    assert np.array_equal(u, u_ref) and np.array_equal(p, p_ref)
+
+
 def test_a_solves_per_iota_do_not_depend_on_the_lambdas(monkeypatch):
     splu = sgefem.linalg.splu
     solves = []
@@ -391,18 +426,64 @@ def test_min_generalized_eig_residual():
 
 def test_lambda_cells_share_the_row_sums_of_a(monkeypatch):
     # the |A| and |B| row sums of the backward error's ||S|| belong to
-    # the (mu, iota); only those of C = G / lambda are per lambda
+    # the (mu, iota) and are formed with its factors, before A is
+    # factored; only those of C = G / lambda are per lambda
     disc = Discretization(build_uniform_unit_square(4), "example2")
-    A = disc.factors(1.0, 1e-2).A
-    passes = []
+    summed = []
     row_sums = sgefem.linalg._row_sums
 
     def counting(M, axis=1):
-        passes.append(M is A)
+        summed.append(M)
         return row_sums(M, axis)
 
     monkeypatch.setattr(sgefem.linalg, "_row_sums", counting)
+    A = disc.factors(1.0, 1e-2).A
     for lam in GRID_LAMBDAS:
         solve_saddle(disc.system(1.0, lam, 1e-2))
+    passes = [M is A for M in summed]
     assert sum(passes) == 1
     assert len(passes) == 3 + len(GRID_LAMBDAS)
+
+
+def _scipy_row_sums(M):
+    return np.asarray(abs(M).sum(axis=1)).ravel()
+
+
+@pytest.mark.parametrize("example", sorted(DEFAULT_IOTAS))
+@pytest.mark.parametrize("n, jitter", [(8, False), (32, False), (6, True)],
+                         ids=["n8", "n32", "jittered-n6"])
+def test_row_sums_of_a_are_scipys_bit_for_bit(example, n, jitter):
+    # the copy-free sums reduce |A.data| as abs(A).sum(axis=1) does, at
+    # every iota of the example's study grid
+    mesh = build_uniform_unit_square(n)
+    if jitter:
+        rng = np.random.default_rng(5)
+        verts = mesh.vertices.copy()
+        inner = ~mesh.vertex_is_boundary
+        verts[inner] += rng.uniform(-0.25, 0.25, (inner.sum(), 2)) / n
+        mesh = Mesh(verts, mesh.triangles)
+    disc = Discretization(mesh, example)
+    for iota in DEFAULT_IOTAS[example]:
+        f = disc.factors(1.0, iota)
+        rows_a = sgefem.linalg._row_sums(f.A)
+        assert np.array_equal(rows_a, _scipy_row_sums(f.A)), iota
+        cols_b = np.asarray(abs(f.B).sum(axis=0)).ravel()
+        assert np.array_equal(f.abs_sums[0], rows_a + cols_b), iota
+        assert np.array_equal(f.abs_sums[1], _scipy_row_sums(f.B)), iota
+
+
+def test_row_sums_with_empty_rows_are_scipys():
+    # the zero A of a singular system has only empty rows; the mixed
+    # matrix has empty rows first, in the middle and last
+    zero = sparse.csr_matrix((6, 6))
+    mixed = sparse.csr_matrix(np.array([[0.0, 0.0, 0.0],
+                                        [-1.5, 0.0, 2.0],
+                                        [0.0, 0.0, 0.0],
+                                        [0.0, -3.0, 0.0],
+                                        [0.0, 0.0, 0.0]]))
+    for M in (zero, mixed):
+        assert np.array_equal(sgefem.linalg._row_sums(M),
+                              _scipy_row_sums(M))
+    assert SaddleFactors(zero, sparse.csr_matrix((2, 6)),
+                         sparse.identity(2, format="csr"), np.ones(2),
+                         np.ones(6)).abs_sums[0].tolist() == [0.0] * 6
