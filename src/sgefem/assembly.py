@@ -15,21 +15,22 @@ sweeps can reuse one assembly, and loads are assembled part by part
 for the same reason.  lambda never enters the displacement
 blocks: it only scales c, which is what makes the method locking-free.
 
-Every scalar modal function is a barycentric monomial and the
-triangles are affine, so each stiffness and coupling integral is a
+Every scalar modal function is a barycentric monomial and the triangles
+are affine, so each stiffness and coupling integral is a
 triangle-independent reference moment of the monomials' barycentric
 derivatives: :func:`reference_moments` integrates exactly the one
 derivative table, :func:`sgefem.element.modal_derivatives`, that
 :func:`sgefem.element.modal_tables` evaluates at points.  The moments
 are contracted with the barycentric gradients and then with the nodal
 coefficients C as C^T Q C, giving the scalar Grams of first and second
-derivatives; the 20 x 20 vector kernels are filled from them (Kirby,
-Knepley, Logg and Scott, SIAM J. Sci. Comput. 27, 2005).  No
-quadrature-point axis enters the per-element work, and it runs once per
-shape class of the mesh (see :class:`sgefem.mesh.Mesh`), in chunks of
-classes: triangles of bitwise-equal geometry have equal kernels, and a
-uniform mesh has two classes.  A kernel function takes the nodal
-coefficients ``coeff`` (Tc, 10, 10) of the batch ``tris`` it is given.
+derivatives, the kernels of the norm Grams of the scalar space, from
+which the 20 x 20 vector kernels are filled (Kirby, Knepley, Logg and
+Scott, SIAM J. Sci. Comput. 27, 2005).  No quadrature-point axis enters
+the per-element work, and it runs once per shape class of the mesh (see
+:class:`sgefem.mesh.Mesh`), in chunks of classes: triangles of
+bitwise-equal geometry have equal kernels, and a uniform mesh has two
+classes.  A kernel function takes the nodal coefficients ``coeff``
+(Tc, 10, 10) of the batch ``tris`` it is given.
 
 Kernels reach CSR through a :class:`ScatterPlan` built once per
 assembly call for its (row map, column map) and shared by both parts.
@@ -179,15 +180,6 @@ def _strain_kernel(S):
     return _symmetrize(K.reshape(len(S), 20, 20))
 
 
-def _component_kernel(k):
-    """Vector kernel (Tc, 20, 20) acting as the scalar kernel k on each
-    component and coupling none."""
-    K = np.zeros((len(k), 10, 2, 10, 2))
-    for c in (0, 1):
-        K[:, :, c, :, c] = k
-    return _symmetrize(K.reshape(len(k), 20, 20))
-
-
 def kernel_a_parts(mesh, coeff, tris):
     """Element kernels of the two integrals of a_h for a batch of
     triangles: (eps, eps) and (grad eps, grad eps), each (Tc, 20, 20).
@@ -199,12 +191,12 @@ def kernel_a_parts(mesh, coeff, tris):
 
 
 def kernel_norm_gram_parts(mesh, coeff, tris):
-    """Element kernels (Tc, 20, 20) of the gradient and second-derivative
-    Grams of the displacement space; the second sums one term per
+    """Element kernels (Tc, 10, 10) of the gradient and second-derivative
+    Grams of the scalar space; the second sums one term per
     second-derivative multi-index, so the mixed derivative counts once."""
     S, H = _scalar_grams(mesh, coeff, tris)
-    return (_component_kernel(S[:, 0, 0] + S[:, 1, 1]),
-            _component_kernel(H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]))
+    return (_symmetrize(S[:, 0, 0] + S[:, 1, 1]),
+            _symmetrize(H[:, 0, 0] + H[:, 1, 1] + H[:, 2, 2]))
 
 
 def kernel_b_parts(mesh, coeff, tris):
@@ -244,15 +236,12 @@ class ScatterPlan:
     sums in CSR order.  Each entry is thus the sum of a stable lexsort
     of the per-triangle entries, bit for bit, and (r, c) and (c, r) of a
     symmetric assembly add the same summands in the same order, so the
-    result is symmetric bit for bit.
-
-    With ``diagonal`` only the (c, c) blocks are scattered, for kernels
-    that couple no components.  All parts assembled through one plan
-    share its ``indices`` and ``indptr`` arrays (see
+    result is symmetric bit for bit.  All parts assembled through one
+    plan share its ``indices`` and ``indptr`` arrays (see
     :func:`combine_parts`).
     """
 
-    def __init__(self, row_map, col_map, shape, classes, diagonal=False):
+    def __init__(self, row_map, col_map, shape, classes):
         rows, cols = row_map.cell_nodes, col_map.cell_nodes
         cr, cc = row_map.components, col_map.components
         nr, nc = rows.shape[1], cols.shape[1]
@@ -269,10 +258,7 @@ class ScatterPlan:
         del key, first          # the index arrays below are larger
         runs_of_row = np.bincount(run_row, minlength=n_rows)
         runs_before = np.cumsum(runs_of_row) - runs_of_row
-        # the component blocks (c, d) scattered, d = c for a diagonal plan
-        c, d = (np.arange(cr),) * 2 if diagonal else \
-            np.divmod(np.arange(cr * cc), cc)
-        nd = len(c) // cr                   # column components per row
+        c, d = np.divmod(np.arange(cr * cc), cc)    # the blocks (c, d)
 
         # CSR order: row k_r r + c holds the runs of row node r in
         # column order, each once per column component d; its entries
@@ -281,9 +267,9 @@ class ScatterPlan:
         per_row = np.repeat(runs_of_row, cr)        # runs per CSR row
         run = np.repeat(np.repeat(runs_before, cr)
                         - (np.cumsum(per_row) - per_row), per_row)
-        run = np.repeat(run + np.arange(len(run)), nd)
-        block = np.repeat(np.tile(nd * np.arange(cr), n_rows), nd * per_row)
-        block += np.tile(np.arange(nd), cr * nruns)
+        run = np.repeat(run + np.arange(len(run)), cc)
+        block = np.repeat(np.tile(cc * np.arange(cr), n_rows), cc * per_row)
+        block += np.tile(np.arange(cc), cr * nruns)
         # scipy keeps int32 indices when they fit; matching its choice
         # avoids a per-matrix copy and keeps the arrays shared
         idx = np.int32 if max(shape[0], shape[1], len(run)) < 2 ** 31 \
@@ -291,7 +277,7 @@ class ScatterPlan:
         self.indices = (cc * run_col).astype(idx)[run]
         self.indices += d.astype(idx)[block]
         self.indptr = np.zeros(shape[0] + 1, dtype=idx)
-        np.cumsum(nd * per_row, out=self.indptr[1:])
+        np.cumsum(cc * per_row, out=self.indptr[1:])
         # each entry's sum in the reduceat's (block, run) layout
         block *= nruns
         block += run
@@ -327,18 +313,17 @@ def combine_parts(first, second, iota2, scale=1.0):
                        first.indices, first.indptr), shape=first.shape)
 
 
-def _assemble_pair(kernel, mesh, coeff, row_map, col_map, shape,
-                   diagonal=False):
+def _assemble_pair(kernel, mesh, coeff, row_map, col_map, shape):
     """Both parts of a kernel pair, computed once per shape class in
     chunks of classes, through one scatter plan."""
     reps = mesh.shape_rep
-    size = (len(reps), row_map.cell_dofs.shape[1], col_map.cell_dofs.shape[1])
+    size = (len(reps),) + tuple(m.cell_nodes.shape[1] * m.components
+                                for m in (row_map, col_map))
     parts = [np.empty(size) for _ in range(2)]
     for batch in chunks(len(reps)):
         parts[0][batch], parts[1][batch] = kernel(mesh, coeff[batch],
                                                   reps[batch])
-    plan = ScatterPlan(row_map, col_map, shape, mesh.shape_of_triangle,
-                       diagonal)
+    plan = ScatterPlan(row_map, col_map, shape, mesh.shape_of_triangle)
     return plan.csr(parts[0]), plan.csr(parts[1])
 
 
@@ -399,15 +384,15 @@ def assemble_load(mesh, coeff, vmap, load):
             F = np.zeros((len(parts), vmap.n_u))
             G = np.zeros((len(parts), len(parts)))
         w = rule.weights[None, :] * mesh.area[tris][:, None]
-        dofs = vmap.cell_dofs[tris]
-        mask = dofs >= 0
+        nodes = vmap.cell_nodes[tris]
+        mask = nodes >= 0
         for k, fv in enumerate(parts):
             if fv is None:
                 continue
-            loc = np.empty((len(tris), 20))
+            # component c of entity s is DoF 2 s + c, so F[k, c::2]
             for c in (0, 1):
-                loc[:, c::2] = np.einsum("tq,tq,tqi->ti", w, fv[..., c], val)
-            np.add.at(F[k], dofs[mask], loc[mask])
+                loc = np.einsum("tq,tq,tqi->ti", w, fv[..., c], val)
+                np.add.at(F[k, c::2], nodes[mask], loc[mask])
             for l in range(k + 1):
                 if parts[l] is not None:
                     G[k, l] += float(np.einsum("tq,tqa->", w, fv * parts[l]))
@@ -416,19 +401,18 @@ def assemble_load(mesh, coeff, vmap, load):
 
 
 def assemble_norm_gram_parts(mesh, coeff, vmap):
-    """Gradient and second-derivative Gram matrices of the displacement
-    space (the iota-split of G_V).  They couple no components, so their
-    pattern is the (c, c) half of the a_h parts' pattern."""
-    n = vmap.n_u
-    return _assemble_pair(kernel_norm_gram_parts, mesh, coeff, vmap, vmap,
-                          (n, n), diagonal=True)
+    """Gradient and second-derivative Gram matrices g1, g2 of the scalar
+    space on the free scalar entities of ``vmap``.  The norm of V_h acts
+    on each component alone, so its Gram matrix is
+    G_V = (g1 + iota^2 g2) kron I_2."""
+    n = vmap.n_u // 2
+    return _assemble_pair(kernel_norm_gram_parts, mesh, coeff, vmap.scalar,
+                          vmap.scalar, (n, n))
 
 
 def mean_constraint_vector(mesh, qmap):
     """Integrals of the pressure basis functions (the zero-mean row)."""
-    m = np.zeros(qmap.n_p)
-    dofs = qmap.cell_dofs
-    mask = dofs >= 0
-    contrib = np.repeat(mesh.area[:, None] / 3.0, 3, axis=1)
-    np.add.at(m, dofs[mask], contrib[mask])
-    return m
+    nodes = qmap.cell_nodes
+    mask = nodes >= 0
+    third = np.repeat(mesh.area[:, None] / 3.0, 3, axis=1)
+    return np.bincount(nodes[mask], third[mask], minlength=qmap.n_p)

@@ -91,8 +91,8 @@ def _ints(text):
 
 
 def load_config_file(path):
-    """Flat key=value file; '#' starts a comment."""
-    values = {}
+    """Flat key=value file; '#' starts a comment; a key appears once."""
+    values, line_of = {}, {}
     try:
         with open(path) as fh:
             lines = fh.read().splitlines()
@@ -105,8 +105,11 @@ def load_config_file(path):
         if "=" not in line:
             raise ConfigError("%s:%d: expected key=value, got %r"
                               % (path, lineno, raw))
-        key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in line_of:
+            raise ConfigError("%s:%d: key %s repeats line %d"
+                              % (path, lineno, key, line_of[key]))
+        values[key], line_of[key] = value, lineno
     return values
 
 
@@ -147,6 +150,8 @@ def _merge_config(args):
     example = pick(args.example, "example", str, "example1")
     large = pick(getattr(args, "large", False) or None, "large", _boolean,
                  False)
+    if large and not hasattr(args, "large"):    # solve has no --large
+        raise ConfigError("solve runs one n and takes no true large key")
     if large and (args.n is not None or "n" in file_values):
         raise ConfigError("large extends the default n list and takes "
                           "no n list")
@@ -272,7 +277,8 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
     from .verify import INFSUP_IOTAS, NotAnInteriorEdge, run_verification
 
     ns = sorted(ns) if ns is not None else [2, 4, 8]
-    iotas = tuple(iotas) if iotas is not None else INFSUP_IOTAS
+    iotas_given = iotas is not None
+    iotas = tuple(iotas) if iotas_given else INFSUP_IOTAS
     _check_lists([("n", ns), ("iota", iotas)])
     if seed < 0:
         raise ConfigError("seed must be at least 0")
@@ -281,6 +287,8 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
         raise ConfigError("verify takes n values in 2..32: inf-sup runs at "
                           "3 <= n <= 32, n = 2 is continuity-only")
     infsup_ns = [n for n in ns if n >= 3]
+    if iotas_given and not infsup_ns:
+        raise ConfigError("--iota needs an n in 3..32 for the inf-sup check")
     _check_writable(out)
     try:
         report = run_verification(
@@ -321,9 +329,10 @@ def run_solve(config):
         sys.stderr.write("solver breakdown: %s\n" % exc)
         return 2
 
-    # index -1, a boundary vertex, reads the appended 0
+    # index -1, a boundary vertex, reads the appended zeros
+    uext = np.append(u, [0.0, 0.0]).reshape(-1, 2)
     columns = np.column_stack([disc.mesh.vertices,
-                               np.append(u, 0.0)[disc.vmap.vertex_dofs],
+                               uext[disc.vmap.vertex_nodes],
                                np.append(p, 0.0)[disc.qmap.vertex_index]])
     np.savetxt(path, columns, fmt="%.8e", delimiter=",",
                header="x,y,u1,u2,p", comments="")
@@ -381,7 +390,7 @@ def _build_parser():
                         help="mesh subdivisions for the continuity and "
                              "inf-sup checks (inf-sup uses 3 <= n <= 32)")
     verify.add_argument("--iota", type=_floats, metavar="LIST",
-                        help="iota sweep for the inf-sup check")
+                        help="iota sweep of the inf-sup check (needs n >= 3)")
     verify.add_argument("--seed", type=int, default=0,
                         help="seed of the random triangle sample")
     verify.add_argument("--debug-flip-edge", type=int, default=None,

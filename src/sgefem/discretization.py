@@ -3,23 +3,23 @@
 Every matrix of the method splits as part0 + iota^2 part2 and lambda
 enters only the pressure block, so one mesh carries everything the
 (iota, lambda) cells of a study need: the nodal coefficients of its
-shape classes, the DoF maps, the matrix parts, the load parts
-F = F0 + iota^2 F2 (for mu = 1), the parts of ||f||^2, and the exact
-field's gradient and second derivatives at the error quadrature points.
-A cell then only combines parts, solves and measures; the lambda cells
-of one iota share A, B, the pressure Gram matrix and the load, the
-solver's factors of A and the Gram matrix, and one conjugate gradient
-sequence of the lambda = infinity system, which every lambda replays
-as a shift (the inf-sup condition makes that sequence converge, see
-:mod:`sgefem.linalg`).
-Each group is computed on first use, so a caller that needs only some
-of them (the verification checks) pays only for those.  What the
-remaining cells of a mesh will not read again can be dropped with
-:meth:`Discretization.release`: a study solves every cell of a mesh,
-releasing the a- and b-parts once its last iota has combined them and
-the solver's factors after its last solve, and only then measures the
-errors, so the exact tables are built by the first measurement and
-never held beside a factor.
+shape classes, the DoF maps, the matrix parts (the scalar ones of G_V,
+which acts on each component alone), the load parts F = F0 + iota^2 F2
+(for mu = 1), the parts of ||f||^2, and the exact field's gradient and
+second derivatives at the error quadrature points.  A cell then only
+combines parts, solves and measures; the lambda cells of one iota share
+A, B, the pressure Gram matrix and the load, the solver's factors of A
+and the Gram matrix, and one conjugate gradient sequence of the
+lambda = infinity system, which every lambda replays as a shift (the
+inf-sup condition makes that sequence converge, see
+:mod:`sgefem.linalg`).  Each group is computed on first use, so a
+caller that needs only some of them (the verification checks) pays
+only for those.  What the remaining cells of a mesh will not read again
+can be dropped with :meth:`Discretization.release`: a study solves
+every cell of a mesh, releasing the a- and b-parts once its last iota
+has combined them and the solver's factors after its last solve, and
+only then measures the errors, so the exact tables are built by the
+first measurement and never held beside a factor.
 """
 
 import math
@@ -96,7 +96,7 @@ class Discretization:
 
     @cached_property
     def norm_gram_parts(self):
-        """Gradient and second-derivative Gram matrices of G_V."""
+        """The scalar g1, g2 of G_V = (g1 + iota^2 g2) kron I_2."""
         return assemble_norm_gram_parts(self.mesh, self.coeff, self.vmap)
 
     @cached_property

@@ -304,11 +304,12 @@ def error_norms(mesh, coeff, vmap, u_h, exact, iota):
          d2bary[..., pair_s, pair_u] @ hessian_map(G)[:, None]], axis=3)
     table = coeff.swapaxes(1, 2) \
         @ modal.transpose(0, 2, 1, 3).reshape(K, 10, q * 5)
-    uext = np.concatenate([np.asarray(u_h, dtype=float), [0.0]])
+    # the DoFs of u_h by scalar entity; node -1 reads the appended zeros
+    uext = np.append(u_h, [0.0, 0.0]).reshape(-1, 2)
     s1 = s2 = 0.0
     for tris, (ge, he) in zip(chunks(mesh.num_triangles), exact,
                               strict=True):
-        dofs = uext[vmap.cell_dofs[tris]].reshape(-1, 10, 2).swapaxes(1, 2)
+        dofs = uext[vmap.cell_nodes[tris]].swapaxes(1, 2)     # [t, a, i]
         d = dofs @ table[mesh.shape_of_triangle[tris]]         # [t, a, q*5]
         d = d.reshape(len(tris), 2, q, 5).swapaxes(1, 2)       # [t, q, a, 5]
         e1 = d[..., :2] - ge

@@ -1,8 +1,9 @@
 """Global numbering of displacement and pressure unknowns.
 
-Displacement DoFs live on entities: one value per vertex, one midpoint
-value and one mean normal derivative per edge, one mean per triangle,
-each in two components.  Entities on the boundary are eliminated
+Scalar DoFs live on entities: one value per vertex, one midpoint value
+and one mean normal derivative per edge, one mean per triangle.  The
+displacement space is the scalar space times R^2: free entity s holds
+the DoFs 2 s and 2 s + 1.  Entities on the boundary are eliminated
 (homogeneous boundary conditions); triangle means never are.  Pressure
 unknowns are the values at interior vertices; the zero-mean condition is
 not eliminated here but handled by a multiplier row in the solver.
@@ -19,6 +20,8 @@ that share a cell with the other side form the separator, and the
 separator is numbered after both halves.  Parts of at most
 ``LEAF_NODES`` nodes are numbered in coordinate order.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -120,25 +123,19 @@ def _numbered(free, points, cells):
 
 
 class VDofMap:
-    """Displacement DoF map: scalar entity s holds the DoFs 2 s and
-    2 s + 1 of its two components, and the free entities are numbered
-    by nested dissection.
-
-    Attributes
-    ----------
-    n_u : number of free (global) displacement DoFs
-    cell_dofs : (T, 20) int, global index per local DoF, -1 if eliminated
-    cell_nodes : (T, 10) int, free scalar entity per local scalar DoF,
-        -1 if eliminated; local DoF 2 i + c is global DoF
-        2 cell_nodes[:, i] + c
-    components : 2, the DoFs per scalar entity
-    vertex_dofs : (V, 2) int, global index of each vertex-value DoF
-    """
+    """Displacement DoF map, the scalar space times R^2: of the ``n_u``
+    DoFs, free scalar entity s (numbered by nested dissection) holds
+    2 s + c for its ``components`` c = 0, 1, so a vector of them is
+    ``u.reshape(-1, 2)`` by entity.  ``cell_nodes`` (T, 10) holds the
+    free entity of each local scalar DoF, -1 if eliminated (local DoF
+    2 i + c is global DoF 2 cell_nodes[:, i] + c), ``vertex_nodes``
+    (V,) that of each vertex, and ``scalar`` is the scalar space's map:
+    ``cell_nodes`` with one component."""
 
     components = 2
 
     def __init__(self, mesh):
-        V, T = mesh.num_vertices, mesh.num_triangles
+        T = mesh.num_triangles
         free = np.concatenate([~mesh.vertex_is_boundary,
                                ~mesh.edge_is_boundary,      # midpoint values
                                ~mesh.edge_is_boundary,      # normal means
@@ -149,18 +146,10 @@ class VDofMap:
         entities = cell_entities(mesh)
         scalar_index = _numbered(free, points, entities)
         self.n_u = int(2 * free.sum())
-
-        scal = scalar_index[entities]                       # (T, 10)
-        cd = np.empty((T, 20), dtype=np.int64)
-        cd[:, 0::2] = np.where(scal >= 0, 2 * scal, -1)
-        cd[:, 1::2] = np.where(scal >= 0, 2 * scal + 1, -1)
-        self.cell_dofs = cd
-        self.cell_nodes = scal
-
-        vs = scalar_index[:V]
-        self.vertex_dofs = np.stack(
-            [np.where(vs >= 0, 2 * vs, -1), np.where(vs >= 0, 2 * vs + 1, -1)],
-            axis=1)
+        self.cell_nodes = scalar_index[entities]
+        self.vertex_nodes = scalar_index[:mesh.num_vertices]
+        self.scalar = SimpleNamespace(cell_nodes=self.cell_nodes,
+                                      components=1)
 
 
 class QDofMap:
@@ -168,9 +157,8 @@ class QDofMap:
     dissection).
 
     Attributes: ``n_p``, ``vertex_index`` (V,) with -1 at boundary
-    vertices, and ``cell_dofs`` (T, 3) per local vertex.  Each vertex
-    holds one DoF, so ``cell_nodes`` is ``cell_dofs`` and ``components``
-    is 1.
+    vertices, and ``cell_nodes`` (T, 3) per local vertex; each vertex
+    holds one DoF, so ``components`` is 1.
     """
 
     components = 1
@@ -183,7 +171,7 @@ class QDofMap:
         idx = _numbered(interior, mesh.vertices, mesh.triangles)
         self.n_p = int(interior.sum())
         self.vertex_index = idx
-        self.cell_dofs = self.cell_nodes = idx[mesh.triangles]
+        self.cell_nodes = idx[mesh.triangles]
 
 
 def build_vdofmap(mesh):

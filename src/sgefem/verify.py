@@ -221,8 +221,9 @@ def _infsup_parts(disc):
 
 
 def _infsup_from_parts(parts, iota):
-    """beta_h at ``iota`` through the solver's sparse factor of G_V,
-    which is never made dense; a pivot <= 0 means G_V is not SPD."""
+    """beta_h at ``iota`` through the solver's sparse factor of the scalar
+    norm Gram g = g1 + iota^2 g2 of G_V = g kron I_2, never made dense; a
+    pivot <= 0 means that g, and so G_V, is not SPD."""
     (b0, b2), (g1, g2), (mp, kp), Z = parts
     i2 = iota ** 2
     try:
@@ -234,8 +235,10 @@ def _infsup_from_parts(parts, iota):
     if not spd:
         raise ValueError("G_V is not symmetric positive definite")
     B = b0 + i2 * b2
-    # B^T in Fortran order, the layout SuperLU solves in without a copy
-    K = B @ lu.solve(B.toarray().T)
+    # G_V^-1 B^T by one solve with g: row s of the right-hand side and of
+    # the solution holds the rows 2 s and 2 s + 1 side by side
+    n_s = B.shape[1] // 2
+    K = B @ lu.solve(B.toarray().T.reshape(n_s, -1)).reshape(2 * n_s, -1)
     K = 0.5 * (K + K.T)
     GQ = (mp + i2 * kp).toarray()
     theta = eigh(Z.T @ K @ Z, Z.T @ GQ @ Z, eigvals_only=True)[0]

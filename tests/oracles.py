@@ -22,15 +22,17 @@ the per-edge weak-continuity loop (which the batched check replaced),
 the bordered sparse LU with iterative refinement (which the
 projected conjugate gradients on the pressures replaced), the dense
 inf-sup computation with its generalized eigenvalue helper (which the
-sparse factorization of G_V replaced), the displacement error
-seminorms with the per-point derivative maps (which one table of the
-nodal functions' derivatives per shape class replaced), the P1 pressure
-norm by quadrature (which the pressure Gram matrix replaced), and the
-per-triangle loop over the edges of the mesh (which one stable argsort
-replaced).  The dense packed jet sums every product term over every
-stored row, where the package's jets store only their support and skip
-the terms outside it.  The nested dissection recursion cuts one part
-at a time, where the package cuts every part of a level at once.
+sparse factorization of the scalar norm Gram replaced), the per-DoF
+table of the displacement map (which its scalar nodes replaced), the
+displacement error seminorms with the per-point derivative maps (which
+one table of the nodal functions' derivatives per shape class
+replaced), the P1 pressure norm by quadrature (which the pressure Gram
+matrix replaced), and the per-triangle loop over the edges of the mesh
+(which one stable argsort replaced).  The dense packed jet sums every
+product term over every stored row, where the package's jets store only
+their support and skip the terms outside it.  The nested dissection
+recursion cuts one part at a time, where the package cuts every part of
+a level at once.
 """
 
 import numpy as np
@@ -442,12 +444,13 @@ def min_generalized_eig(K, G):
 
 def dense_infsup_from_parts(parts, iota):
     """beta_h from the parts of ``sgefem.verify._infsup_parts``, with a
-    dense Cholesky factorization of G_V: the route the sparse one in
+    dense Cholesky factorization of the full G_V = g kron I_2 of the
+    scalar norm Gram g: the route the sparse factor of g in
     ``sgefem.verify._infsup_from_parts`` replaced."""
     (b0, b2), (g1, g2), (mp, kp), Z = parts
     i2 = iota ** 2
     Bd = (b0 + i2 * b2).toarray()
-    GV = (g1 + i2 * g2).toarray()
+    GV = np.kron((g1 + i2 * g2).toarray(), np.eye(2))
     GQ = (mp + i2 * kp).toarray()
     try:
         cf = cho_factor(GV)
@@ -540,8 +543,9 @@ def quadrature_kernel_b_parts(mesh, coeff, tris):
 
 
 def quadrature_kernel_norm_gram_parts(mesh, coeff, tris):
-    """Gradient and second-derivative Gram kernels (Tc, 20, 20) summed
-    over the degree-10 points; the mixed derivative counts once."""
+    """Gradient and second-derivative Gram kernels (Tc, 10, 10) of the
+    scalar nodal functions summed over the degree-10 points; the mixed
+    derivative counts once."""
     rule, (_, grad, hess) = scalar_tables(mesh, coeff, tris,
                                           DEGREE_STIFFNESS)
     w = rule.weights[None, :] * mesh.area[tris][:, None]
@@ -550,14 +554,52 @@ def quadrature_kernel_norm_gram_parts(mesh, coeff, tris):
     full = np.einsum("tq,tqixy,tqjxy->tij", w, hess, hess, optimize=True)
     mixed = np.einsum("tq,tqi,tqj->tij", w, hess[..., 0, 1],
                       hess[..., 0, 1], optimize=True)
-    k2 = _symmetrize(full - mixed)
-    out = []
-    for kern in (k1, k2):
-        vk = np.zeros((len(tris), 20, 20))
-        for c in (0, 1):
-            vk[:, c::2, c::2] = kern
-        out.append(vk)
-    return tuple(out)
+    return k1, _symmetrize(full - mixed)
+
+
+def cell_dofs(dmap):
+    """(T, k n) global DoF of each local DoF of a DoF map whose
+    ``cell_nodes`` (T, n) hold k = ``components`` DoFs each, -1 if
+    eliminated: local DoF k i + c is global DoF k cell_nodes[:, i] + c.
+    The per-DoF table the displacement map stored beside its nodes."""
+    nodes, k = dmap.cell_nodes, dmap.components
+    dofs = np.where(nodes[:, :, None] >= 0,
+                    k * nodes[:, :, None] + np.arange(k), -1)
+    return dofs.reshape(len(nodes), -1)
+
+
+def per_dof_load(mesh, coeff, vmap, load):
+    """(F, G) of ``sgefem.assembly.assemble_load`` with each chunk's
+    local load vectors interleaved by DoF, (Tc, 20), and added to F by
+    np.add.at over the per-DoF table of :func:`cell_dofs`: the scatter
+    that the one by scalar entity replaced."""
+    rule, modal = modal_rule(DEGREE_LOAD, 0)
+    shape_val = np.einsum("qj,tji->tqi", modal, coeff)
+    all_dofs = cell_dofs(vmap)
+    F = G = None
+    for tris in chunks(mesh.num_triangles):
+        val = shape_val[mesh.shape_of_triangle[tris]]
+        pts = np.einsum("qs,tsx->tqx", rule.points, mesh.tri_coords[tris])
+        parts = [None if fv is None else fv.reshape(pts.shape)
+                 for fv in load(pts.reshape(-1, 2))]
+        if F is None:
+            F = np.zeros((len(parts), vmap.n_u))
+            G = np.zeros((len(parts), len(parts)))
+        w = rule.weights[None, :] * mesh.area[tris][:, None]
+        dofs = all_dofs[tris]
+        mask = dofs >= 0
+        for k, fv in enumerate(parts):
+            if fv is None:
+                continue
+            loc = np.empty((len(tris), 20))
+            for c in (0, 1):
+                loc[:, c::2] = np.einsum("tq,tq,tqi->ti", w, fv[..., c], val)
+            np.add.at(F[k], dofs[mask], loc[mask])
+            for l in range(k + 1):
+                if parts[l] is not None:
+                    G[k, l] += float(np.einsum("tq,tqa->", w, fv * parts[l]))
+                    G[l, k] = G[k, l]
+    return F, G
 
 
 def lexsort_csr(kernels, row_dofs, col_dofs, shape):
@@ -660,7 +702,7 @@ def per_point_error_seminorms(mesh, coeff, vmap, u_h, exact):
         Tc = len(tris)
         G = mesh.bary_grads[tris]
         C = coeff[mesh.shape_of_triangle[tris]]
-        M = C @ uext[vmap.cell_dofs[tris]].reshape(Tc, 10, 2)
+        M = C @ uext[cell_dofs(vmap)[tris]].reshape(Tc, 10, 2)
         db = (d1 @ M).reshape(Tc, q, 3, 2)
         gh = db.swapaxes(2, 3) @ G[:, None]
         hb = (d2 @ M).reshape(Tc, q, 3, 3, 2).transpose(0, 1, 4, 2, 3)
@@ -684,7 +726,7 @@ def quadrature_pressure_norm(mesh, qmap, p_h, iota):
     sp0 = sp1 = 0.0
     for tris in chunks(mesh.num_triangles):
         w = rule.weights[None, :] * mesh.area[tris][:, None]
-        pl = pext[qmap.cell_dofs[tris]]
+        pl = pext[qmap.cell_nodes[tris]]
         ep = np.einsum("qs,ts->tq", rule.points, pl)
         gep = np.einsum("ts,tsx->tx", pl, mesh.bary_grads[tris])
         gep = np.broadcast_to(gep[:, None, :], (len(tris), q, 2))

@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse import csr_matrix, kron
 
 from sgefem.assembly import (ScatterPlan, assemble_load,
                              assemble_pressure_parts, chunks, combine_parts,
@@ -11,10 +14,12 @@ from sgefem.assembly import (ScatterPlan, assemble_load,
 from sgefem.discretization import Discretization
 from sgefem.element import batched_scalar_dof_matrices
 from sgefem.linalg import spd_factor
+from sgefem.manufactured import load_parts
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from oracles import (DEGREE_COUPLING, DEGREE_STIFFNESS, ProblemParams,
-                     conical_rule, eval_basis, lexsort_csr,
-                     quadrature_kernel_a_parts, quadrature_kernel_b_parts,
+                     cell_dofs, conical_rule, eval_basis, lexsort_csr,
+                     per_dof_load, quadrature_kernel_a_parts,
+                     quadrature_kernel_b_parts,
                      quadrature_kernel_norm_gram_parts)
 from test_space import flipped
 
@@ -160,9 +165,10 @@ def test_kernel_norm_gram_matches_oracle_on_jittered_mesh():
     tris = np.arange(d.mesh.num_triangles)
     k1, k2 = batch_kernels(kernel_norm_gram_parts, d, tris)
     for k in tris:
+        # the vector oracle's Grams act on each component alone
         o1, o2 = oracle_kernel_norm_gram(d.mesh, k)
-        assert rel_error(k1[k], o1) < 1e-12
-        assert rel_error(k2[k], o2) < 1e-12
+        assert rel_error(np.kron(k1[k], np.eye(2)), o1) < 1e-12
+        assert rel_error(np.kron(k2[k], np.eye(2)), o2) < 1e-12
 
 
 @pytest.mark.parametrize("make", [lambda: setup(4), jittered],
@@ -217,10 +223,12 @@ def test_grad_div_kernel_vanishes_on_midpoint_and_mean_functions():
 
 
 def plan_cases(d):
-    """(row map, column map, shape) of the three scatter plans."""
-    v, q = d.vmap, d.qmap
+    """(row map, column map, shape) of the four scatter plans: the a-,
+    b- and pressure parts and the scalar norm Grams."""
+    v, q, s = d.vmap, d.qmap, d.vmap.scalar
+    n_s = v.n_u // 2
     return ((v, v, (v.n_u, v.n_u)), (q, v, (q.n_p, v.n_u)),
-            (q, q, (q.n_p, q.n_p)))
+            (q, q, (q.n_p, q.n_p)), (s, s, (n_s, n_s)))
 
 
 def assert_same_csr(got, expect):
@@ -230,10 +238,13 @@ def assert_same_csr(got, expect):
     assert np.array_equal(got.data, expect.data)      # bit for bit
 
 
-def without_zeros(m):
-    m = m.copy()
-    m.eliminate_zeros()
-    return m
+def component_blocks(m):
+    """The entries of m in its (c, c) component blocks, the row and
+    column DoFs of one parity."""
+    m = m.tocoo()
+    keep = (m.row - m.col) % 2 == 0
+    return csr_matrix((m.data[keep], (m.row[keep], m.col[keep])),
+                      shape=m.shape)
 
 
 PLAN_MESHES = {"uniform": lambda: setup(4), "jittered": jittered,
@@ -248,45 +259,45 @@ def test_scatter_plan_matches_lexsort_accumulation():
         classes = d.mesh.shape_of_triangle
         for rows, cols, shape in plan_cases(d):
             kernels = rng.standard_normal((len(d.mesh.shape_rep),
-                                           rows.cell_dofs.shape[1],
-                                           cols.cell_dofs.shape[1]))
+                                           cell_dofs(rows).shape[1],
+                                           cell_dofs(cols).shape[1]))
             assert_same_csr(
                 ScatterPlan(rows, cols, shape, classes).csr(kernels),
-                lexsort_csr(kernels[classes], rows.cell_dofs,
-                            cols.cell_dofs, shape))
+                lexsort_csr(kernels[classes], cell_dofs(rows),
+                            cell_dofs(cols), shape))
 
 
 @pytest.mark.parametrize("kind", sorted(PLAN_MESHES))
-def test_diagonal_plan_scatters_only_the_component_blocks(kind):
+def test_scalar_norm_grams_times_i2_are_the_vector_grams(kind):
+    # g kron I_2 against the vector Grams the norm Grams were: each class
+    # kernel on the (c, c) blocks of the interleaved DoFs, scattered by
+    # the lexsort accumulation, bit for bit
     d = PLAN_MESHES[kind]()
-    classes = d.mesh.shape_of_triangle
-    v, shape = d.vmap, (d.vmap.n_u, d.vmap.n_u)
-    rng = np.random.default_rng(8)
-    kernels = rng.standard_normal((len(d.mesh.shape_rep), 20, 20))
-    blocks = kernels.copy()
-    blocks[:, 0::2, 1::2] = blocks[:, 1::2, 0::2] = 0.0
-    got = ScatterPlan(v, v, shape, classes, diagonal=True).csr(kernels)
-    assert_same_csr(got, without_zeros(lexsort_csr(
-        blocks[classes], v.cell_dofs, v.cell_dofs, shape)))
-    assert np.all((got.indices - np.repeat(np.arange(shape[0]),
-                                           np.diff(got.indptr))) % 2 == 0)
+    mesh, v = d.mesh, d.vmap
+    dofs = cell_dofs(v)
+    class_kernels = kernel_norm_gram_parts(mesh, d.coeff, mesh.shape_rep)
+    for g, k in zip(d.norm_gram_parts, class_kernels, strict=True):
+        vector = np.zeros((len(k), 20, 20))
+        for c in (0, 1):
+            vector[:, c::2, c::2] = k
+        expect = lexsort_csr(vector[mesh.shape_of_triangle], dofs, dofs,
+                             (v.n_u, v.n_u))
+        assert_same_csr(kron(g, np.eye(2), format="csr"),
+                        component_blocks(expect))
 
 
 def test_assembled_parts_are_the_lexsort_sums_of_their_kernels():
     d = jittered()
     tris = np.arange(d.mesh.num_triangles)
-    (v, _, shape_v), (q, _, shape_b), _ = plan_cases(d)
-    for parts, kernels, rows, cols, shape, zeros in (
-            (d.a_parts, kernel_a_parts, v, v, shape_v, False),
-            # the norm Grams couple no components and store none of the
-            # cross-component zeros
-            (d.norm_gram_parts, kernel_norm_gram_parts, v, v, shape_v,
-             True),
-            (d.b_parts, kernel_b_parts, q, v, shape_b, False)):
+    (v, _, shape_v), (q, _, shape_b), _, (s, _, shape_s) = plan_cases(d)
+    for parts, kernels, rows, cols, shape in (
+            (d.a_parts, kernel_a_parts, v, v, shape_v),
+            (d.norm_gram_parts, kernel_norm_gram_parts, s, s, shape_s),
+            (d.b_parts, kernel_b_parts, q, v, shape_b)):
         for got, k in zip(parts, batch_kernels(kernels, d, tris),
                           strict=True):
-            expect = lexsort_csr(k, rows.cell_dofs, cols.cell_dofs, shape)
-            assert_same_csr(got, without_zeros(expect) if zeros else expect)
+            assert_same_csr(got, lexsort_csr(k, cell_dofs(rows),
+                                             cell_dofs(cols), shape))
 
 
 def per_triangle_parts(d):
@@ -295,18 +306,18 @@ def per_triangle_parts(d):
     :func:`oracles.lexsort_csr`."""
     mesh, T = d.mesh, d.mesh.num_triangles
     coeff = np.linalg.inv(batched_scalar_dof_matrices(mesh))
-    (v, _, shape_v), (q, _, shape_b), (_, _, shape_q) = plan_cases(d)
+    (v, _, shape_v), (q, _, shape_b), (_, _, shape_q), (s, _, shape_s) = \
+        plan_cases(d)
 
     def scatter(kernel, rows, cols, shape):
         ks = [kernel(mesh, coeff[tris], tris) for tris in chunks(T)]
-        return tuple(lexsort_csr(np.concatenate(k), rows.cell_dofs,
-                                 cols.cell_dofs, shape) for k in zip(*ks))
+        return tuple(lexsort_csr(np.concatenate(k), cell_dofs(rows),
+                                 cell_dofs(cols), shape) for k in zip(*ks))
 
     return {"coeff": coeff,
             "a": scatter(kernel_a_parts, v, v, shape_v),
             "b": scatter(kernel_b_parts, q, v, shape_b),
-            "norm_gram": tuple(map(without_zeros, scatter(
-                kernel_norm_gram_parts, v, v, shape_v))),
+            "norm_gram": scatter(kernel_norm_gram_parts, s, s, shape_s),
             "pressure": scatter(kernel_pressure_parts, q, q, shape_q)}
 
 
@@ -458,8 +469,9 @@ def test_load_constant_hits_element_means():
     mesh, vmap = d.mesh, d.vmap
     F = load_vector(d, lambda x: np.tile([1.0, 0.0], (len(x), 1)))
     expect = np.zeros(vmap.n_u)
+    dofs = cell_dofs(vmap)
     for t in range(mesh.num_triangles):
-        expect[vmap.cell_dofs[t, 18]] = mesh.area[t]
+        expect[dofs[t, 18]] = mesh.area[t]
     assert np.max(np.abs(F - expect)) < 1e-15
 
 
@@ -476,21 +488,35 @@ def test_load_polynomial_matches_high_degree_oracle():
 
     pts, wts = conical_rule(7)          # exact to degree 13
     expect = np.zeros(vmap.n_u)
+    all_dofs = cell_dofs(vmap)
     for t in range(mesh.num_triangles):
         xy = pts @ mesh.tri_coords[t]
         vals = eval_basis(mesh, t, xy, 0)        # (q, 20, 2)
         fv = f(xy)
         loc = mesh.area[t] * np.einsum("q,qic,qc->i", wts, vals, fv)
-        dofs = vmap.cell_dofs[t]
+        dofs = all_dofs[t]
         mask = dofs >= 0
         expect[dofs[mask]] += loc[mask]
     assert np.max(np.abs(F - expect)) < 1e-12 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_load_is_the_per_dof_accumulation(example):
+    # F scattered by scalar entity against np.add.at over the
+    # interleaved DoFs, bit for bit, on a uniform and a jittered mesh
+    for mesh in (setup(8).mesh, jittered(5).mesh):
+        d = Discretization(mesh, example)
+        F, G = d.load
+        ref_F, ref_G = per_dof_load(d.mesh, d.coeff, d.vmap,
+                                    partial(load_parts, example))
+        assert np.array_equal(F, ref_F) and np.array_equal(G, ref_G)
+
+
 def norm_grams(d, iota):
-    """G_V and G_Q at iota from the parts."""
+    """G_V = (g1 + iota^2 g2) kron I_2 and G_Q at iota from the parts."""
     (g1, g2), (mp, kp) = d.norm_gram_parts, d.pressure_parts
-    return g1 + iota ** 2 * g2, mp + iota ** 2 * kp
+    return (kron(g1 + iota ** 2 * g2, np.eye(2), format="csr"),
+            mp + iota ** 2 * kp)
 
 
 def test_norm_grams_shapes_and_gq_matches_lambda_c():

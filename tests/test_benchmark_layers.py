@@ -70,3 +70,27 @@ def test_traced_pass_sees_the_solver(tmp_path):
     # traced point count unnoticed
     assert metrics["manufactured.jet_calls"] == 2
     assert metrics["manufactured.jet_points"] == 2 * 32 * 33
+
+
+def test_traced_verify_pass_sees_the_norm_grams(tmp_path):
+    # the verify-grid layers: the continuity meshes and the inf-sup
+    # check, which assembles the scalar norm Grams of the n = 3 mesh
+    record = tmp_path / "record.json"
+    argv = ["verify", "--n", "2,3", "--iota", "1",
+            "--out", str(tmp_path / "report.csv")]
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), repr(time.monotonic()),
+         "traced", str(record)] + argv,
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(record.read_text())
+    assert result["exit_code"] == 0
+    tracer = _tracer()
+    tracer.validate_spans(result["spans"])
+    names = [s["name"] for s in result["spans"]]
+    assert names.count("assembly.norm_gram_parts") == 1
+    metrics = tracer.layer_metrics(result["spans"])
+    assert metrics["verify.checks"] > 0
+    assert metrics["verify.checks_failed"] == 0

@@ -417,10 +417,35 @@ def test_flag_the_subcommand_does_not_read_exits_3(argv, capsys):
 def test_solve_rejects_large_config_key(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("large = yes\n")
-    assert run(["solve", "--lambda", "1", "--iota", "1", "--n", "2",
-                "--config", str(cfg),
-                "--out", str(tmp_path / "s.csv")]) == 3
-    assert "large" in capsys.readouterr().err
+    argv = ["solve", "--lambda", "1", "--iota", "1", "--config", str(cfg),
+            "--out", str(tmp_path / "s.csv")]
+    # with or without an n, the message is about the large key
+    for n in ([], ["--n", "2"]):
+        assert run(argv + n) == 3
+        assert "takes no true large key" in capsys.readouterr().err
+    cfg.write_text("large = no\n")
+    assert run(argv + ["--n", "2"]) == 0
+
+
+def test_repeated_config_key_exits_3(tmp_path, capsys):
+    # the second n once replaced the first silently
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("n = 4\n# coarse\nn = 2,3\n")
+    assert run(["convergence", "--config", str(cfg),
+                "--out", str(tmp_path / "t.csv")]) == 3
+    assert "study.cfg:3: key n repeats line 1" in capsys.readouterr().err
+    cfg.write_text("lambda = 1\nlambda=1\n")
+    with pytest.raises(ConfigError, match="key lambda repeats line 1"):
+        load_config_file(str(cfg))
+
+
+def test_verify_iota_needs_an_inf_sup_mesh(capsys):
+    # an iota list with no n >= 3 once ran no inf-sup check and passed
+    assert run(["verify", "--n", "2", "--iota", "1e-3"]) == 3
+    assert "--iota needs an n in 3..32" in capsys.readouterr().err
+    # the default n list holds inf-sup meshes
+    assert run(["verify", "--iota", "1e-3"]) == 0
+    assert "infsup_beta_n8_iota0.001" in capsys.readouterr().out
 
 
 def test_verify_flip_edge_fails_with_exit_1(capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
+from scipy.sparse import kron
 
 from sgefem.assembly import assemble_load
 from sgefem.discretization import Discretization
@@ -17,8 +18,8 @@ from sgefem.linalg import solve_saddle
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from sgefem.space import cell_entities
 from oracles import (DenseJet, ProblemParams, body_force_elasticity,
-                     body_force_sge, fd_derivative, field_gradient,
-                     field_value, local_interpolant,
+                     body_force_sge, cell_dofs, fd_derivative,
+                     field_gradient, field_value, local_interpolant,
                      per_point_error_seminorms, quad_triangle,
                      quadrature_pressure_norm)
 
@@ -421,12 +422,10 @@ def test_example2_force_vanishes_at_center():
 class _FullMap:
     """All-DoFs variant of the displacement map (no elimination)."""
 
+    components = 2
+
     def __init__(self, mesh):
-        ent = cell_entities(mesh)
-        cd = np.empty((mesh.num_triangles, 20), dtype=np.int64)
-        cd[:, 0::2] = 2 * ent
-        cd[:, 1::2] = 2 * ent + 1
-        self.cell_dofs = cd
+        self.cell_nodes = cell_entities(mesh)
         self.n_u = 2 * (mesh.num_vertices + 2 * mesh.num_edges
                         + mesh.num_triangles)
 
@@ -448,7 +447,7 @@ def test_error_norms_reproduce_quadratic_field():
     fmap = _FullMap(mesh)
     u_full = np.zeros(fmap.n_u)
     for k in range(mesh.num_triangles):
-        u_full[fmap.cell_dofs[k]] = local_interpolant(
+        u_full[cell_dofs(fmap)[k]] = local_interpolant(
             mesh, k, valuef, gradf)
     coeff = batched_scalar_coeff(mesh)
     e1, e2, ev = error_norms(mesh, coeff, fmap, u_full,
@@ -463,7 +462,8 @@ def test_error_norms_match_gram_matrices_for_zero_field():
     vmap, qmap = d.vmap, d.qmap
     iota = 0.3
     (g1, g2), (mp, kp) = d.norm_gram_parts, d.pressure_parts
-    GV, GQ = g1 + iota ** 2 * g2, mp + iota ** 2 * kp
+    GV = kron(g1 + iota ** 2 * g2, np.eye(2), format="csr")
+    GQ = mp + iota ** 2 * kp
     rng = np.random.default_rng(5)
     u_h = rng.standard_normal(vmap.n_u)
     p_h = rng.standard_normal(qmap.n_p)

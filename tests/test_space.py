@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import recursive_dissection
+from oracles import cell_dofs, recursive_dissection
 from sgefem.discretization import Discretization
 from sgefem.linalg import spd_factor
 from sgefem.mesh import Mesh, build_uniform_unit_square
@@ -35,7 +35,7 @@ def test_vdof_count_formula():
 def test_every_free_dof_referenced():
     m = build_uniform_unit_square(3)
     vmap = build_vdofmap(m)
-    cd = vmap.cell_dofs
+    cd = cell_dofs(vmap)
     seen = np.bincount(cd[cd >= 0], minlength=vmap.n_u)
     assert np.all(seen >= 1)
     # shared edge DoFs are referenced by exactly two triangles
@@ -54,8 +54,8 @@ def test_cell_dofs_shared_between_neighbors():
         s1 = list(m.edge_of_triangle[t1]).index(e)
         for base in (6, 12):   # midpoint block, normal-derivative block
             for c in (0, 1):
-                d0 = vmap.cell_dofs[t0, base + 2 * s0 + c]
-                d1 = vmap.cell_dofs[t1, base + 2 * s1 + c]
+                d0 = cell_dofs(vmap)[t0, base + 2 * s0 + c]
+                d1 = cell_dofs(vmap)[t1, base + 2 * s1 + c]
                 assert d0 == d1 >= 0
 
 
@@ -67,15 +67,15 @@ def test_boundary_dofs_eliminated():
         for lv in range(3):
             expect_gone = m.vertex_is_boundary[tri[lv]]
             for c in (0, 1):
-                assert (vmap.cell_dofs[t, 2 * lv + c] < 0) == expect_gone
+                assert (cell_dofs(vmap)[t, 2 * lv + c] < 0) == expect_gone
         for le in range(3):
             e = m.edge_of_triangle[t, le]
             for base in (6, 12):
                 for c in (0, 1):
-                    got = vmap.cell_dofs[t, base + 2 * le + c] < 0
+                    got = cell_dofs(vmap)[t, base + 2 * le + c] < 0
                     assert got == m.edge_is_boundary[e]
         # element means are never eliminated
-        assert np.all(vmap.cell_dofs[t, 18:] >= 0)
+        assert np.all(cell_dofs(vmap)[t, 18:] >= 0)
 
 
 def test_gather_scatter_round_trip():
@@ -85,7 +85,7 @@ def test_gather_scatter_round_trip():
     x = rng.standard_normal(vmap.n_u)
     # gather to cells and scatter back (same index both ways): identity
     back = np.zeros_like(x)
-    cd = vmap.cell_dofs
+    cd = cell_dofs(vmap)
     mask = cd >= 0
     back[cd[mask]] = x[cd[mask]]
     assert np.array_equal(back, x)
@@ -107,9 +107,9 @@ def test_qdof_cell_map_consistent():
     for t in range(m.num_triangles):
         for lv in range(3):
             v = m.triangles[t, lv]
-            assert qmap.cell_dofs[t, lv] == qmap.vertex_index[v]
+            assert qmap.cell_nodes[t, lv] == qmap.vertex_index[v]
             if m.vertex_is_boundary[v]:
-                assert qmap.cell_dofs[t, lv] == -1
+                assert qmap.cell_nodes[t, lv] == -1
 
 
 def jittered(n, seed=3):
@@ -152,7 +152,7 @@ def dissection_input(mesh):
     index = np.full(len(free), -1)
     index[free] = np.arange(free.sum())
     given = np.full(len(free), -1)
-    given[ent.ravel()] = vmap.cell_dofs[:, 0::2].ravel() // 2
+    given[ent.ravel()] = cell_dofs(vmap)[:, 0::2].ravel() // 2
     return points[free], index[ent], given[free]
 
 
@@ -163,13 +163,15 @@ def test_dof_maps_are_bijections(kind, n):
     vmap, qmap = build_vdofmap(mesh), build_qdofmap(mesh)
     # every free entity has its own pair of DoFs, and they fill 0..n_u-1
     ent = cell_entities(mesh)
-    cd = vmap.cell_dofs
+    cd = cell_dofs(vmap)
     free = cd[:, 0::2] >= 0
     pairs = np.unique(np.stack([ent[free], cd[:, 0::2][free]]), axis=1)
     assert len(np.unique(pairs[0])) == len(np.unique(pairs[1])) \
         == pairs.shape[1] == vmap.n_u // 2
     assert np.array_equal(np.sort(pairs[1]), 2 * np.arange(vmap.n_u // 2))
     assert np.array_equal(cd[:, 1::2][free], cd[:, 0::2][free] + 1)
+    assert np.array_equal(vmap.vertex_nodes[mesh.triangles],
+                          vmap.cell_nodes[:, :3])
     # interior vertices are numbered 0..n_p-1, each once
     inner = qmap.vertex_index[~mesh.vertex_is_boundary]
     assert np.array_equal(np.sort(inner), np.arange(qmap.n_p))
@@ -179,8 +181,8 @@ def test_dof_maps_are_bijections(kind, n):
 @pytest.mark.parametrize("kind", sorted(MESHES))
 def test_dof_maps_are_deterministic(kind):
     mesh = MESHES[kind](7)
-    assert np.array_equal(build_vdofmap(mesh).cell_dofs,
-                          build_vdofmap(mesh).cell_dofs)
+    assert np.array_equal(cell_dofs(build_vdofmap(mesh)),
+                          cell_dofs(build_vdofmap(mesh)))
     assert np.array_equal(build_qdofmap(mesh).vertex_index,
                           build_qdofmap(mesh).vertex_index)
 
