@@ -35,12 +35,13 @@ classes.  A kernel function takes the nodal coefficients ``coeff``
 Kernels reach CSR through a :class:`ScatterPlan` built once per
 assembly call for its (row map, column map) and shared by both parts.
 It sorts one key per (row entity, column entity) pair of a triangle by
-one stable argsort, a quarter of the vector DoF pairs, derives every
-component entry of a pair by index arithmetic, gathers it from its
-triangle's class kernel and sums each run in triangle order.  The
-result is deterministic, the block system is symmetric bit for bit, and
-the parts of one plan share one pattern, on which
-:func:`combine_parts` forms their iota-combinations.
+one stable argsort, a quarter of the vector DoF pairs, gathers each
+pair's component block from its triangle's class kernel, sums the
+blocks of each run in triangle order by one reduceat and puts each sum
+at a CSR position given in closed form.  The result is deterministic,
+the block system is symmetric bit for bit, and the parts of one plan
+share one pattern, on which :func:`combine_parts` forms their
+iota-combinations.
 """
 
 import functools
@@ -224,79 +225,67 @@ class ScatterPlan:
     element kernels given once per shape class.
 
     A DoF map puts node s (a scalar entity) at the DoFs k s + c of its
-    k ``components``, and local DoF k i + c at local node i of
-    ``cell_nodes``.  Triangle t contributes the kernel of its class
-    ``classes[t]`` from an array (K, nr k_r, nc k_c); pairs with an
-    eliminated node (-1) are masked out.  One stable argsort of a key
-    per (row node, column node) pair of a triangle orders the pairs by
-    (row, col) and, inside a run of equal keys, by triangle; every
-    component entry (k_r r + c, k_c s + d) of a node pair sums that run.
-    Per component block (c, d) the summands are gathered from the class
-    kernels and one 1-D reduceat sums all runs; a permutation puts the
-    sums in CSR order.  Each entry is thus the sum of a stable lexsort
-    of the per-triangle entries, bit for bit, and (r, c) and (c, r) of a
-    symmetric assembly add the same summands in the same order, so the
-    result is symmetric bit for bit.  All parts assembled through one
-    plan share its ``indices`` and ``indptr`` arrays (see
+    k ``components`` and local DoF k i + c at local node i of
+    ``cell_nodes``: a class kernel (nr k_r, nc k_c) is a k_r x k_c block
+    per pair of local nodes.  Triangle t contributes the kernel of class
+    ``classes[t]``; pairs with an eliminated node (-1) are masked out.
+    One stable argsort of a key per (row node, column node) pair of a
+    triangle orders the pairs by (row, col) and, inside a run of equal
+    keys, by triangle.  The plan holds each pair's class-kernel block
+    (``take``) and each run's first pair (``starts``); :meth:`csr` sums
+    the gathered blocks of all runs, entry (c, d) by entry, by one
+    reduceat, which adds a run as a 1-D reduceat of its summands does.
+    CSR row k_r r + c holds the runs f_r, ..., f_r + n_r - 1 of node r:
+    entry (c, d) of run k is at k_r k_c f_r + c k_c n_r + k_c (k - f_r)
+    + d.  So each entry is the sum of a stable lexsort of the
+    per-triangle entries, bit for bit, (r, c) and (c, r) of a symmetric
+    assembly add the same summands in the same order, and all parts of
+    one plan share its ``indices`` and ``indptr`` (see
     :func:`combine_parts`).
     """
 
     def __init__(self, row_map, col_map, shape, classes):
         rows, cols = row_map.cell_nodes, col_map.cell_nodes
-        cr, cc = row_map.components, col_map.components
+        cr, cc = self.blocks = row_map.components, col_map.components
         nr, nc = rows.shape[1], cols.shape[1]
-        n_rows, n_cols = shape[0] // cr, shape[1] // cc
-        self.shape = shape
+        self.shape, n_cols = shape, shape[1] // cc
         mask = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
         key = (rows[:, :, None] * n_cols + cols[:, None, :])[mask]
         order = np.argsort(key, kind="stable")
+        self.take = ((classes[:, None, None] * nr + np.arange(nr)[:, None])
+                     * nc + np.arange(nc))[mask][order]
         key = key[order]
-        first = np.ones(len(key), dtype=bool)
-        first[1:] = key[1:] != key[:-1]
-        run_start = np.flatnonzero(first)
-        run_row, run_col = divmod(key[run_start], n_cols)
-        del key, first          # the index arrays below are larger
-        runs_of_row = np.bincount(run_row, minlength=n_rows)
-        runs_before = np.cumsum(runs_of_row) - runs_of_row
-        c, d = np.divmod(np.arange(cr * cc), cc)    # the blocks (c, d)
+        self.starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys >= 0
+        row, col = divmod(key[self.starts], n_cols)     # of each run
+        del key, order
 
-        # CSR order: row k_r r + c holds the runs of row node r in
-        # column order, each once per column component d; its entries
-        # are the sums of those runs in the blocks (c, d)
-        nruns = len(run_start)
-        per_row = np.repeat(runs_of_row, cr)        # runs per CSR row
-        run = np.repeat(np.repeat(runs_before, cr)
-                        - (np.cumsum(per_row) - per_row), per_row)
-        run = np.repeat(run + np.arange(len(run)), cc)
-        block = np.repeat(np.tile(cc * np.arange(cr), n_rows), cc * per_row)
-        block += np.tile(np.arange(cc), cr * nruns)
+        # block b (of k_c entries) of CSR row k_r r + c is run k = b -
+        # (k_r - 1) f_r - c n_r: row c R + k of the sums, R = nruns
+        nruns = len(row)
+        runs = np.bincount(row, minlength=shape[0] // cr)
+        shift = (np.arange(cr) * (nruns - runs[:, None])
+                 - (cr - 1) * (np.cumsum(runs) - runs)[:, None])
+        nb = np.repeat(runs, cr)                # blocks per CSR row
+        self.order = np.arange(cr * nruns) + np.repeat(shift.ravel(), nb)
         # scipy keeps int32 indices when they fit; matching its choice
         # avoids a per-matrix copy and keeps the arrays shared
-        idx = np.int32 if max(shape[0], shape[1], len(run)) < 2 ** 31 \
+        idx = np.int32 if max(shape[0], shape[1], cr * cc * nruns) < 2 ** 31 \
             else np.int64
-        self.indices = (cc * run_col).astype(idx)[run]
-        self.indices += d.astype(idx)[block]
+        self.indices = (cc * col.astype(idx)[self.order % nruns, None]
+                        + np.arange(cc, dtype=idx)).ravel()
         self.indptr = np.zeros(shape[0] + 1, dtype=idx)
-        np.cumsum(cc * per_row, out=self.indptr[1:])
-        # each entry's sum in the reduceat's (block, run) layout
-        block *= nruns
-        block += run
-        self.order = block
-        del run                 # before the summand tables
-
-        # the summands block by block, each block in key order: the
-        # class-kernel position of (k_r i + c, k_c j + d) of triangle t
-        base = ((classes[:, None, None] * (nr * cr)
-                 + cr * np.arange(nr)[:, None]) * (nc * cc)
-                + cc * np.arange(nc))[mask][order]
-        self.take = ((c * (nc * cc) + d)[:, None] + base).ravel()
-        self.starts = (len(base) * np.arange(len(c))[:, None]
-                       + run_start).ravel()
+        np.cumsum(cc * nb, out=self.indptr[1:])
 
     def csr(self, kernels):
         """The assembled matrix of the class kernels (K, nr k_r, nc k_c)."""
-        sums = np.add.reduceat(kernels.reshape(-1)[self.take], self.starts)
-        return csr_matrix((sums[self.order], self.indices, self.indptr),
+        cr, cc = self.blocks
+        K, rows, cols = kernels.shape
+        blocks = kernels.reshape(K, rows // cr, cr, cols // cc, cc)
+        blocks = blocks.transpose(2, 0, 1, 3, 4).reshape(cr, -1, cc)
+        sums = np.add.reduceat(np.take(blocks, self.take, axis=1),
+                               self.starts, axis=1)
+        data = np.take(sums.reshape(-1, cc), self.order, axis=0)
+        return csr_matrix((data.ravel(), self.indices, self.indptr),
                           shape=self.shape)
 
 

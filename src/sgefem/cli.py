@@ -64,8 +64,6 @@ class StudyConfig:
             raise ConfigError("mu must be positive and finite")
         if not 1e-14 < tol < 1e-6:
             raise ConfigError("tol must lie in (1e-14, 1e-6)")
-        if threads is not None and threads < 1:
-            raise ConfigError("threads must be at least 1")
         self.example = example
         self.lams = [float(l) for l in lams]
         self.iotas = [float(i) for i in iotas]
@@ -106,6 +104,8 @@ def load_config_file(path):
             raise ConfigError("%s:%d: expected key=value, got %r"
                               % (path, lineno, raw))
         key, value = (part.strip() for part in line.split("=", 1))
+        if not key:
+            raise ConfigError("%s:%d: empty key" % (path, lineno))
         if key in line_of:
             raise ConfigError("%s:%d: key %s repeats line %d"
                               % (path, lineno, key, line_of[key]))
@@ -174,6 +174,8 @@ def _limit_threads(threads):
     values; with ``threads`` None (neither flag nor config key) only the
     unset ones, to 1.  They take effect only if numpy's BLAS has not been
     loaded yet."""
+    if threads is not None and threads < 1:
+        raise ConfigError("threads must be at least 1")
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):
         if threads is None:
@@ -200,37 +202,45 @@ def _study_rows(config):
     return results
 
 
-def _mesh_rows(config, n):
-    """The rows of mesh n, from one discretization, in two phases.
-    First every (iota, lambda) cell is solved, the lambdas inside each
-    iota so they share its factors, and its (u, p) kept; the a- and
-    b-parts are released once the last iota has combined them, before
-    its A is factored.  Then the factors are released and every
-    solution measured, so the exact tables the error norms build are
-    never held beside a factor."""
+def _solve_mesh(config, n):
+    """The discretization of mesh n and each (lambda, iota) cell's
+    (u, p) on it, or its SolverBreakdown.  The lambdas of an iota share
+    its factors; the a- and b-parts go once the last iota has combined
+    them, before its A is factored, and the factors after the last
+    solve."""
     from . import linalg
     from .discretization import Discretization
     from .mesh import build_uniform_unit_square
 
-    mu = config.mu
     disc = Discretization(build_uniform_unit_square(n), config.example)
-    sizes = (disc.mesh.h, disc.vmap.n_u, disc.qmap.n_p)
-    rows, solutions = {}, {}
+    cells = {}
     for iota in config.iotas:
-        disc.factors(mu, iota)
+        disc.factors(config.mu, iota)
         if iota == config.iotas[-1]:
             disc.release()
         for lam in config.lams:
             try:
-                solutions[lam, iota] = linalg.solve_saddle(
-                    disc.system(mu, lam, iota), tol=config.tol)[:2]
-            except linalg.SolverBreakdown:
-                rows[lam, iota, n] = sizes + (math.nan, math.nan,
-                                              "breakdown")
+                cells[lam, iota] = linalg.solve_saddle(
+                    disc.system(config.mu, lam, iota), tol=config.tol)[:2]
+            except linalg.SolverBreakdown as exc:
+                # its traceback's frames would hold the factors
+                cells[lam, iota] = exc.with_traceback(None)
     disc.release(factors=True)
-    for (lam, iota), (u, p) in solutions.items():
-        _, _, ev, epq = disc.errors(u, p, iota)
-        fnorm = disc.load_norm(mu, iota)
+    return disc, cells
+
+
+def _mesh_rows(config, n):
+    """The rows of mesh n: every cell is solved before any is measured,
+    so the exact tables the error norms build never sit beside a factor."""
+    disc, cells = _solve_mesh(config, n)
+    sizes = (disc.mesh.h, disc.vmap.n_u, disc.qmap.n_p)
+    rows = {}
+    for (lam, iota), cell in cells.items():
+        if isinstance(cell, Exception):
+            rows[lam, iota, n] = sizes + (math.nan, math.nan, "breakdown")
+            continue
+        _, _, ev, epq = disc.errors(*cell, iota)
+        fnorm = disc.load_norm(config.mu, iota)
         rows[lam, iota, n] = sizes + (ev / fnorm, epq / fnorm, "ok")
     return rows
 
@@ -309,25 +319,18 @@ def run_solve(config):
     """Single solve; writes vertex-sampled (x, y, u1, u2, p) rows."""
     import numpy as np
 
-    from . import linalg
-    from .discretization import Discretization
-    from .mesh import build_uniform_unit_square
-
     if len(config.lams) != 1 or len(config.iotas) != 1 \
             or len(config.ns) != 1:
         raise ConfigError("solve takes single lambda, iota, and n values")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
     path = config.out or "solution.csv"
     _check_writable(path)
-    disc = Discretization(build_uniform_unit_square(n), config.example)
-    disc.factors(config.mu, iota)
-    disc.release()      # the one iota has combined the parts
-    try:
-        u, p, _ = linalg.solve_saddle(disc.system(config.mu, lam, iota),
-                                      tol=config.tol)
-    except linalg.SolverBreakdown as exc:
-        sys.stderr.write("solver breakdown: %s\n" % exc)
+    disc, cells = _solve_mesh(config, n)
+    cell = cells[lam, iota]
+    if isinstance(cell, Exception):
+        sys.stderr.write("solver breakdown: %s\n" % cell)
         return 2
+    u, p = cell
 
     # index -1, a boundary vertex, reads the appended zeros
     uext = np.append(u, [0.0, 0.0]).reshape(-1, 2)
@@ -406,8 +409,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            if args.threads is not None and args.threads < 1:
-                raise ConfigError("threads must be at least 1")
             _limit_threads(args.threads)
             return run_verify(args.n, args.iota, args.out, seed=args.seed,
                               flip_edge=args.debug_flip_edge)

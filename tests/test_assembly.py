@@ -247,8 +247,62 @@ def component_blocks(m):
                       shape=m.shape)
 
 
+def fans():
+    """Discretization of the unit square as two fans: the left half's
+    12 triangles around (1/4, 1/2) and the right half's 18 around
+    (3/4, 1/2), which share the points of x = 1/2.  The diagonal runs of
+    the two centres add 12 and 18 summands, past the lengths (9 and 17)
+    at which numpy's reduceat changes how it groups a run."""
+    index, tris = {}, []
+    for x0, x1, m, k in ((0.0, 0.5, 2, 4), (0.5, 1.0, 4, 6)):
+        # the rectangle's boundary counterclockwise from (x0, 0): m
+        # segments on the bottom and the top, k on the side x = x1 and 4
+        # on the side x = x0
+        xs = np.linspace(x0, x1, m + 1)
+        ring = ([(x, 0.0) for x in xs[:-1]]
+                + [(x1, y) for y in np.linspace(0.0, 1.0, k + 1)[:-1]]
+                + [(x, 1.0) for x in xs[:0:-1]]
+                + [(x0, y) for y in np.linspace(1.0, 0.0, 5)[:-1]])
+        ids = [index.setdefault((float(x), float(y)), len(index))
+               for x, y in [((x0 + x1) / 2, 0.5)] + ring]
+        tris += [(ids[0], a, b) for a, b in zip(ids[1:], ids[2:] + ids[1:2])]
+    return Discretization(Mesh(np.array(list(index)), np.array(tris)),
+                          "example2")
+
+
 PLAN_MESHES = {"uniform": lambda: setup(4), "jittered": jittered,
-               "flipped": lambda: Discretization(flipped(4))}
+               "flipped": lambda: Discretization(flipped(4)), "fans": fans}
+
+
+def test_fans_put_interior_vertices_in_12_and_18_triangles():
+    # the run of a free vertex's diagonal pair adds one summand per
+    # triangle of the vertex
+    mesh = fans().mesh
+    count = np.bincount(mesh.triangles.ravel())
+    assert sorted(count[~mesh.vertex_is_boundary])[-2:] == [12, 18]
+
+
+def test_fans_a_and_g_symmetric_bit_for_bit():
+    d = fans()
+    for M in (d.system(1.0, 100.0, 0.1).A,
+              combine_parts(*d.norm_gram_parts, 0.01)):
+        diff = (M - M.T).tocoo()
+        assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+
+
+def test_scatter_plan_holds_one_index_per_pair_and_per_run():
+    # 8 B per entity pair and per run, 12 B per stored entry (its column
+    # and its place among the sums) and the row pointers: the indices of
+    # the plan's gathers and sums do not grow with the component blocks
+    d = setup(16)
+    v = d.vmap
+    plan = ScatterPlan(v, v, (v.n_u, v.n_u), d.mesh.shape_of_triangle)
+    pairs = ((v.cell_nodes >= 0).sum(axis=1) ** 2).sum()
+    stored = d.a_parts[0].nnz
+    held = sum(x.nbytes for x in vars(plan).values()
+               if isinstance(x, np.ndarray))
+    assert held <= (8 * (pairs + stored // 4) + 12 * stored
+                    + plan.indptr.nbytes)
 
 
 def test_scatter_plan_matches_lexsort_accumulation():

@@ -259,6 +259,20 @@ def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
     assert row[7] == "nan" and row[9] == ""
 
 
+def test_solve_breakdown_exits_2(tmp_path, monkeypatch, capsys):
+    import sgefem.linalg
+
+    def boom(system, tol=1e-10):
+        raise SolverBreakdown("forced", math.inf, 0)
+
+    monkeypatch.setattr(sgefem.linalg, "solve_saddle", boom)
+    out = tmp_path / "sol.csv"
+    assert run(["solve", "--example", "example2", "--lambda", "1e0",
+                "--iota", "1e-6", "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("solver breakdown: forced")
+    assert out.read_text() == ""
+
+
 def _small_study(ns=(4,)):
     return StudyConfig("example1", [1.0, 1e4, 1e8], [1.0, 1e-8], list(ns))
 
@@ -437,6 +451,18 @@ def test_repeated_config_key_exits_3(tmp_path, capsys):
     cfg.write_text("lambda = 1\nlambda=1\n")
     with pytest.raises(ConfigError, match="key lambda repeats line 1"):
         load_config_file(str(cfg))
+
+
+@pytest.mark.parametrize("text, line", [("= 4\n", 1), ("n = 4\n= 4\n", 2)],
+                         ids=["alone", "after-n"])
+def test_empty_config_key_exits_3(tmp_path, capsys, text, line):
+    # an empty key was reported as "unknown config keys: ", naming
+    # neither the key nor the line
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(text)
+    assert run(["convergence", "--config", str(cfg),
+                "--out", str(tmp_path / "t.csv")]) == 3
+    assert "study.cfg:%d: empty key" % line in capsys.readouterr().err
 
 
 def test_verify_iota_needs_an_inf_sup_mesh(capsys):
