@@ -324,10 +324,13 @@ def run_solve(config):
         raise ConfigError("solve takes single lambda, iota, and n values")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
     path = config.out or "solution.csv"
+    existed = os.path.exists(path)
     _check_writable(path)
     disc, cells = _solve_mesh(config, n)
     cell = cells[lam, iota]
     if isinstance(cell, Exception):
+        if not existed:
+            os.remove(path)     # the empty file of the writability check
         sys.stderr.write("solver breakdown: %s\n" % cell)
         return 2
     u, p = cell

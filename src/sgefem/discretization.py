@@ -121,11 +121,11 @@ class Discretization:
         B = b0 + iota^2 b2, G = M_p + iota^2 K_p and load
         mu (F0 + iota^2 F2) of (mu, iota), with the solver's factors of
         A and G and its lambda = infinity sequence, built on first use.
-        A and G hold the index arrays of their parts' shared pattern; B
-        is scipy's sum, which drops the entries that cancel to zero.
-        One entry is kept: a study runs its lambdas inside each iota, so
-        the previous pair is released when iota changes, and the last
-        one by :meth:`release` once its cells are solved."""
+        A, B and G hold their parts' index arrays, so B keeps the zeros
+        that b0 stores.  One entry is kept: a study runs its lambdas
+        inside each iota, so the previous pair is released when iota
+        changes, and the last one by :meth:`release` once its cells are
+        solved."""
         key = (mu, iota)
         if self._factors is None or self._factors[0] != key:
             self._factors = None    # free the old factors before the new A
@@ -135,18 +135,18 @@ class Discretization:
             mp, kp = self.pressure_parts
             (F0, F2), _ = self.load
             self._factors = (key, SaddleFactors(
-                combine_parts(a0, a2, i2, 2.0 * mu), b0 + i2 * b2,
-                combine_parts(mp, kp, i2), self.mean_constraint,
-                mu * (F0 + i2 * F2)))
+                combine_parts(a0, a2, i2, 2.0 * mu),
+                combine_parts(b0, b2, i2), combine_parts(mp, kp, i2),
+                self.mean_constraint, mu * (F0 + i2 * F2)))
         return self._factors[1]
 
     def release(self, factors=False):
         """Drop the a- and b-parts, which the held factors have already
-        combined: A keeps its own data and the a-parts' index arrays, B
-        is a matrix of its own.  With ``factors``, drop the held
-        :class:`SaddleFactors` too (the factors of A and G and the
-        stored sequence).  A later (mu, iota) rebuilds what it needs;
-        the pressure parts, which the errors read, stay."""
+        combined: A and B keep their own data and their parts' index
+        arrays.  With ``factors``, drop the held :class:`SaddleFactors`
+        too (the factors of A and G and the stored sequence).  A later
+        (mu, iota) rebuilds what it needs; the pressure parts, which the
+        errors read, stay."""
         self.__dict__.pop("a_parts", None)
         self.__dict__.pop("b_parts", None)
         if factors:
@@ -173,6 +173,6 @@ class Discretization:
         :func:`sgefem.manufactured.error_norms` with this mesh's exact
         tables, and (p^T (M_p + iota^2 K_p) p)^{1/2} as lambda div u = 0."""
         mp, kp = self.pressure_parts
-        e_p = math.sqrt(p @ ((mp + iota ** 2 * kp) @ p))
+        e_p = math.sqrt(p @ (combine_parts(mp, kp, iota ** 2) @ p))
         return error_norms(self.mesh, self.coeff, self.vmap, u, self.exact,
                            iota) + (e_p,)

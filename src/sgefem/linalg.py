@@ -11,7 +11,8 @@ row enforces the zero-mean condition on p and xi is its multiplier.
 
 A = 2 mu (a0 + iota^2 a2) is symmetric positive definite, and it, B and
 rhs_u do not depend on lambda; lambda enters only C = G / lambda, with
-G = M_p + iota^2 K_p.  Eliminating u leaves (S_0 + G / lambda) p =
+G = M_p + iota^2 K_p; A, B and G hold their iota-parts' index arrays,
+and C holds G's.  Eliminating u leaves (S_0 + G / lambda) p =
 B A^-1 rhs_u on the zero-mean pressures, with S_0 = B A^-1 B^T.  By the
 discrete inf-sup condition S_0 is positive definite there and spectrally
 equivalent to G, uniformly in h and iota, so conjugate gradients
@@ -61,14 +62,11 @@ class SolverBreakdown(RuntimeError):
         self.iterations = iterations
 
 
-def _row_sums(M, axis=1):
-    """Row (axis 1) or column (axis 0) sums of |M|, bit for bit those of
-    ``abs(M).sum(axis)`` for a CSR M without duplicate entries (as the
-    assembled matrices are).  The row sums are the reduction of M's
-    nonempty rows that scipy runs, on |M.data| alone: scipy's abs(M)
-    would copy M's index arrays too."""
-    if axis == 0:
-        return np.asarray(abs(M).sum(axis=0)).ravel()
+def _row_sums(M):
+    """Row sums of |M|, bit for bit those of ``abs(M).sum(axis=1)`` for
+    a CSR M without duplicate entries (as the assembled matrices are):
+    the reduction of M's nonempty rows that scipy runs, on |M.data|
+    alone, where scipy's abs(M) would copy M's index arrays too."""
     sums = np.zeros(M.shape[0])
     rows = np.flatnonzero(np.diff(M.indptr))
     sums[rows] = np.add.reduceat(np.abs(M.data), M.indptr[rows])
@@ -102,8 +100,9 @@ class SaddleFactors:
 
     ``abs_sums`` holds the lambda-independent parts of the bordered
     matrix's infinity norm: the row sums of |A| plus the column sums of
-    |B|, the row sums of |B|, and |m|.  They are formed here, before A
-    is factored, so no copy of A is made beside its factor."""
+    |B| (added in row order, as ``abs(B).sum(axis=0)`` does), the row
+    sums of |B|, and |m|.  They are formed here, before A is factored,
+    so no copy of A is made beside its factor."""
 
     def __init__(self, A, B, G, m, rhs_u):
         n_u, n_p = A.shape[0], m.shape[0]
@@ -112,8 +111,9 @@ class SaddleFactors:
             raise ValueError("inconsistent block dimensions")
         self.A, self.B, self.G, self.m, self.rhs_u = A, B, G, m, rhs_u
         self.n_u, self.n_p = n_u, n_p
-        self.abs_sums = (_row_sums(A) + _row_sums(B, axis=0),
-                         _row_sums(B), np.abs(m))
+        self.abs_sums = (_row_sums(A) + np.bincount(
+            B.indices, np.abs(B.data), minlength=n_u), _row_sums(B),
+            np.abs(m))
         # steps 0, 1, ... of the sequence: alpha_k, beta_k, z_k and
         # y_k = A^-1 B^T z_k, and r_{k+1} . z_{k+1}
         self._steps = []
@@ -182,12 +182,15 @@ class SaddleSystem:
     m and rhs_u, the factors and the lambda = infinity sequence come
     from ``factors`` (a :class:`SaddleFactors`, shared by the lambda
     cells of one (mu, iota)); the pressure block is C = G / lambda, a
-    shift of 1 / lambda of that sequence."""
+    shift of 1 / lambda of that sequence.  C is scipy's ``G / lam`` on
+    G's index arrays."""
 
     def __init__(self, factors, lam):
+        G = factors.G
         self.factors = factors
-        self.C = factors.G / lam
         self.shift = 1.0 / lam
+        self.C = sparse.csr_matrix((G.data * self.shift, G.indices,
+                                    G.indptr), shape=G.shape)
 
     A = property(lambda self: self.factors.A)
     B = property(lambda self: self.factors.B)

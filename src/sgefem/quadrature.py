@@ -2,21 +2,16 @@
 
 Triangle rules are symmetric positive-weight rules in barycentric
 coordinates with weights summing to 1, so integrals scale by the
-physical area |K|.  Edge (1D) rules are Gauss-Legendre on [0, 1] with
-weights summing to 1, scaling by the edge length.
+physical area |K|; those exact to degrees 2, 6 and 12 are stored.  Edge
+(1D) rules are Gauss-Legendre on [0, 1] with weights summing to 1,
+scaling by the edge length.
 """
 
 import numpy as np
 
 from ._dunavant import ORBITS
 
-# Requested degree -> stored rule.  Degrees 3 and 7 are served by the
-# next rule up because the matching rules carry a negative weight;
-# degree 11 because that rule has a point outside the triangle.
-_DEGREE_TO_RULE = {1: 1, 2: 2, 3: 4, 4: 4, 5: 5, 6: 6, 7: 8, 8: 8,
-                   9: 9, 10: 10, 11: 12, 12: 12}
-
-MAX_DEGREE = 12
+MAX_DEGREE = max(ORBITS)
 
 
 class QuadratureRule:
@@ -40,13 +35,9 @@ class QuadratureRule:
 def _expand(orbits):
     pts, wts = [], []
     for size, a, b, c, w in orbits:
-        if size == 1:
-            group = [(a, b, c)]
-        elif size == 3:
-            group = [(a, b, c), (b, c, a), (c, a, b)]
-        else:
-            group = [(a, b, c), (b, c, a), (c, a, b),
-                     (a, c, b), (c, b, a), (b, a, c)]
+        group = [(a, b, c), (b, c, a), (c, a, b)]
+        if size == 6:
+            group += [(a, c, b), (c, b, a), (b, a, c)]
         pts.extend(group)
         wts.extend([w] * size)
     return np.array(pts), np.array(wts)
@@ -56,11 +47,12 @@ _CACHE = {}
 
 
 def rule_for_degree(deg):
-    """Return a triangle rule exact to at least ``deg`` (1 <= deg <= 12)."""
+    """The smallest stored triangle rule exact to at least ``deg``
+    (1 <= deg <= 12)."""
     if not 1 <= deg <= MAX_DEGREE:
         raise ValueError("no triangle rule for degree %r "
                          "(supported: 1..%d)" % (deg, MAX_DEGREE))
-    rule = _DEGREE_TO_RULE[deg]
+    rule = min(r for r in ORBITS if r >= deg)
     if rule not in _CACHE:
         pts, wts = _expand(ORBITS[rule])
         _CACHE[rule] = QuadratureRule(pts, wts)

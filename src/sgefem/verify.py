@@ -234,13 +234,13 @@ def _infsup_from_parts(parts, iota):
         spd = False
     if not spd:
         raise ValueError("G_V is not symmetric positive definite")
-    B = b0 + i2 * b2
+    B = combine_parts(b0, b2, i2)
     # G_V^-1 B^T by one solve with g: row s of the right-hand side and of
     # the solution holds the rows 2 s and 2 s + 1 side by side
     n_s = B.shape[1] // 2
     K = B @ lu.solve(B.toarray().T.reshape(n_s, -1)).reshape(2 * n_s, -1)
     K = 0.5 * (K + K.T)
-    GQ = (mp + i2 * kp).toarray()
+    GQ = combine_parts(mp, kp, i2).toarray()
     theta = eigh(Z.T @ K @ Z, Z.T @ GQ @ Z, eigvals_only=True)[0]
     return math.sqrt(max(theta, 0.0))
 

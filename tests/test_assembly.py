@@ -1,3 +1,4 @@
+import math
 from functools import partial
 
 import numpy as np
@@ -13,7 +14,7 @@ from sgefem.assembly import (ScatterPlan, assemble_load,
                              reference_moments)
 from sgefem.discretization import Discretization
 from sgefem.element import batched_scalar_dof_matrices
-from sgefem.linalg import spd_factor
+from sgefem.linalg import _row_sums, spd_factor
 from sgefem.manufactured import load_parts
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from oracles import (DEGREE_COUPLING, DEGREE_STIFFNESS, ProblemParams,
@@ -404,20 +405,80 @@ def test_class_assembly_is_the_per_triangle_assembly_at_n16():
 
 
 def test_a_and_g_are_the_sums_of_their_parts_on_one_pattern():
-    # A = 2 mu (a0 + iota^2 a2) and G = M_p + iota^2 K_p hold their
-    # parts' index arrays and equal scipy's sums bit for bit
+    # A = 2 mu (a0 + iota^2 a2), B = b0 + iota^2 b2 and
+    # G = M_p + iota^2 K_p hold their parts' index arrays; A and G equal
+    # scipy's sums bit for bit, and so does B without the zeros that b0
+    # stores and scipy's sum drops
     for n in (4, 16):
         d = setup(n)
         a0, a2 = d.a_parts
+        b0, b2 = d.b_parts
         mp, kp = d.pressure_parts
         for iota in (1.0, 1e-1, 1e-6, 1e-8):
             f = d.factors(1.3, iota)
             i2 = iota ** 2
-            for got, expect, first in ((f.A, 2.0 * 1.3 * (a0 + i2 * a2), a0),
-                                       (f.G, mp + i2 * kp, mp)):
-                assert_same_csr(got, expect)
+            for got, first in ((f.A, a0), (f.B, b0), (f.G, mp)):
                 assert np.shares_memory(got.indices, first.indices)
                 assert np.shares_memory(got.indptr, first.indptr)
+            assert_same_csr(f.A, 2.0 * 1.3 * (a0 + i2 * a2))
+            assert_same_csr(f.G, mp + i2 * kp)
+            assert np.array_equal(f.B.data, b0.data + i2 * b2.data)
+            got, expect = f.B.tocoo(), (b0 + i2 * b2).tocoo()
+            kept = got.data != 0.0
+            for mine, scipys in ((got.row, expect.row), (got.col, expect.col),
+                                 (got.data, expect.data)):
+                assert np.array_equal(mine[kept], scipys)
+
+
+def _scipy_abs_sums(M, axis):
+    return np.asarray(abs(M).sum(axis=axis)).ravel()
+
+
+@pytest.mark.parametrize("kind", sorted(PLAN_MESHES))
+def test_combined_matrices_read_as_scipys_sums(kind):
+    # B, G_Q and C on their source's index arrays: the reads that the
+    # solver, the errors and the inf-sup check make of them are bitwise
+    # those of scipy's b0 + i2 b2, mp + i2 kp and G / lam, but for the
+    # |B| row sums: reduceat groups a row's summands by position, so the
+    # zeros that B keeps move them by a few ulps; the bordered matrix's
+    # infinity norm, which the displacement rows set, stays
+    d = Discretization(PLAN_MESHES[kind]().mesh, "example2")
+    (b0, b2), (mp, kp) = d.b_parts, d.pressure_parts
+    rng = np.random.default_rng(7)
+    u = rng.standard_normal(d.vmap.n_u)
+    p = rng.standard_normal(d.qmap.n_p)
+    X = rng.standard_normal((d.vmap.n_u, 3))
+    for iota in (1.0, 1e-1, 1e-6, 1e-8):
+        i2 = iota ** 2
+        f = d.factors(1.0, iota)
+        B, G = f.B, f.G
+        sB, sG = b0 + i2 * b2, mp + i2 * kp
+        assert B.nnz == b0.nnz
+        assert np.array_equal(B @ u, sB @ u)
+        assert np.array_equal(B.T @ p, sB.T @ p)
+        assert np.array_equal(B @ X, sB @ X)
+        assert np.array_equal(B.toarray(), sB.toarray())
+        rows_u = _scipy_abs_sums(f.A, 1) + _scipy_abs_sums(sB, 0)
+        assert np.array_equal(f.abs_sums[0], rows_u)
+        rows_b = _scipy_abs_sums(sB, 1)
+        assert np.array_equal(f.abs_sums[1], _scipy_abs_sums(B, 1))
+        assert np.allclose(f.abs_sums[1], rows_b, rtol=1e-14, atol=0.0)
+        assert p @ (G @ p) == p @ (sG @ p)
+        assert d.errors(u, p, iota)[3] == math.sqrt(p @ (sG @ p))
+        assert np.array_equal(combine_parts(mp, kp, i2).toarray(),
+                              sG.toarray())
+        for lam in (1.0, 1e4, 1e8):
+            system = d.system(1.0, lam, iota)
+            C, sC = system.C, G / lam
+            assert np.shares_memory(C.indices, G.indices)
+            assert np.shares_memory(C.indptr, G.indptr)
+            assert_same_csr(C, sC)
+            assert np.array_equal(C @ p, sC @ p)
+            rows_c = _scipy_abs_sums(sC, 1)
+            assert np.array_equal(_row_sums(C), rows_c)
+            abs_m = np.abs(f.m)
+            assert system.norm_inf == max(rows_u.max(), abs_m.sum(),
+                                          (rows_b + rows_c + abs_m).max())
 
 
 def test_factoring_a_leaves_its_parts_unchanged():

@@ -259,18 +259,32 @@ def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
     assert row[7] == "nan" and row[9] == ""
 
 
-def test_solve_breakdown_exits_2(tmp_path, monkeypatch, capsys):
+def _forced_breakdown_solve(monkeypatch, out):
     import sgefem.linalg
 
     def boom(system, tol=1e-10):
         raise SolverBreakdown("forced", math.inf, 0)
 
     monkeypatch.setattr(sgefem.linalg, "solve_saddle", boom)
+    return run(["solve", "--example", "example2", "--lambda", "1e0",
+                "--iota", "1e-6", "--n", "2", "--out", str(out)])
+
+
+def test_solve_breakdown_exits_2(tmp_path, monkeypatch, capsys):
+    # and leaves no output file where there was none
     out = tmp_path / "sol.csv"
-    assert run(["solve", "--example", "example2", "--lambda", "1e0",
-                "--iota", "1e-6", "--n", "2", "--out", str(out)]) == 2
+    assert _forced_breakdown_solve(monkeypatch, out) == 2
     assert capsys.readouterr().err.startswith("solver breakdown: forced")
-    assert out.read_text() == ""
+    assert not out.exists()
+
+
+def test_solve_breakdown_keeps_an_existing_output(tmp_path, monkeypatch,
+                                                  capsys):
+    out = tmp_path / "sol.csv"
+    out.write_bytes(b"x,y,u1,u2,p\n0,0,1,2,3\n")
+    assert _forced_breakdown_solve(monkeypatch, out) == 2
+    assert capsys.readouterr().err.startswith("solver breakdown: forced")
+    assert out.read_bytes() == b"x,y,u1,u2,p\n0,0,1,2,3\n"
 
 
 def _small_study(ns=(4,)):

@@ -1,9 +1,10 @@
 """No production module carries code that only its tests call.
 
-Every top-level function and class of src/sgefem, and every method that
-is not a dunder, must be referenced from src/sgefem or perfbench/: by a
-name or an attribute, or through the module and attribute strings of the
-tracer's TARGETS, which wraps functions by name.  A method that overrides
+Every top-level function and class of src/sgefem, every method that is
+not a dunder and every property a class binds by ``name = property(...)``
+must be referenced from src/sgefem or perfbench/: by a name or an
+attribute, or through the module and attribute strings of the tracer's
+TARGETS, which wraps functions by name.  A method that overrides
 one of a base class (argparse's ``error``) is reached through the base.
 Every instance attribute a src/sgefem class sets (``self.x = ...``) must
 be read as an attribute in src/sgefem or perfbench/; the payload of an
@@ -23,9 +24,19 @@ def _parse(path):
     return ast.parse(path.read_text(), str(path))
 
 
+def _is_property(node):
+    """Whether ``node`` is a class-level ``name = property(...)``."""
+    return isinstance(node, ast.Assign) and len(node.targets) == 1 \
+        and isinstance(node.targets[0], ast.Name) \
+        and isinstance(node.value, ast.Call) \
+        and isinstance(node.value.func, ast.Name) \
+        and node.value.func.id == "property"
+
+
 def definitions(tree):
     """(name, line) of the top-level functions and classes and of the
-    methods of those classes that are not dunders."""
+    methods of those classes that are not dunders, with the properties
+    they bind by ``name = property(...)``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
@@ -35,14 +46,30 @@ def definitions(tree):
                         and not (item.name.startswith("__")
                                  and item.name.endswith("__")):
                     yield "%s.%s" % (node.name, item.name), item.lineno
+                elif _is_property(item):
+                    yield "%s.%s" % (node.name, item.targets[0].id), \
+                        item.lineno
+
+
+def test_definitions_include_bound_properties():
+    # a pass-through bound by property() is a definition like a method
+    tree = ast.parse("class S:\n    x = 1\n    a = property(lambda s: 1)\n"
+                     "    def f(self):\n        pass\n")
+    assert list(definitions(tree)) == [("S", 1), ("S.a", 3), ("S.f", 4)]
+    assert "a" not in references(tree)
+    found = {name for name, _ in definitions(
+        _parse(ROOT / "src" / "sgefem" / "linalg.py"))}
+    assert {"SaddleSystem.%s" % name for name in
+            ("A", "B", "m", "rhs_u", "n_u", "n_p")} <= found
 
 
 def references(tree):
     """Names and attribute names read anywhere in the module, plus each
-    dotted part of the strings of a TARGETS assignment."""
+    dotted part of the strings of a TARGETS assignment.  A name that is
+    only bound (the target of ``name = property(...)``) is not read."""
     found = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
