@@ -293,7 +293,8 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
     if seed < 0:
         raise ConfigError("seed must be at least 0")
     if ns[-1] > 32:
-        # the inf-sup check holds B^T densely: 2.3 GB at n = 64
+        # the inf-sup check solves a dense generalized eigenproblem of
+        # order n_p - 1 (3,968 at n = 64) with a dense basis Z
         raise ConfigError("verify takes n values in 2..32: inf-sup runs at "
                           "3 <= n <= 32, n = 2 is continuity-only")
     infsup_ns = [n for n in ns if n >= 3]

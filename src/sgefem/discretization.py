@@ -29,26 +29,10 @@ from .assembly import (assemble_a_parts, assemble_b_parts, assemble_load,
                        assemble_norm_gram_parts, assemble_pressure_parts,
                        combine_parts, mean_constraint_vector)
 from .element import batched_scalar_coeff
-from .linalg import SaddleFactors, SaddleSystem
+from .linalg import SaddleFactors, SaddleSystem, _return_free_heap
 from .manufactured import (error_norms, exact_tables, field_by_name,
                            load_parts)
 from .space import build_qdofmap, build_vdofmap
-
-
-def _return_free_heap():
-    """Hand the pages of freed heap memory back to the system.  glibc
-    trims its heap only from the top, and only past a threshold that it
-    raises as large blocks are freed, so the pages of released arrays
-    can stay resident beside a factor allocated next (whose large
-    blocks it maps on their own).  A no-op where the C library has no
-    malloc_trim."""
-    import ctypes
-    try:
-        trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return
-    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    trim(0)
 
 
 class Discretization:

@@ -33,6 +33,10 @@ INFSUP_IOTA_RATIO_BOUND = 4.0
 INFSUP_MESH_RATIO_BOUND = 2.0
 
 INFSUP_IOTAS = (1.0, 1e-2, 1e-4, 1e-6)
+#: bytes of one dense block of B^T's columns in the inf-sup check; the
+#: block, its solve and their copies bound the check's working set (one
+#: block covers every column up to n = 16)
+INFSUP_BLOCK_BYTES = 2 ** 24
 
 
 class CheckResult:
@@ -235,10 +239,15 @@ def _infsup_from_parts(parts, iota):
     if not spd:
         raise ValueError("G_V is not symmetric positive definite")
     B = combine_parts(b0, b2, i2)
-    # G_V^-1 B^T by one solve with g: row s of the right-hand side and of
-    # the solution holds the rows 2 s and 2 s + 1 side by side
-    n_s = B.shape[1] // 2
-    K = B @ lu.solve(B.toarray().T.reshape(n_s, -1)).reshape(2 * n_s, -1)
+    # K = B G_V^-1 B^T one block of pressure columns at a time, each by
+    # one solve with g: row s of the right-hand side and of the solution
+    # holds the rows 2 s and 2 s + 1 side by side
+    n_p, n_u = B.shape
+    width = max(1, INFSUP_BLOCK_BYTES // (8 * n_u))
+    K = np.empty((n_p, n_p))
+    for j in range(0, n_p, width):
+        rhs = B[j:j + width].toarray().T.reshape(n_u // 2, -1)
+        K[:, j:j + width] = B @ lu.solve(rhs).reshape(n_u, -1)
     K = 0.5 * (K + K.T)
     GQ = combine_parts(mp, kp, i2).toarray()
     theta = eigh(Z.T @ K @ Z, Z.T @ GQ @ Z, eigvals_only=True)[0]

@@ -1,0 +1,57 @@
+"""Write the golden outputs that tests/test_acceptance.py compares.
+
+    PYTHONPATH=src python tests/golden/make_goldens.py
+
+Run from the root of a checkout, on one BLAS thread (set here, before
+numpy is loaded).  Each file is the output of one command line:
+
+- example1.csv: the default example1 study
+- example2_iota_1e-6_1e-8.csv: the example2 study at iota 1e-6 and 1e-8
+  (the rows of the default study at those iotas)
+- verify_grid.txt, verify_grid.csv: the verify report and CSV on the
+  seed-0 grid of perfbench's verify-grid workload
+- solve_example2_n8.csv: the vertex export of one example2 solve
+
+A golden file moves only by rerunning this script; each value it moves
+is listed, with both numbers, in CHANGES.md.
+"""
+
+import contextlib
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+COMMANDS = {
+    "example1.csv": ["convergence", "--example", "example1"],
+    "example2_iota_1e-6_1e-8.csv": ["convergence", "--example", "example2",
+                                    "--iota", "1e-6,1e-8"],
+    "verify_grid.csv": ["verify", "--n", "2,3,4,5,6,7,8",
+                        "--iota", "1,0.1,0.01,1e-4,1e-6,1e-8",
+                        "--seed", "0"],
+    "solve_example2_n8.csv": ["solve", "--example", "example2", "--n", "8",
+                              "--lambda", "1e4", "--iota", "1e-6"],
+}
+#: the file that receives a command's stdout, where it has one to keep
+STDOUT = {"verify_grid.csv": "verify_grid.txt"}
+
+
+def main():
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    from sgefem.cli import main as cli
+
+    for name, argv in COMMANDS.items():
+        stdout = os.path.join(HERE, STDOUT[name]) if name in STDOUT \
+            else os.devnull
+        with open(stdout, "w") as fh, contextlib.redirect_stdout(fh):
+            code = cli(argv + ["--out", os.path.join(HERE, name)])
+        if code != 0:
+            sys.stderr.write("%s exited with %d\n" % (" ".join(argv), code))
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -326,6 +326,26 @@ def test_study_frees_the_parts_before_the_last_iotas_factor(monkeypatch):
     assert alive == [4, 0]
 
 
+def test_study_trims_the_heap_before_every_factorization(monkeypatch):
+    # each factorization (A and G per iota) starts right after a trim of
+    # the freed heap, and so does each release of the parts or factors
+    import sgefem.linalg
+
+    events = []
+    splu = sgefem.linalg.splu
+
+    def recording_splu(*args, **kwargs):
+        events.append("splu")
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(sgefem.linalg, "splu", recording_splu)
+    monkeypatch.setattr(sgefem.linalg, "_MALLOC_TRIM",
+                        lambda pad: events.append("trim"))
+    _study_rows(_small_study())
+    one_iota = ["trim", "splu"] * 2
+    assert events == one_iota + ["trim"] + one_iota + ["trim"]
+
+
 def test_study_builds_the_exact_tables_after_the_factors_die(monkeypatch):
     # every cell of a mesh is solved and its factors freed before the
     # first error measurement builds the exact tables

@@ -411,6 +411,27 @@ def test_spd_factor_of_the_transpose_view_is_the_csc_copy(which):
     assert np.array_equal(spd_factor(M).solve(rhs), copied.solve(rhs))
 
 
+class _NoTrimLibrary:
+    """A C library without malloc_trim."""
+
+
+def _no_process_library(name):
+    raise OSError("no process library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: _NoTrimLibrary(),
+                                  _no_process_library],
+                         ids=["no-symbol", "no-library"])
+def test_heap_trim_is_a_no_op_without_malloc_trim(monkeypatch, cdll):
+    monkeypatch.setattr(sgefem.linalg.ctypes, "CDLL", cdll)
+    assert sgefem.linalg._bind_malloc_trim() is None
+    monkeypatch.setattr(sgefem.linalg, "_MALLOC_TRIM", None)
+    sgefem.linalg._return_free_heap()
+    M = sparse.diags([2.0, 3.0, 4.0], format="csr")
+    assert np.array_equal(spd_factor(M).solve(np.ones(3)),
+                          [0.5, 1.0 / 3.0, 0.25])
+
+
 # the dense generalized eigenvalue helper of the inf-sup oracle
 def test_min_generalized_eig_trivial_cases():
     rng = np.random.default_rng(3)
