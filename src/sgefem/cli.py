@@ -202,37 +202,14 @@ def _study_rows(config):
     return results
 
 
-def _solve_mesh(config, n):
-    """The discretization of mesh n and each (lambda, iota) cell's
-    (u, p) on it, or its SolverBreakdown.  The lambdas of an iota share
-    its factors; the a- and b-parts go once the last iota has combined
-    them, before its A is factored, and the factors after the last
-    solve."""
-    from . import linalg
+def _mesh_rows(config, n):
+    """The rows of mesh n: every cell is solved before any is measured,
+    so the exact tables the error norms build never sit beside a factor."""
     from .discretization import Discretization
     from .mesh import build_uniform_unit_square
 
     disc = Discretization(build_uniform_unit_square(n), config.example)
-    cells = {}
-    for iota in config.iotas:
-        disc.factors(config.mu, iota)
-        if iota == config.iotas[-1]:
-            disc.release()
-        for lam in config.lams:
-            try:
-                cells[lam, iota] = linalg.solve_saddle(
-                    disc.system(config.mu, lam, iota), tol=config.tol)[:2]
-            except linalg.SolverBreakdown as exc:
-                # its traceback's frames would hold the factors
-                cells[lam, iota] = exc.with_traceback(None)
-    disc.release(factors=True)
-    return disc, cells
-
-
-def _mesh_rows(config, n):
-    """The rows of mesh n: every cell is solved before any is measured,
-    so the exact tables the error norms build never sit beside a factor."""
-    disc, cells = _solve_mesh(config, n)
+    cells = disc.solve(config.mu, config.lams, config.iotas, tol=config.tol)
     sizes = (disc.mesh.h, disc.vmap.n_u, disc.qmap.n_p)
     rows = {}
     for (lam, iota), cell in cells.items():
@@ -320,15 +297,18 @@ def run_solve(config):
     """Single solve; writes vertex-sampled (x, y, u1, u2, p) rows."""
     import numpy as np
 
+    from .discretization import Discretization
+    from .mesh import build_uniform_unit_square
+
     if len(config.lams) != 1 or len(config.iotas) != 1 \
             or len(config.ns) != 1:
         raise ConfigError("solve takes single lambda, iota, and n values")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
-    path = config.out or "solution.csv"
+    path = "solution.csv" if config.out is None else config.out
     existed = os.path.exists(path)
     _check_writable(path)
-    disc, cells = _solve_mesh(config, n)
-    cell = cells[lam, iota]
+    disc = Discretization(build_uniform_unit_square(n), config.example)
+    cell = disc.solve(config.mu, [lam], [iota], tol=config.tol)[lam, iota]
     if isinstance(cell, Exception):
         if not existed:
             os.remove(path)     # the empty file of the writability check

@@ -14,17 +14,17 @@ lambda = infinity system, which every lambda replays as a shift (the
 inf-sup condition makes that sequence converge, see
 :mod:`sgefem.linalg`).  Each group is computed on first use, so a
 caller that needs only some of them (the verification checks) pays
-only for those.  What the remaining cells of a mesh will not read again
-can be dropped with :meth:`Discretization.release`: a study solves
-every cell of a mesh, releasing the a- and b-parts once its last iota
-has combined them and the solver's factors after its last solve, and
-only then measures the errors, so the exact tables are built by the
-first measurement and never held beside a factor.
+only for those.  :meth:`Discretization.solve` solves every cell of a
+mesh holding one iota's factors at a time: it drops the a- and b-parts
+once the last iota has combined them and the factors after the last
+solve, so the errors measured afterwards build the exact tables beside
+no factor.
 """
 
 import math
 from functools import cached_property, partial
 
+from . import linalg
 from .assembly import (assemble_a_parts, assemble_b_parts, assemble_load,
                        assemble_norm_gram_parts, assemble_pressure_parts,
                        combine_parts, mean_constraint_vector)
@@ -40,15 +40,14 @@ class Discretization:
 
     ``example`` names the manufactured solution (see
     :data:`sgefem.manufactured.FIELDS`) that drives the load and the
-    error norms; the matrices need none.  :meth:`release` drops the
-    parts and factors that only further cells would read; whatever is
-    asked for after it is rebuilt.
+    error norms; the matrices need none.  :meth:`solve` drops the parts
+    that only further cells would read; whatever is asked for after it
+    is rebuilt.
     """
 
     def __init__(self, mesh, example=None):
         self.mesh = mesh
         self.example = example
-        self._factors = None
 
     @cached_property
     def coeff(self):
@@ -106,44 +105,49 @@ class Discretization:
         mu (F0 + iota^2 F2) of (mu, iota), with the solver's factors of
         A and G and its lambda = infinity sequence, built on first use.
         A, B and G hold their parts' index arrays, so B keeps the zeros
-        that b0 stores.  One entry is kept: a study runs its lambdas
-        inside each iota, so the previous pair is released when iota
-        changes, and the last one by :meth:`release` once its cells are
-        solved."""
-        key = (mu, iota)
-        if self._factors is None or self._factors[0] != key:
-            self._factors = None    # free the old factors before the new A
-            i2 = iota ** 2
-            a0, a2 = self.a_parts
-            b0, b2 = self.b_parts
-            mp, kp = self.pressure_parts
-            (F0, F2), _ = self.load
-            self._factors = (key, SaddleFactors(
-                combine_parts(a0, a2, i2, 2.0 * mu),
-                combine_parts(b0, b2, i2), combine_parts(mp, kp, i2),
-                self.mean_constraint, mu * (F0 + i2 * F2)))
-        return self._factors[1]
-
-    def release(self, factors=False):
-        """Drop the a- and b-parts, which the held factors have already
-        combined: A and B keep their own data and their parts' index
-        arrays.  With ``factors``, drop the held :class:`SaddleFactors`
-        too (the factors of A and G and the stored sequence).  A later
-        (mu, iota) rebuilds what it needs; the pressure parts, which the
-        errors read, stay."""
-        self.__dict__.pop("a_parts", None)
-        self.__dict__.pop("b_parts", None)
-        if factors:
-            self._factors = None
-        _return_free_heap()
-
-    def system(self, mu, lam, iota):
-        """The saddle system of one (mu, lambda, iota) cell."""
+        that b0 stores.  Each call combines the parts anew."""
         if not 0 < mu < math.inf:
             raise ValueError("the method needs a finite mu > 0")
-        if lam <= 0:
-            raise ValueError("the mixed form needs lambda > 0")
-        return SaddleSystem(self.factors(mu, iota), lam)
+        if not math.isfinite(iota):
+            raise ValueError("the method needs a finite iota")
+        i2 = iota ** 2
+        a0, a2 = self.a_parts
+        b0, b2 = self.b_parts
+        mp, kp = self.pressure_parts
+        (F0, F2), _ = self.load
+        return SaddleFactors(
+            combine_parts(a0, a2, i2, 2.0 * mu), combine_parts(b0, b2, i2),
+            combine_parts(mp, kp, i2), self.mean_constraint,
+            mu * (F0 + i2 * F2))
+
+    def solve(self, mu, lams, iotas, tol=1e-10):
+        """Each (lambda, iota) cell's (u, p), or its SolverBreakdown,
+        keyed (lam, iota).  The lambdas of an iota share its factors,
+        and only one iota's factors are alive at a time; the a- and
+        b-parts go once the last iota has combined them, before its A
+        is factored, and the factors after the last solve, each
+        followed by a trim of the freed heap."""
+        cells = {}
+        for iota in iotas:
+            f = None    # free the old factors before the new A
+            f = self.factors(mu, iota)
+            if iota == iotas[-1]:
+                self.__dict__.pop("a_parts", None)
+                self.__dict__.pop("b_parts", None)
+                _return_free_heap()
+            for lam in lams:
+                try:
+                    cells[lam, iota] = linalg.solve_saddle(
+                        SaddleSystem(f, lam), tol=tol)[:2]
+                except linalg.SolverBreakdown as exc:
+                    # the frames of its traceback, and of the failure it
+                    # wraps, would hold the factors
+                    if exc.__cause__ is not None:
+                        exc.__cause__.with_traceback(None)
+                    cells[lam, iota] = exc.with_traceback(None)
+        f = None
+        _return_free_heap()
+        return cells
 
     def load_norm(self, mu, iota):
         """||f||_0 of the load at (mu, iota), from the parts of ||f||^2."""

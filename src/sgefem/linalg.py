@@ -212,33 +212,30 @@ class SaddleSystem:
     from ``factors`` (a :class:`SaddleFactors`, shared by the lambda
     cells of one (mu, iota)); the pressure block is C = G / lambda, a
     shift of 1 / lambda of that sequence.  C is scipy's ``G / lam`` on
-    G's index arrays."""
+    G's index arrays.  lambda = inf, the incompressible limit, is C = 0."""
 
     def __init__(self, factors, lam):
+        if not lam > 0:
+            raise ValueError("the mixed form needs lambda > 0")
         G = factors.G
         self.factors = factors
         self.shift = 1.0 / lam
         self.C = sparse.csr_matrix((G.data * self.shift, G.indices,
                                     G.indptr), shape=G.shape)
 
-    A = property(lambda self: self.factors.A)
-    B = property(lambda self: self.factors.B)
-    m = property(lambda self: self.factors.m)
-    rhs_u = property(lambda self: self.factors.rhs_u)
-    n_u = property(lambda self: self.factors.n_u)
-    n_p = property(lambda self: self.factors.n_p)
-
     def block_matrix(self):
         """The bordered (n_u + n_p + 1) sparse matrix, which the solver
         never forms (perfbench/ and the test oracles read it)."""
-        mcol = sparse.csr_matrix(self.m.reshape(-1, 1))
-        zcol = sparse.csr_matrix((self.n_u, 1))
-        return sparse.bmat([[self.A, self.B.T, zcol],
-                            [self.B, -self.C, mcol],
+        f = self.factors
+        mcol = sparse.csr_matrix(f.m.reshape(-1, 1))
+        zcol = sparse.csr_matrix((f.n_u, 1))
+        return sparse.bmat([[f.A, f.B.T, zcol],
+                            [f.B, -self.C, mcol],
                             [None, mcol.T, None]], format="csc")
 
     def full_rhs(self):
-        return np.concatenate([self.rhs_u, np.zeros(self.n_p + 1)])
+        f = self.factors
+        return np.concatenate([f.rhs_u, np.zeros(f.n_p + 1)])
 
     @cached_property
     def norm_inf(self):
@@ -256,15 +253,15 @@ class SaddleSystem:
         x = (u, p, xi); the plain residual over ||b|| has a roundoff
         floor of eps ||S|| ||x|| that an accurate solve cannot
         undercut."""
-        bu, cp = self.B @ u, self.C @ p
-        xi = float(self.m @ (cp - bu)) / float(self.m @ self.m)
-        r_u = self.A @ u + self.B.T @ p - self.rhs_u
-        r_p = bu - cp + xi * self.m
-        r_m = self.m @ p
+        f = self.factors
+        bu, cp = f.B @ u, self.C @ p
+        xi = float(f.m @ (cp - bu)) / float(f.m @ f.m)
+        r_u = f.A @ u + f.B.T @ p - f.rhs_u
+        r_p = bu - cp + xi * f.m
+        r_m = f.m @ p
         num = np.sqrt(r_u @ r_u + r_p @ r_p + r_m * r_m)
         x_norm = np.sqrt(u @ u + p @ p + xi * xi)
-        return xi, num / (self.norm_inf * x_norm
-                          + np.linalg.norm(self.rhs_u))
+        return xi, num / (self.norm_inf * x_norm + np.linalg.norm(f.rhs_u))
 
 
 def projected_pcg(system):
@@ -287,7 +284,7 @@ def projected_pcg(system):
     f = system.factors
     sigma = system.shift
     u, rz = f.start
-    p = np.zeros(system.n_p)
+    p = np.zeros(f.n_p)
     xi, err = system.backward_error(u, p)
     best = (u, p, xi, 0, err)
     # zeta_{k-1}, zeta_k, alpha_{k-1}, beta_{k-1} with zeta_{-1} = 1
@@ -334,8 +331,9 @@ def solve_saddle(system, tol=1e-10):
     """
     if not 1e-14 < tol < 1e-6:
         raise ValueError("tol must lie in (1e-14, 1e-6)")
-    if np.linalg.norm(system.rhs_u) == 0.0:
-        return (np.zeros(system.n_u), np.zeros(system.n_p), 0.0)
+    f = system.factors
+    if np.linalg.norm(f.rhs_u) == 0.0:
+        return (np.zeros(f.n_u), np.zeros(f.n_p), 0.0)
 
     try:
         u, p, xi, iterations, err = projected_pcg(system)
@@ -346,6 +344,6 @@ def solve_saddle(system, tol=1e-10):
         raise SolverBreakdown("projected CG missed the tolerance %.1e"
                               % tol, err, iterations)
 
-    if abs(system.m @ p) > 1e-12 * max(np.linalg.norm(p), 1e-300):
-        p = system.factors.drop_mean_row(p)     # the constraint drift
+    if abs(f.m @ p) > 1e-12 * max(np.linalg.norm(p), 1e-300):
+        p = f.drop_mean_row(p)      # the constraint drift
     return u, p, xi

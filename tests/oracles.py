@@ -682,7 +682,7 @@ def bordered_lu_solve(system, tol=1e-10):
         if backward_error(x) <= tol:
             break
         x = x + lu.solve(rhs - S @ x)
-    n_u, n_p = system.n_u, system.n_p
+    n_u, n_p = system.factors.n_u, system.factors.n_p
     return x[:n_u], x[n_u:n_u + n_p], float(x[-1]), backward_error(x)
 
 

@@ -323,12 +323,13 @@ def _check_force_vs_fd():
 def _check_saddle_and_energy():
     """Tiny solve against a dense oracle plus the energy identity."""
     from sgefem.discretization import Discretization
-    from sgefem.linalg import solve_saddle
+    from sgefem.linalg import SaddleSystem, solve_saddle
     from sgefem.mesh import build_uniform_unit_square
 
     mu, lam, iota = 1.0, 1e4, 1e-2
-    system = Discretization(build_uniform_unit_square(2),
-                            "example2").system(mu, lam, iota)
+    f = Discretization(build_uniform_unit_square(2),
+                       "example2").factors(mu, iota)
+    system = SaddleSystem(f, lam)
     u, p, xi = solve_saddle(system)
 
     S = system.block_matrix().toarray()
@@ -337,8 +338,8 @@ def _check_saddle_and_energy():
     oracle_rel = (np.linalg.norm(got - dense)
                   / np.linalg.norm(dense))
 
-    work = float(system.rhs_u @ u)
-    energy = float(u @ (system.A @ u) + p @ (system.C @ p))
+    work = float(f.rhs_u @ u)
+    energy = float(u @ (f.A @ u) + p @ (system.C @ p))
     energy_rel = abs(energy - work) / abs(work)
     return oracle_rel, energy_rel
 

@@ -14,7 +14,7 @@ from sgefem.assembly import (ScatterPlan, assemble_load,
                              reference_moments)
 from sgefem.discretization import Discretization
 from sgefem.element import batched_scalar_dof_matrices
-from sgefem.linalg import _row_sums, spd_factor
+from sgefem.linalg import SaddleSystem, _row_sums, spd_factor
 from sgefem.manufactured import load_parts
 from sgefem.mesh import Mesh, build_uniform_unit_square
 from oracles import (DEGREE_COUPLING, DEGREE_STIFFNESS, ProblemParams,
@@ -285,7 +285,7 @@ def test_fans_put_interior_vertices_in_12_and_18_triangles():
 
 def test_fans_a_and_g_symmetric_bit_for_bit():
     d = fans()
-    for M in (d.system(1.0, 100.0, 0.1).A,
+    for M in (d.factors(1.0, 0.1).A,
               combine_parts(*d.norm_gram_parts, 0.01)):
         diff = (M - M.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
@@ -468,7 +468,7 @@ def test_combined_matrices_read_as_scipys_sums(kind):
         assert np.array_equal(combine_parts(mp, kp, i2).toarray(),
                               sG.toarray())
         for lam in (1.0, 1e4, 1e8):
-            system = d.system(1.0, lam, iota)
+            system = SaddleSystem(f, lam)
             C, sC = system.C, G / lam
             assert np.shares_memory(C.indices, G.indices)
             assert np.shares_memory(C.indptr, G.indptr)
@@ -505,7 +505,7 @@ def test_parts_of_one_call_share_their_pattern():
 
 def test_a_symmetric_and_positive():
     d = setup(3)
-    A = d.system(1.0, 1.0, 0.1).A
+    A = d.factors(1.0, 0.1).A
     diff = (A - A.T).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
     rng = np.random.default_rng(3)
@@ -516,17 +516,17 @@ def test_a_symmetric_and_positive():
 
 def test_a_iota_linearity():
     d = setup(2)
-    A0 = d.system(1.0, 1.0, 0.0).A.toarray()
-    A1 = d.system(1.0, 1.0, 1.0).A.toarray()
-    Ai = d.system(1.0, 1.0, 0.37).A.toarray()
+    A0 = d.factors(1.0, 0.0).A.toarray()
+    A1 = d.factors(1.0, 1.0).A.toarray()
+    Ai = d.factors(1.0, 0.37).A.toarray()
     recon = (1 - 0.37 ** 2) * A0 + 0.37 ** 2 * A1
     assert np.max(np.abs(Ai - recon)) < 1e-14 * np.max(np.abs(A1))
 
 
 def test_b_iota_split_is_exact():
     d = setup(2)
-    b0 = d.system(1.0, 1.0, 0.0).B.toarray()
-    bi = d.system(1.0, 1.0, 0.2).B.toarray()
+    b0 = d.factors(1.0, 0.0).B.toarray()
+    bi = d.factors(1.0, 0.2).B.toarray()
     p0, p2 = d.b_parts
     assert np.max(np.abs(b0 - p0.toarray())) == 0.0
     recon = p0.toarray() + 0.04 * p2.toarray()
@@ -534,15 +534,16 @@ def test_b_iota_split_is_exact():
 
 
 def test_b_full_row_rank():
-    B = setup(4).system(1.0, 1.0, 0.01).B.toarray()
+    B = setup(4).factors(1.0, 0.01).B.toarray()
     sv = np.linalg.svd(B, compute_uv=False)
     assert sv[-1] > 1e-10
 
 
 def test_c_scaling_and_spd():
     d = setup(3)
-    C1 = d.system(1.0, 2.0, 0.1).C
-    C2 = d.system(1.0, 4.0, 0.1).C
+    f = d.factors(1.0, 0.1)
+    C1 = SaddleSystem(f, 2.0).C
+    C2 = SaddleSystem(f, 4.0).C
     assert np.max(np.abs((C1 - 2.0 * C2).toarray())) < 1e-18
     rng = np.random.default_rng(11)
     x = rng.standard_normal(d.qmap.n_p)
@@ -553,7 +554,7 @@ def test_c_scaling_and_spd():
 
 def test_c_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
-        setup(2).system(1.0, 0.0, 0.1)
+        SaddleSystem(setup(2).factors(1.0, 0.1), 0.0)
 
 
 def test_pressure_mass_against_closed_form():
@@ -639,7 +640,7 @@ def test_norm_grams_shapes_and_gq_matches_lambda_c():
     iota = 0.05
     GV, GQ = norm_grams(d, iota)
     lam = 7.0
-    C = d.system(1.0, lam, iota).C
+    C = SaddleSystem(d.factors(1.0, iota), lam).C
     assert np.max(np.abs((GQ - lam * C).toarray())) \
         < 1e-14 * np.max(np.abs(GQ.toarray()))
     rng = np.random.default_rng(5)
@@ -653,15 +654,15 @@ def test_coercivity_constant_against_korn_bound():
     d = setup(4)
     mu = 1.0
     for iota in (1.0, 1e-2):
-        A = d.system(mu, 1.0, iota).A.toarray()
+        A = d.factors(mu, iota).A.toarray()
         GV = norm_grams(d, iota)[0].toarray()
         theta = eigh(A, 2.0 * mu * GV, eigvals_only=True)[0]
         assert theta >= 1.0 - 1.0 / np.sqrt(2.0) - 1e-9
 
 
 def test_block_system_symmetric_bit_for_bit():
-    system = setup(3).system(1.0, 100.0, 0.1)
-    A, C = system.A, system.C
+    system = SaddleSystem(setup(3).factors(1.0, 0.1), 100.0)
+    A, C = system.factors.A, system.C
     for M in (A, C):
         diff = (M - M.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0

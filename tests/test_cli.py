@@ -287,6 +287,24 @@ def test_solve_breakdown_keeps_an_existing_output(tmp_path, monkeypatch,
     assert out.read_bytes() == b"x,y,u1,u2,p\n0,0,1,2,3\n"
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_solve_with_an_empty_out_exits_3(tmp_path, monkeypatch, capsys, via):
+    # an empty path is refused, as convergence and verify refuse it, not
+    # replaced by the default ./solution.csv
+    monkeypatch.chdir(tmp_path)
+    argv = ["solve", "--example", "example2", "--lambda", "1e4", "--iota",
+            "1e-6", "--n", "2"]
+    if via == "flag":
+        argv += ["--out", ""]
+    else:
+        cfg = tmp_path / "solve.cfg"
+        cfg.write_text("out =\n")
+        argv += ["--config", str(cfg)]
+    assert run(argv) == 3
+    assert "cannot write the output" in capsys.readouterr().err
+    assert not (tmp_path / "solution.csv").exists()
+
+
 def _small_study(ns=(4,)):
     return StudyConfig("example1", [1.0, 1e4, 1e8], [1.0, 1e-8], list(ns))
 
@@ -373,6 +391,37 @@ def test_study_builds_the_exact_tables_after_the_factors_die(monkeypatch):
         gc.enable()
     # two iotas, so two factors per mesh, all dead
     assert seen == [(2, 0), (4, 0)]
+
+
+def test_study_holds_one_iotas_factors_at_a_time(monkeypatch):
+    # the factors of an iota are dead before the next iota's matrices
+    # are combined, and before the errors combine the pressure Gram
+    import sgefem.discretization
+
+    factors, seen = [], []
+    make = sgefem.discretization.SaddleFactors
+    combine = sgefem.discretization.combine_parts
+
+    def recording(*args):
+        f = make(*args)
+        factors.append(weakref.ref(f))
+        return f
+
+    def counting(*args):
+        seen.append(sum(r() is not None for r in factors))
+        return combine(*args)
+
+    monkeypatch.setattr(sgefem.discretization, "SaddleFactors", recording)
+    monkeypatch.setattr(sgefem.discretization, "combine_parts", counting)
+    gc.disable()
+    try:
+        _study_rows(StudyConfig("example1", [1.0, 1e4, 1e8],
+                                [1.0, 1e-1, 1e-8], [4]))
+    finally:
+        gc.enable()
+    # three matrices per iota, then one pressure Gram per measured cell
+    assert len(factors) == 3
+    assert seen == [0] * (3 * 3 + 3 * 3)
 
 
 def test_breakdown_in_the_middle_of_a_mesh_flags_only_its_row(monkeypatch):

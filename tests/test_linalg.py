@@ -21,7 +21,7 @@ GRID_LAMBDAS = (1.0, 1e4, 1e8)
 
 def example2_system(n=2, mu=1.0, lam=1.0, iota=1e-2):
     disc = Discretization(build_uniform_unit_square(n), "example2")
-    return disc.system(mu, lam, iota)
+    return SaddleSystem(disc.factors(mu, iota), lam)
 
 
 def with_load(sys_, rhs_u, lam):
@@ -33,7 +33,7 @@ def with_load(sys_, rhs_u, lam):
 
 def test_homogeneous_rhs_gives_zero():
     sys_ = example2_system(lam=1.0)
-    sys_ = with_load(sys_, np.zeros(sys_.n_u), 1.0)
+    sys_ = with_load(sys_, np.zeros(sys_.factors.n_u), 1.0)
     u, p, xi = solve_saddle(sys_)
     assert np.all(u == 0.0) and np.all(p == 0.0) and xi == 0.0
 
@@ -50,15 +50,15 @@ def test_solution_matches_dense_lu_oracle():
 def test_energy_identity():
     sys_ = example2_system()
     u, p, _ = solve_saddle(sys_)
-    lhs = u @ (sys_.A @ u) + p @ (sys_.C @ p)
-    rhs = sys_.rhs_u @ u
+    lhs = u @ (sys_.factors.A @ u) + p @ (sys_.C @ p)
+    rhs = sys_.factors.rhs_u @ u
     assert lhs == pytest.approx(rhs, rel=1e-8)
 
 
 def test_pressure_mean_constraint():
     sys_ = example2_system(n=4)
     _, p, _ = solve_saddle(sys_)
-    assert abs(sys_.m @ p) <= 1e-12 * np.linalg.norm(p)
+    assert abs(sys_.factors.m @ p) <= 1e-12 * np.linalg.norm(p)
 
 
 def test_residual_of_block_system():
@@ -77,7 +77,8 @@ def test_fixed_point_under_residual_correction():
     u, p, xi = solve_saddle(sys_, tol=tol)
     x = np.concatenate([u, p, [xi]])
     r = sys_.full_rhs() - sys_.block_matrix() @ x
-    sys_ = with_load(sys_, sys_.rhs_u + r[:sys_.n_u], 1.0)
+    f = sys_.factors
+    sys_ = with_load(sys_, f.rhs_u + r[:f.n_u], 1.0)
     u2, p2, xi2 = solve_saddle(sys_, tol=tol)
     x2 = np.concatenate([u2, p2, [xi2]])
     assert np.linalg.norm(x2 - x) <= tol * np.linalg.norm(x)
@@ -86,7 +87,8 @@ def test_fixed_point_under_residual_correction():
 def test_scale_equivariance():
     sys_ = example2_system(n=2, lam=1.0)
     u, p, xi = solve_saddle(sys_)
-    u8, p8, xi8 = solve_saddle(with_load(sys_, 8.0 * sys_.rhs_u, 1.0))
+    u8, p8, xi8 = solve_saddle(with_load(sys_, 8.0 * sys_.factors.rhs_u,
+                                         1.0))
     # scaling by a power of two is exact through every solver operation
     assert np.array_equal(u8, 8.0 * u)
     assert np.array_equal(p8, 8.0 * p)
@@ -102,10 +104,9 @@ def test_tolerance_range_enforced():
 
 
 def test_inconsistent_blocks_rejected():
-    sys_ = example2_system()
+    f = example2_system().factors
     with pytest.raises(ValueError, match="dimensions"):
-        SaddleFactors(sys_.A, sys_.B[:, :-2], sys_.factors.G, sys_.m,
-                      sys_.rhs_u)
+        SaddleFactors(f.A, f.B[:, :-2], f.G, f.m, f.rhs_u)
 
 
 def test_block_matrix_is_symmetric():
@@ -148,8 +149,9 @@ def test_pcg_miss_is_a_breakdown_carrying_its_record(monkeypatch):
 def test_pcg_matches_bordered_lu_oracle(example, n, mu, u_rtol):
     disc = Discretization(build_uniform_unit_square(n), example)
     for iota in GRID_IOTAS:
+        f = disc.factors(mu, iota)
         for lam in GRID_LAMBDAS:
-            sys_ = disc.system(mu, lam, iota)
+            sys_ = SaddleSystem(f, lam)
             u, p, xi = solve_saddle(sys_)
             u_ref, p_ref, _, err_ref = bordered_lu_solve(sys_)
             assert np.linalg.norm(u - u_ref) \
@@ -160,8 +162,8 @@ def test_pcg_matches_bordered_lu_oracle(example, n, mu, u_rtol):
 
 def test_factors_preconditioning_with_c_give_the_same_iterates():
     sys_ = example2_system(n=8, lam=1e4)
-    bare = SaddleSystem(SaddleFactors(sys_.A, sys_.B, sys_.C, sys_.m,
-                                      sys_.rhs_u), 1.0)
+    f = sys_.factors
+    bare = SaddleSystem(SaddleFactors(f.A, f.B, sys_.C, f.m, f.rhs_u), 1.0)
     u, _, _, iterations, err = projected_pcg(bare)
     u_ref, _, _, iterations_ref, _ = projected_pcg(sys_)
     # bare takes C = G / lambda for its preconditioner, at shift 1, and
@@ -176,18 +178,19 @@ def test_solve_drops_a_drifted_mean(monkeypatch):
     # an iterate whose p drifted off the zero-mean constraint is
     # returned with its m-component dropped
     sys_ = example2_system(n=4)
+    m = sys_.factors.m
     u0, p0, _ = solve_saddle(sys_)
-    assert abs(sys_.m @ p0) <= 1e-12 * np.linalg.norm(p0)
+    assert abs(m @ p0) <= 1e-12 * np.linalg.norm(p0)
 
     def drifting(system):
         u, p, xi, iterations, err = projected_pcg(system)
-        return u, p + 1e-3 * np.linalg.norm(p) * system.m, xi, \
+        return u, p + 1e-3 * np.linalg.norm(p) * system.factors.m, xi, \
             iterations, err
 
     monkeypatch.setattr(sgefem.linalg, "projected_pcg", drifting)
     u, p, _ = solve_saddle(sys_)
     assert np.array_equal(u, u0)
-    assert abs(sys_.m @ p) <= 1e-12 * np.linalg.norm(p)
+    assert abs(m @ p) <= 1e-12 * np.linalg.norm(p)
     assert np.max(np.abs(p - p0)) <= 1e-12 * np.max(np.abs(p0))
 
 
@@ -214,10 +217,11 @@ def test_backward_error_from_blocks_matches_bordered_matrix():
     S, b = sys_.block_matrix(), sys_.full_rhs()
     norm_S = sparse_norm(S, np.inf)
     assert sys_.norm_inf == pytest.approx(norm_S, rel=1e-14)
+    n_u = sys_.factors.n_u
     x = np.random.default_rng(5).standard_normal(S.shape[0])
-    xi, got = sys_.backward_error(x[:sys_.n_u], x[sys_.n_u:-1])
+    xi, got = sys_.backward_error(x[:n_u], x[n_u:-1])
     # xi is the least-squares multiplier of the pressure rows
-    pressure_rows = slice(sys_.n_u, -1)
+    pressure_rows = slice(n_u, -1)
     r_drawn = (S @ x - b)[pressure_rows]
     x[-1] = xi
     r_fit = (S @ x - b)[pressure_rows]
@@ -230,7 +234,7 @@ def test_backward_error_from_blocks_matches_bordered_matrix():
 def test_pcg_starts_converged_when_mean_zero_space_is_trivial():
     # n = 2 has one pressure unknown, so the only zero-mean pressure is 0
     sys_ = example2_system(n=2)
-    assert sys_.n_p == 1
+    assert sys_.factors.n_p == 1
     u, p, _, iterations, err = projected_pcg(sys_)
     assert iterations == 0 and np.all(p == 0.0)
     assert err <= 1e-15
@@ -243,9 +247,9 @@ def test_pcg_iterations_robust_in_h_iota_lambda():
     for n in (8, 16, 32, 64):
         disc = Discretization(build_uniform_unit_square(n), "example1")
         for iota in GRID_IOTAS:
+            f = disc.factors(1.0, iota)
             for lam in GRID_LAMBDAS:
-                _, _, _, iterations, err = projected_pcg(
-                    disc.system(1.0, lam, iota))
+                _, _, _, iterations, err = projected_pcg(SaddleSystem(f, lam))
                 assert err <= 1e-15, (n, iota, lam)
                 worst[n, iota, lam] = iterations
     assert max(worst.values()) <= 12, worst
@@ -253,38 +257,70 @@ def test_pcg_iterations_robust_in_h_iota_lambda():
 
 def test_a_factored_once_per_iota_and_released(monkeypatch):
     splu = sgefem.linalg.splu
-    factored = []
+    make = sgefem.discretization.SaddleFactors
+    factored, made = [], []
 
     def counting_splu(M, *args, **kwargs):
         factored.append(M.shape[0])
         return splu(M, *args, **kwargs)
 
+    def recording(*args):
+        f = make(*args)
+        made.append(weakref.ref(f))
+        return f
+
     monkeypatch.setattr(sgefem.linalg, "splu", counting_splu)
+    monkeypatch.setattr(sgefem.discretization, "SaddleFactors", recording)
     disc = Discretization(build_uniform_unit_square(4), "example1")
     n_u = disc.vmap.n_u
-    first = None
     # refcounting alone must free the factors and the lambda = infinity
     # sequence they hold: a reference cycle through them keeps them
     gc.disable()
     try:
-        for iota in (1.0, 1e-8):
-            for lam in (1.0, 1e4, 1e8):
-                sys_ = disc.system(1.0, lam, iota)
-                solve_saddle(sys_)
-                if first is None:
-                    first = weakref.ref(sys_.factors)
-            del sys_
-            if iota == 1.0:
-                assert first() is not None
+        cells = disc.solve(1.0, (1.0, 1e4, 1e8), (1.0, 1e-8))
         assert factored.count(n_u) == 2
-        assert first() is None
+        assert len(made) == 2 and all(r() is None for r in made)
     finally:
         gc.enable()
+    assert len(cells) == 6
+    assert not any(isinstance(c, Exception) for c in cells.values())
+
+
+def test_a_breakdown_holds_no_factors(monkeypatch):
+    # a cell's breakdown is kept without the frames of its traceback or
+    # of the failure it wraps, which would hold A's factor
+    factor = sgefem.linalg.spd_factor
+    make = sgefem.discretization.SaddleFactors
+    made = []
+
+    def failing_g(M):
+        if M.shape[0] == disc.qmap.n_p:
+            raise RuntimeError("forced")
+        return factor(M)
+
+    def recording(*args):
+        f = make(*args)
+        made.append(weakref.ref(f))
+        return f
+
+    monkeypatch.setattr(sgefem.linalg, "spd_factor", failing_g)
+    monkeypatch.setattr(sgefem.discretization, "SaddleFactors", recording)
+    disc = Discretization(build_uniform_unit_square(4), "example1")
+    gc.disable()
+    try:
+        cells = disc.solve(1.0, (1.0, 1e4), (1.0, 1e-8))
+        assert len(made) == 2 and all(r() is None for r in made)
+    finally:
+        gc.enable()
+    for cell in cells.values():
+        assert isinstance(cell, SolverBreakdown)
+        assert str(cell).startswith("factorization failed: forced")
 
 
 def test_released_parts_are_rebuilt_for_a_later_iota(monkeypatch):
-    # release drops the a- and b-parts and, on request, the factors; a
-    # later iota rebuilds them into the matrices a fresh mesh gives
+    # solve drops the a- and b-parts once its last iota has combined
+    # them; a later iota rebuilds them into the matrices a fresh mesh
+    # gives
     assemble = sgefem.discretization.assemble_a_parts
     built = []
 
@@ -294,10 +330,8 @@ def test_released_parts_are_rebuilt_for_a_later_iota(monkeypatch):
 
     monkeypatch.setattr(sgefem.discretization, "assemble_a_parts", counting)
     disc = Discretization(build_uniform_unit_square(4), "example1")
-    solve_saddle(disc.system(1.0, 1e4, 1.0))
-    disc.release()
-    solve_saddle(disc.system(1.0, 1e4, 1.0))    # the held factors serve
-    disc.release(factors=True)
+    disc.solve(1.0, [1e4], [1.0])
+    assert "a_parts" not in vars(disc) and "b_parts" not in vars(disc)
     assert len(built) == 1
     got = disc.factors(1.0, 1e-8)
     assert len(built) == 2
@@ -333,9 +367,10 @@ def test_a_solves_per_iota_do_not_depend_on_the_lambdas(monkeypatch):
 
     def a_solves(lams, iota):
         disc = Discretization(build_uniform_unit_square(8), "example1")
+        f = disc.factors(1.0, iota)
         solves.clear()
         for lam in lams:
-            solve_saddle(disc.system(1.0, lam, iota))
+            solve_saddle(SaddleSystem(f, lam))
         return solves.count(disc.vmap.n_u)
 
     for iota in GRID_IOTAS:
@@ -350,8 +385,9 @@ def test_lambda_order_changes_no_bit():
         disc = Discretization(build_uniform_unit_square(8), "example1")
         out = {}
         for iota in GRID_IOTAS:
+            f = disc.factors(1.0, iota)
             for lam in lams:
-                sys_ = disc.system(1.0, lam, iota)
+                sys_ = SaddleSystem(f, lam)
                 iterations = projected_pcg(sys_)[3]
                 out[iota, lam] = solve_saddle(sys_) + (iterations,)
         return out
@@ -367,14 +403,37 @@ def test_lambda_order_changes_no_bit():
 def test_system_rejects_non_positive_mu(mu):
     disc = Discretization(build_uniform_unit_square(2), "example2")
     with pytest.raises(ValueError, match="mu"):
-        disc.system(mu, 1.0, 1e-2)
+        disc.factors(mu, 1e-2)
 
 
 @pytest.mark.parametrize("mu", [np.inf, np.nan])
 def test_system_rejects_non_finite_mu(mu):
     disc = Discretization(build_uniform_unit_square(2), "example2")
     with pytest.raises(ValueError, match="finite mu"):
-        disc.system(mu, 1.0, 1e-2)
+        disc.factors(mu, 1e-2)
+
+
+@pytest.mark.parametrize("lam, iota", [(np.nan, 1e-2), (1e4, np.nan),
+                                       (1e4, np.inf), (1e4, -np.inf)],
+                         ids=["lambda-nan", "iota-nan", "iota-inf",
+                              "iota-minus-inf"])
+def test_invalid_lambda_or_iota_is_a_value_error(lam, iota):
+    # refused before anything is combined or factored, not returned as
+    # a solver breakdown
+    disc = Discretization(build_uniform_unit_square(2), "example2")
+    with pytest.raises(ValueError, match="lambda > 0|finite iota"):
+        SaddleSystem(disc.factors(1.0, iota), lam)
+    with pytest.raises(ValueError, match="lambda > 0|finite iota"):
+        disc.solve(1.0, [lam], [iota])
+
+
+def test_incompressible_limit_and_iota_zero_are_solved():
+    disc = Discretization(build_uniform_unit_square(4), "example2")
+    cells = disc.solve(1.0, [np.inf], [0.0, 1e-2])
+    for iota in (0.0, 1e-2):
+        u, p = cells[np.inf, iota]
+        assert np.all(np.isfinite(u)) and np.linalg.norm(u) > 0.0, iota
+        assert np.all(np.isfinite(p)), iota
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -477,9 +536,10 @@ def test_lambda_cells_share_the_row_sums_of_a(monkeypatch):
         return row_sums(M)
 
     monkeypatch.setattr(sgefem.linalg, "_row_sums", counting)
-    A = disc.factors(1.0, 1e-2).A
+    f = disc.factors(1.0, 1e-2)
+    A = f.A
     for lam in GRID_LAMBDAS:
-        solve_saddle(disc.system(1.0, lam, 1e-2))
+        solve_saddle(SaddleSystem(f, lam))
     passes = [M is A for M in summed]
     assert sum(passes) == 1
     assert len(passes) == 2 + len(GRID_LAMBDAS)

@@ -57,10 +57,6 @@ def test_definitions_include_bound_properties():
                      "    def f(self):\n        pass\n")
     assert list(definitions(tree)) == [("S", 1), ("S.a", 3), ("S.f", 4)]
     assert "a" not in references(tree)
-    found = {name for name, _ in definitions(
-        _parse(ROOT / "src" / "sgefem" / "linalg.py"))}
-    assert {"SaddleSystem.%s" % name for name in
-            ("A", "B", "m", "rhs_u", "n_u", "n_p")} <= found
 
 
 def references(tree):
