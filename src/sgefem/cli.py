@@ -7,7 +7,7 @@ exports vertex-sampled fields for plotting.
 
 Exit codes: 0 success, 1 verification failure, 2 solver breakdown
 (the study still emits every row, flagged in the status column),
-3 invalid configuration.
+3 invalid configuration or an output that cannot be written.
 
 Heavy imports happen inside the run functions so that the thread-count
 setting can still influence the numerical libraries when the command is
@@ -185,13 +185,10 @@ def _limit_threads(threads):
 
 
 def _check_writable(path):
-    """ConfigError, before any mesh is built, unless ``path`` (None:
+    """An OSError, before any mesh is built, unless ``path`` (None:
     stdout) opens for writing; append mode keeps an existing file."""
-    try:
-        if path is not None:
-            open(path, "a").close()
-    except OSError as exc:
-        raise ConfigError("cannot write the output: %s" % exc)
+    if path is not None:
+        open(path, "a").close()
 
 
 def _study_rows(config):
@@ -321,8 +318,13 @@ def run_solve(config):
     columns = np.column_stack([disc.mesh.vertices,
                                uext[disc.vmap.vertex_nodes],
                                np.append(p, 0.0)[disc.qmap.vertex_index]])
-    np.savetxt(path, columns, fmt="%.8e", delimiter=",",
-               header="x,y,u1,u2,p", comments="")
+    try:
+        np.savetxt(path, columns, fmt="%.8e", delimiter=",",
+                   header="x,y,u1,u2,p", comments="")
+    except OSError:
+        if not existed:
+            os.remove(path)     # what was written before the failure
+        raise
     return 0
 
 
@@ -403,6 +405,9 @@ def main(argv=None):
         return run_solve(config)
     except ConfigError as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 3
+    except OSError as exc:  # the output's; load_config_file converts its own
+        sys.stderr.write("error: cannot write the output: %s\n" % exc)
         return 3
 
 

@@ -29,7 +29,7 @@ from .assembly import (assemble_a_parts, assemble_b_parts, assemble_load,
                        assemble_norm_gram_parts, assemble_pressure_parts,
                        combine_parts, mean_constraint_vector)
 from .element import batched_scalar_coeff
-from .linalg import SaddleFactors, SaddleSystem, _return_free_heap
+from .linalg import SaddleFactors, SaddleSystem
 from .manufactured import (error_norms, exact_tables, field_by_name,
                            load_parts)
 from .space import build_qdofmap, build_vdofmap
@@ -125,8 +125,9 @@ class Discretization:
         keyed (lam, iota).  The lambdas of an iota share its factors,
         and only one iota's factors are alive at a time; the a- and
         b-parts go once the last iota has combined them, before its A
-        is factored, and the factors after the last solve, each
-        followed by a trim of the freed heap."""
+        is factored, and the factors after the last solve.  It only
+        drops them: each factorization hands the freed heap back to the
+        system before it starts (:func:`sgefem.linalg.spd_factor`)."""
         cells = {}
         for iota in iotas:
             f = None    # free the old factors before the new A
@@ -134,7 +135,6 @@ class Discretization:
             if iota == iotas[-1]:
                 self.__dict__.pop("a_parts", None)
                 self.__dict__.pop("b_parts", None)
-                _return_free_heap()
             for lam in lams:
                 try:
                     cells[lam, iota] = linalg.solve_saddle(
@@ -146,7 +146,6 @@ class Discretization:
                         exc.__cause__.with_traceback(None)
                     cells[lam, iota] = exc.with_traceback(None)
         f = None
-        _return_free_heap()
         return cells
 
     def load_norm(self, mu, iota):

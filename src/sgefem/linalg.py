@@ -88,17 +88,6 @@ def _bind_malloc_trim():
 _MALLOC_TRIM = _bind_malloc_trim()
 
 
-def _return_free_heap():
-    """Hand the pages of freed heap memory back to the system.  glibc
-    trims its heap only from the top, and only past a threshold that it
-    raises as large blocks are freed, so the pages of freed arrays (and
-    of a previous factor's workspace) can stay resident beside a factor
-    allocated next, whose large blocks it maps on their own.  A no-op
-    where the C library has no malloc_trim."""
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
-
 def spd_factor(M):
     """Sparse LU of a symmetric positive definite M, for the solver and
     the inf-sup check: in the natural order, which is fill-reducing
@@ -108,11 +97,16 @@ def spd_factor(M):
     As M is symmetric, the CSC view M.T of a CSR M is factored, without
     a copy.  Non-finite entries raise RuntimeError, as a failed
     factorization does; SuperLU is not given them.  Each factorization
-    starts on a trimmed heap (:func:`_return_free_heap`), which lowers
-    the peak it sets."""
+    starts on a trimmed heap, which lowers the peak it sets: glibc trims
+    its heap only from the top, and only past a threshold that it raises
+    as large blocks are freed, so the pages of freed arrays (and of a
+    previous factor's workspace) can stay resident beside the factor
+    allocated next, whose large blocks it maps on their own.  Where the
+    C library has no malloc_trim, there is no trim."""
     if not np.isfinite(M.data).all():
         raise RuntimeError("the matrix has non-finite entries")
-    _return_free_heap()
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
     return splu(M.T, permc_spec="NATURAL",
                 options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
 

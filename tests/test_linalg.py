@@ -485,7 +485,6 @@ def test_heap_trim_is_a_no_op_without_malloc_trim(monkeypatch, cdll):
     monkeypatch.setattr(sgefem.linalg.ctypes, "CDLL", cdll)
     assert sgefem.linalg._bind_malloc_trim() is None
     monkeypatch.setattr(sgefem.linalg, "_MALLOC_TRIM", None)
-    sgefem.linalg._return_free_heap()
     M = sparse.diags([2.0, 3.0, 4.0], format="csr")
     assert np.array_equal(spd_factor(M).solve(np.ones(3)),
                           [0.5, 1.0 / 3.0, 0.25])

@@ -10,6 +10,9 @@ Every instance attribute a src/sgefem class sets (``self.x = ...``) must
 be read as an attribute in src/sgefem or perfbench/; the payload of an
 exception class is fault data for whoever catches it, and is exempt.
 A definition only the tests reach belongs in tests/oracles.py.
+No src/sgefem module reads a single-underscore name of another
+sgefem module, by import or as a module attribute; private modules
+(``_dunavant``) may be imported.
 """
 import ast
 import importlib
@@ -157,3 +160,55 @@ def test_instance_attributes_are_read_outside_the_tests():
                                                attr))
     assert unread == [], "set in src/ but read only by tests: %s" \
         % ", ".join(unread)
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__") \
+        and not (ROOT / "src" / "sgefem" / (name + ".py")).exists()
+
+
+def private_reads(tree):
+    """(line, name) of each private name of a sgefem module that
+    ``tree`` imports, or loads as an attribute of an imported sgefem
+    module; dunders and the private modules themselves are exempt."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith("sgefem")):
+            for alias in node.names:
+                if _is_private(alias.name):
+                    yield node.lineno, alias.name
+                elif node.module in (None, "sgefem"):
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name.split(".")[0]
+                           for alias in node.names
+                           if alias.name.startswith("sgefem"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.ctx, ast.Load) \
+                and _is_private(node.attr):
+            base = node.value
+            while isinstance(base, ast.Attribute):
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                yield node.lineno, "%s.%s" % (ast.unparse(node.value),
+                                              node.attr)
+
+
+def test_private_reads_are_found():
+    tree = ast.parse("from .linalg import _trim, spd_factor\n"
+                     "from . import linalg, _dunavant\n"
+                     "import sgefem.space\n"
+                     "linalg._x, linalg.__doc__, _dunavant.ORBITS\n"
+                     "sgefem.space._y, self._z\n"
+                     "from ._dunavant import ORBITS\n")
+    assert list(private_reads(tree)) == [(1, "_trim"), (4, "linalg._x"),
+                                         (5, "sgefem.space._y")]
+
+
+def test_no_module_reads_another_modules_private_names():
+    found = ["%s:%d %s" % (path.name, line, name) for path in SOURCES
+             for line, name in private_reads(_parse(path))]
+    assert found == [], "private names read across modules: %s" \
+        % ", ".join(found)
