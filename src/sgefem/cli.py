@@ -12,9 +12,17 @@ Exit codes: 0 success, 1 verification failure, 2 solver breakdown
 Heavy imports happen inside the run functions so that the thread-count
 setting can still influence the numerical libraries when the command is
 the first user of them in the process.
+
+Meshes are named only by ``--n`` (the study tail is ``--n
+16,32,64,128,256``).  Every output goes through ``_write_output``, so a
+run that ends without output leaves no file where there was none, and
+a failed write removes only a file it created: an existing one has
+already been truncated (renaming a temporary file over it would
+replace a symlink or a device such as /dev/full).
 """
 
 import argparse
+import io
 import math
 import os
 import sys
@@ -24,7 +32,6 @@ DEFAULT_LAMBDAS = (1e0, 1e4, 1e8)
 DEFAULT_IOTAS = {"example1": (1e0, 1e-1, 1e-8),
                  "example2": (1e-4, 1e-6, 1e-8)}
 DEFAULT_NS = (16, 32, 64)
-LARGE_NS = (128, 256)
 CSV_HEADER = "example,lambda,iota,n,h,dofs_u,dofs_p,E_u,E_p,rate,status"
 
 
@@ -114,17 +121,7 @@ def load_config_file(path):
 
 
 _CONFIG_KEYS = ("example", "lambda", "iota", "n", "mu", "tol", "out",
-                "threads", "large")
-_BOOLEANS = {"1": True, "true": True, "yes": True,
-             "0": False, "false": False, "no": False}
-
-
-def _boolean(text):
-    try:
-        return _BOOLEANS[text]
-    except KeyError:
-        raise ConfigError("not a boolean (1/true/yes or 0/false/no): %r"
-                          % text)
+                "threads")
 
 
 def _merge_config(args):
@@ -148,21 +145,12 @@ def _merge_config(args):
             raise ConfigError("config key %s: %s" % (key, exc))
 
     example = pick(args.example, "example", str, "example1")
-    large = pick(getattr(args, "large", False) or None, "large", _boolean,
-                 False)
-    if large and not hasattr(args, "large"):    # solve has no --large
-        raise ConfigError("solve runs one n and takes no true large key")
-    if large and (args.n is not None or "n" in file_values):
-        raise ConfigError("large extends the default n list and takes "
-                          "no n list")
-    ns = pick(args.n, "n", _ints,
-              list(DEFAULT_NS) + (list(LARGE_NS) if large else []))
     return StudyConfig(
         example=example,
         lams=pick(args.lam, "lambda", _floats, list(DEFAULT_LAMBDAS)),
         iotas=pick(args.iota, "iota", _floats,
                    list(DEFAULT_IOTAS.get(example, ()))),
-        ns=ns,
+        ns=pick(args.n, "n", _ints, list(DEFAULT_NS)),
         mu=pick(args.mu, "mu", float, 1.0),
         tol=pick(args.tol, "tol", float, 1e-10),
         out=pick(args.out, "out", str),
@@ -186,9 +174,32 @@ def _limit_threads(threads):
 
 def _check_writable(path):
     """An OSError, before any mesh is built, unless ``path`` (None:
-    stdout) opens for writing; append mode keeps an existing file."""
-    if path is not None:
+    stdout) opens for writing.  An existing file is opened to append,
+    so it keeps its bytes; a new one is created and removed at once."""
+    if path is None:
+        return
+    try:
+        open(path, "x").close()
+    except FileExistsError:
         open(path, "a").close()
+    else:
+        os.remove(path)
+
+
+def _write_output(path, text):
+    """Write ``text`` to stdout (``path`` None) or to the file ``path``;
+    if the write fails, a file it created is removed."""
+    if path is None:
+        sys.stdout.write(text)
+        return
+    created = not os.path.exists(path)
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError:
+        if created:
+            os.remove(path)
+        raise
 
 
 def _study_rows(config):
@@ -247,12 +258,7 @@ def format_table(config, results):
 def run_convergence(config):
     _check_writable(config.out)
     results = _study_rows(config)
-    table = format_table(config, results)
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(table)
-    else:
-        sys.stdout.write(table)
+    _write_output(config.out, format_table(config, results))
     broke = any(r[5] != "ok" for r in results.values())
     return 2 if broke else 0
 
@@ -286,7 +292,7 @@ def run_verify(ns, iotas, out, seed=0, flip_edge=None):
                           "edge of the n=%d mesh" % ns[0])
     sys.stdout.write(report.as_text())
     if out:
-        report.to_csv(out)
+        _write_output(out, report.as_csv())
     return 0 if report.passed else 1
 
 
@@ -302,13 +308,10 @@ def run_solve(config):
         raise ConfigError("solve takes single lambda, iota, and n values")
     lam, iota, n = config.lams[0], config.iotas[0], config.ns[0]
     path = "solution.csv" if config.out is None else config.out
-    existed = os.path.exists(path)
     _check_writable(path)
     disc = Discretization(build_uniform_unit_square(n), config.example)
     cell = disc.solve(config.mu, [lam], [iota], tol=config.tol)[lam, iota]
     if isinstance(cell, Exception):
-        if not existed:
-            os.remove(path)     # the empty file of the writability check
         sys.stderr.write("solver breakdown: %s\n" % cell)
         return 2
     u, p = cell
@@ -318,13 +321,10 @@ def run_solve(config):
     columns = np.column_stack([disc.mesh.vertices,
                                uext[disc.vmap.vertex_nodes],
                                np.append(p, 0.0)[disc.qmap.vertex_index]])
-    try:
-        np.savetxt(path, columns, fmt="%.8e", delimiter=",",
-                   header="x,y,u1,u2,p", comments="")
-    except OSError:
-        if not existed:
-            os.remove(path)     # what was written before the failure
-        raise
+    rows = io.StringIO()
+    np.savetxt(rows, columns, fmt="%.8e", delimiter=",",
+               header="x,y,u1,u2,p", comments="")
+    _write_output(path, rows.getvalue())
     return 0
 
 
@@ -348,7 +348,7 @@ def _build_parser():
                        help="thread budget for the numerical libraries "
                             "(default: inherited variables, else 1)")
 
-    def study(p, large):
+    def study(p):
         p.add_argument("--example", choices=_EXAMPLES)
         p.add_argument("--lambda", dest="lam", type=_floats,
                        metavar="LIST", help="comma-separated lambda values")
@@ -356,11 +356,6 @@ def _build_parser():
                        help="comma-separated iota values")
         p.add_argument("--n", type=_ints, metavar="LIST",
                        help="comma-separated mesh subdivisions")
-        if large:
-            p.add_argument("--large", action="store_true",
-                           help="extend the default n list with 128, "
-                                "256 (not with --n or an n key); needs a "
-                                "few GB of memory")
         output(p)
         p.add_argument("--config", help="flat key=value config file")
         p.add_argument("--tol", type=float,
@@ -369,10 +364,8 @@ def _build_parser():
                             "the bordered system (default 1e-10)")
         p.add_argument("--mu", type=float, help="shear modulus (default 1)")
 
-    study(sub.add_parser("convergence", help="run a convergence study"),
-          large=True)
-    study(sub.add_parser("solve", help="solve once and export fields"),
-          large=False)
+    study(sub.add_parser("convergence", help="run a convergence study"))
+    study(sub.add_parser("solve", help="solve once and export fields"))
 
     verify = sub.add_parser("verify", help="run the structural checks")
     verify.add_argument("--n", type=_ints, metavar="LIST",

@@ -86,13 +86,11 @@ class VerificationReport:
         lines.append("overall: %s" % ("pass" if self.passed else "FAIL"))
         return "\n".join(lines) + "\n"
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("check,value,threshold,pass\n")
-            for e in self.entries:
-                fh.write("%s,%.6e,%.6e,%s\n"
-                         % (e.name, e.value, e.threshold,
-                            "true" if e.passed else "false"))
+    def as_csv(self):
+        return "check,value,threshold,pass\n" + "".join(
+            "%s,%.6e,%.6e,%s\n" % (e.name, e.value, e.threshold,
+                                   "true" if e.passed else "false")
+            for e in self.entries)
 
 
 _REFERENCE_TRIANGLE = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))

@@ -1,16 +1,19 @@
+import argparse
 import gc
 import math
 import os
+import re
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sgefem.cli import (CSV_HEADER, ConfigError, StudyConfig,
-                        _merge_config, _study_rows, format_table,
-                        load_config_file, main)
+                        _build_parser, _merge_config, _study_rows,
+                        format_table, load_config_file, main)
 from sgefem.linalg import SolverBreakdown
 
 
@@ -79,7 +82,6 @@ def test_command_line_overrides_config_file(tmp_path):
         tol = None
         out = None
         threads = None
-        large = False
         config = str(cfg)
 
     config = _merge_config(Args())
@@ -92,38 +94,29 @@ def test_command_line_overrides_config_file(tmp_path):
 
 def test_unknown_config_key_rejected(tmp_path):
     cfg = tmp_path / "study.cfg"
-    cfg.write_text("tolerance = 1e-9\n")
 
     class Args:
         example = None
         lam = iota = n = mu = tol = out = threads = None
-        large = False
         config = str(cfg)
 
-    with pytest.raises(ConfigError, match="unknown config keys"):
-        _merge_config(Args())
+    # meshes are named by n alone, so a large key is unknown too
+    for text in ("tolerance = 1e-9\n", "large = yes\n"):
+        cfg.write_text(text)
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            _merge_config(Args())
 
 
-def test_default_grid_with_and_without_large(tmp_path):
+def test_default_grid():
     class Args:
         example = "example1"
         lam = iota = n = mu = tol = out = threads = None
-        large = False
         config = None
 
     config = _merge_config(Args())
     assert config.ns == [16, 32, 64]
     assert config.lams == [1.0, 1e4, 1e8]
     assert config.iotas == [1.0, 1e-1, 1e-8]
-    Args.large = True
-    assert _merge_config(Args()).ns == [16, 32, 64, 128, 256]
-    # a config file switches the tail on or off with 1/true/yes, 0/false/no
-    Args.large = False
-    Args.config = str(tmp_path / "study.cfg")
-    for text, ns in (("no", [16, 32, 64]), ("0", [16, 32, 64]),
-                     ("yes", [16, 32, 64, 128, 256])):
-        (tmp_path / "study.cfg").write_text("large = %s\n" % text)
-        assert _merge_config(Args()).ns == ns
 
 
 def test_bad_flag_exits_3(capsys):
@@ -144,7 +137,6 @@ def test_bad_flag_exits_3(capsys):
     (["convergence"], "mu = 0\n", "mu must be positive"),
     (["convergence"], "mu = abc\n", "config key mu"),
     (["convergence"], "threads = 1.5\n", "config key threads"),
-    (["convergence"], "large = maybe\n", "not a boolean"),
     # a repeated n once divided by log2(1) in the rate column
     (["convergence", "--n", "2,2"], None, "n values must be distinct"),
     (["convergence", "--lambda", "1,1"], None,
@@ -172,7 +164,7 @@ def test_bad_flag_exits_3(capsys):
       "inf"], None, "mu must be positive and finite"),
 ], ids=["n", "mu", "tol", "threads", "verify-threads", "lambda-empty",
         "iota-empty", "config-mu", "config-mu-text", "config-threads-float",
-        "config-large", "n-repeated", "lambda-repeated", "iota-repeated",
+        "n-repeated", "lambda-repeated", "iota-repeated",
         "lambda-nan", "config-n-repeated", "config-lambda-nan",
         "verify-n-empty", "verify-iota-empty", "verify-iota-negative",
         "verify-iota-zero", "verify-iota-above-1", "verify-iota-nan",
@@ -244,13 +236,17 @@ def test_inherited_blas_variables_kept_without_threads_flag(tmp_path,
     assert os.environ["OMP_NUM_THREADS"] == "1"
 
 
-def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
+def _force_breakdown(monkeypatch):
     import sgefem.linalg
 
     def boom(system, tol=1e-10):
         raise SolverBreakdown("forced", math.inf, 0)
 
     monkeypatch.setattr(sgefem.linalg, "solve_saddle", boom)
+
+
+def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
+    _force_breakdown(monkeypatch)
     out = tmp_path / "table.csv"
     assert run(["convergence", "--example", "example2", "--lambda", "1e0",
                 "--iota", "1e-6", "--n", "2", "--out", str(out)]) == 2
@@ -260,12 +256,7 @@ def test_breakdown_flagged_and_exit_2(tmp_path, monkeypatch):
 
 
 def _forced_breakdown_solve(monkeypatch, out):
-    import sgefem.linalg
-
-    def boom(system, tol=1e-10):
-        raise SolverBreakdown("forced", math.inf, 0)
-
-    monkeypatch.setattr(sgefem.linalg, "solve_saddle", boom)
+    _force_breakdown(monkeypatch)
     return run(["solve", "--example", "example2", "--lambda", "1e0",
                 "--iota", "1e-6", "--n", "2", "--out", str(out)])
 
@@ -446,25 +437,6 @@ def test_breakdown_in_the_middle_of_a_mesh_flags_only_its_row(monkeypatch):
             assert row == clean[key], key
 
 
-@pytest.mark.parametrize("flags, config_text", [
-    (["--n", "4", "--large"], None),
-    (["--n", "4"], "large = yes\n"),
-    (["--large"], "n = 4\n"),
-    ([], "n = 4\nlarge = yes\n"),
-], ids=["flags", "flag-n-config-large", "config-n-flag-large", "config"])
-def test_large_with_an_n_list_exits_3(tmp_path, capsys, flags, config_text):
-    # large extends the default n list; with an explicit list it would
-    # be dropped unnoticed
-    argv = ["convergence"] + flags + ["--out", str(tmp_path / "t.csv")]
-    if config_text is not None:
-        cfg = tmp_path / "study.cfg"
-        cfg.write_text(config_text)
-        argv += ["--config", str(cfg)]
-    assert run(argv) == 3
-    assert "large extends the default n list" in capsys.readouterr().err
-    assert not (tmp_path / "t.csv").exists()
-
-
 def test_verify_subcommand_passes_and_writes_csv(tmp_path, capsys):
     out = tmp_path / "report.csv"
     assert run(["verify", "--n", "2,4", "--iota", "1,1e-4", "--out",
@@ -501,7 +473,9 @@ def test_verify_reports_inf_sup_at_n16(tmp_path, capsys):
     ["verify", "--n", "2", "--mu", "-5"],
     ["verify", "--n", "2", "--tol", "7"],
     ["solve", "--lambda", "1", "--iota", "1", "--n", "2", "--large"],
-], ids=["verify-config", "verify-mu", "verify-tol", "solve-large"])
+    ["convergence", "--large"],
+], ids=["verify-config", "verify-mu", "verify-tol", "solve-large",
+        "convergence-large"])
 def test_flag_the_subcommand_does_not_read_exits_3(argv, capsys):
     # a flag that would be ignored is refused by the parser
     with pytest.raises(SystemExit) as exc:
@@ -510,17 +484,20 @@ def test_flag_the_subcommand_does_not_read_exits_3(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_solve_rejects_large_config_key(tmp_path, capsys):
-    cfg = tmp_path / "study.cfg"
-    cfg.write_text("large = yes\n")
-    argv = ["solve", "--lambda", "1", "--iota", "1", "--config", str(cfg),
-            "--out", str(tmp_path / "s.csv")]
-    # with or without an n, the message is about the large key
-    for n in ([], ["--n", "2"]):
-        assert run(argv + n) == 3
-        assert "takes no true large key" in capsys.readouterr().err
-    cfg.write_text("large = no\n")
-    assert run(argv + ["--n", "2"]) == 0
+def test_readme_names_exactly_the_options_of_the_parser():
+    # every flag the README's command-line section names is accepted by
+    # some subcommand, and every option of each subcommand is named there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = re.split(r"\n## ", readme.split("\n## Command line\n")[1])[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    options = {name: {f for f in sub._option_string_actions
+                      if f.startswith("--") and f != "--help"}
+               for name, sub in subparsers.choices.items()}
+    assert named - set().union(*options.values()) == set()
+    for name, flags in options.items():
+        assert flags - named == set(), name
 
 
 def test_repeated_config_key_exits_3(tmp_path, capsys):
@@ -651,22 +628,56 @@ def test_failed_output_write_exits_3(argv, capsys):
     assert err.count("\n") == 1
 
 
-def test_solve_write_failure_removes_only_a_file_it_created(tmp_path,
-                                                            monkeypatch,
-                                                            capsys):
-    def failing(path, *args, **kwargs):
-        with open(path, "w") as fh:
+@each_subcommand
+def test_write_failure_removes_only_a_file_it_created(argv, tmp_path,
+                                                      monkeypatch, capsys):
+    import sgefem.cli
+
+    def failing(path, mode="r", **kwargs):
+        if mode != "w":
+            return open(path, mode, **kwargs)
+        with open(path, mode, **kwargs) as fh:
             fh.write("x,y")
         raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(np, "savetxt", failing)
-    argv = ["solve", "--n", "2", "--lambda", "1", "--iota", "1e-6", "--out"]
+    monkeypatch.setattr(sgefem.cli, "open", failing, raising=False)
     new, old = tmp_path / "new.csv", tmp_path / "old.csv"
     old.write_text("x,y,u1,u2,p\n")
-    assert run(argv + [str(new)]) == 3
-    assert run(argv + [str(old)]) == 3
+    assert run(argv + ["--out", str(new)]) == 3
+    assert run(argv + ["--out", str(old)]) == 3
     assert capsys.readouterr().err.count("cannot write the output") == 2
     assert not new.exists() and old.exists()
+
+
+@each_subcommand
+def test_a_run_without_output_leaves_no_file(argv, tmp_path, monkeypatch,
+                                             capsys):
+    # the writability check leaves no file behind, so a run that ends
+    # before its output is written leaves none where there was none, and
+    # an existing file keeps its bytes
+    import sgefem.discretization
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    if argv[0] == "verify":
+        argv = argv + ["--debug-flip-edge", "0"]    # a boundary edge
+    elif argv[0] == "solve":
+        _force_breakdown(monkeypatch)
+    else:
+        monkeypatch.setattr(sgefem.discretization.Discretization, "solve",
+                            out_of_memory)
+    new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+    old.write_bytes(b"x,y,u1,u2,p\n0,0,1,2,3\n")
+    for path in (new, old):
+        if argv[0] == "convergence":
+            with pytest.raises(MemoryError):
+                run(argv + ["--out", str(path)])
+        else:
+            assert run(argv + ["--out", str(path)]) \
+                == {"verify": 3, "solve": 2}[argv[0]]
+    assert not new.exists()
+    assert old.read_bytes() == b"x,y,u1,u2,p\n0,0,1,2,3\n"
 
 
 def test_solve_export(tmp_path):

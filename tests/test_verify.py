@@ -206,15 +206,13 @@ def test_traces_single_valued_at_gauss_points():
                     traces[g] = val[:, j]
 
 
-def test_full_report_passes_and_roundtrips(tmp_path):
+def test_full_report_passes_and_roundtrips():
     report = run_verification()
     assert report.passed
     text = report.as_text()
     assert "overall: pass" in text
     assert "sqrt(2)" in text
-    path = tmp_path / "report.csv"
-    report.to_csv(path)
-    lines = path.read_text().strip().split("\n")
+    lines = report.as_csv().strip().split("\n")
     assert lines[0] == "check,value,threshold,pass"
     assert len(lines) == len(report.entries) + 1
     assert all(line.endswith(("true", "false")) for line in lines[1:])
