@@ -50,6 +50,20 @@ BACKWARD_FLOOR = 1e-16
 #: complement's norm, so the residual may rise for a step before the
 #: floor is reached
 STALL_STEPS = 3
+#: SuperLU's options for :func:`spd_factor`: the natural column order,
+#: diagonal pivots only, and panels of 2 columns in place of SuperLU's
+#: built-in 20.  The panel's work arrays grow as its width times the
+#: order and are still held beside the finished L and U when ``gstrf``
+#: returns, so they set each factorization's peak; a narrower panel
+#: changes only the order of the updates, not the supernodes, the fill
+#: or a factor's stored count.  The width may not exceed 20: SuperLU
+#: sizes some of its arrays by its built-in width, and a wider panel
+#: overruns them.  ``Relax`` stays at SuperLU's default, since it sets
+#: the supernodes and so the fill.  2 is the narrowest of 1, 2, 4 and 8
+#: that factors example2's A at n = 32 and 64 within 5% of the time at
+#: 20 (README "Memory").
+SUPERLU_OPTIONS = {"ColPerm": "NATURAL", "SymmetricMode": True,
+                   "DiagPivotThresh": 0.0, "PanelSize": 2}
 
 
 class SolverBreakdown(RuntimeError):
@@ -93,7 +107,9 @@ def spd_factor(M):
     the inf-sup check: in the natural order, which is fill-reducing
     because the DoF maps number the unknowns by nested dissection
     (:mod:`sgefem.space`), with diagonal pivots only, so the row and
-    column permutations agree and U's diagonal holds the LDL^T pivots.
+    column permutations agree and U's diagonal holds the LDL^T pivots,
+    and in narrow panels (``SUPERLU_OPTIONS``), so the work arrays held
+    beside the finished factor are small.
     As M is symmetric, the CSC view M.T of a CSR M is factored, without
     a copy.  Non-finite entries raise RuntimeError, as a failed
     factorization does; SuperLU is not given them.  Each factorization
@@ -107,8 +123,7 @@ def spd_factor(M):
         raise RuntimeError("the matrix has non-finite entries")
     if _MALLOC_TRIM is not None:
         _MALLOC_TRIM(0)
-    return splu(M.T, permc_spec="NATURAL",
-                options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+    return splu(M.T, options=SUPERLU_OPTIONS)
 
 
 class SaddleFactors:

@@ -13,10 +13,13 @@ numpy is loaded).  Each file is the output of one command line:
 - solve_example2_n8.csv: the vertex export of one example2 solve
 
 A golden file moves only by rerunning this script; each value it moves
-is listed, with both numbers, in CHANGES.md.
+is listed, with both numbers, in CHANGES.md.  The script prints each
+line it changes to stderr, as "FILE:LINE: old -> new", which gives that
+list.
 """
 
 import contextlib
+import itertools
 import os
 import sys
 
@@ -36,6 +39,25 @@ COMMANDS = {
 STDOUT = {"verify_grid.csv": "verify_grid.txt"}
 
 
+def changed_lines(name, old, new):
+    """"name:LINE: old -> new" for each line of the text new that differs
+    from the same line of old; a line that only one of them has is
+    empty in the other."""
+    pairs = itertools.zip_longest(old.splitlines(), new.splitlines(),
+                                  fillvalue="")
+    for line, (a, b) in enumerate(pairs, 1):
+        if a != b:
+            yield "%s:%d: %s -> %s" % (name, line, a, b)
+
+
+def _read(name):
+    path = os.path.join(HERE, name)
+    if not os.path.exists(path):
+        return ""
+    with open(path) as fh:
+        return fh.read()
+
+
 def main():
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):
@@ -43,6 +65,8 @@ def main():
     from sgefem.cli import main as cli
 
     for name, argv in COMMANDS.items():
+        names = [name, STDOUT[name]] if name in STDOUT else [name]
+        old = [_read(written) for written in names]
         stdout = os.path.join(HERE, STDOUT[name]) if name in STDOUT \
             else os.devnull
         with open(stdout, "w") as fh, contextlib.redirect_stdout(fh):
@@ -50,6 +74,9 @@ def main():
         if code != 0:
             sys.stderr.write("%s exited with %d\n" % (" ".join(argv), code))
             return 1
+        for written, text in zip(names, old):
+            for change in changed_lines(written, text, _read(written)):
+                sys.stderr.write(change + "\n")
     return 0
 
 

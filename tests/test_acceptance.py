@@ -6,6 +6,7 @@ on a green run.  The reference errors are the values the uniform-mesh
 studies must reproduce (each entry is a (low, high) spread across the
 lambda column, checked within 2% relative).
 """
+import importlib.util
 import math
 import os
 import subprocess
@@ -230,6 +231,20 @@ def test_solve_export_matches_its_golden_file(tmp_path):
         (GOLDEN / "solve_example2_n8.csv").read_bytes()
     report("golden 4 (example2 n = 8 solve export)", code == 0 and same,
            "exit %d, identical %s" % (code, same))
+
+
+def test_golden_script_reports_each_line_it_moves():
+    spec = importlib.util.spec_from_file_location(
+        "make_goldens", GOLDEN / "make_goldens.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    old = "x,p\n0.5,1.0e-03\n0.75,2.0e-03\n"
+    assert list(script.changed_lines("f.csv", old, old)) == []
+    assert list(script.changed_lines(
+        "f.csv", old, "x,p\n0.5,1.1e-03\n0.75,2.0e-03\n1,0\n")) == [
+        "f.csv:2: 0.5,1.0e-03 -> 0.5,1.1e-03", "f.csv:4:  -> 1,0"]
+    assert list(script.changed_lines("f.csv", old, "x,p\n")) == [
+        "f.csv:2: 0.5,1.0e-03 -> ", "f.csv:3: 0.75,2.0e-03 -> "]
 
 
 def test_study_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):

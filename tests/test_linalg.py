@@ -1,5 +1,10 @@
 import gc
+import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,10 +469,56 @@ def test_spd_factor_of_the_transpose_view_is_the_csc_copy(which):
     assert np.shares_memory(view.data, M.data)
     assert np.shares_memory(view.indices, M.indices)
     rhs = np.random.default_rng(8).standard_normal((M.shape[0], 3))
-    copied = sgefem.linalg.splu(
-        M.tocsc(), permc_spec="NATURAL",
-        options={"SymmetricMode": True, "DiagPivotThresh": 0.0})
+    copied = sgefem.linalg.splu(M.tocsc(),
+                                options=sgefem.linalg.SUPERLU_OPTIONS)
     assert np.array_equal(spd_factor(M).solve(rhs), copied.solve(rhs))
+
+
+#: a fresh process factors example2's A at n = 32 through spd_factor and
+#: prints its RSS in MiB after a trim, right after the factor, and after a
+#: second trim
+_PANEL_SCRATCH = """
+import json
+import sgefem.linalg
+from sgefem.discretization import Discretization
+from sgefem.mesh import build_uniform_unit_square
+
+
+def rss_mib():
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith("VmRSS:"):
+                return int(line.split()[1]) / 1024.0
+
+
+disc = Discretization(build_uniform_unit_square(32), "example2")
+A = disc.factors(1.0, 1e-6).A
+sgefem.linalg._MALLOC_TRIM(0)
+before = rss_mib()
+lu = sgefem.linalg.spd_factor(A)
+factored = rss_mib()
+sgefem.linalg._MALLOC_TRIM(0)
+print(json.dumps([before, factored, rss_mib()]))
+"""
+
+
+@pytest.mark.skipif(sgefem.linalg._MALLOC_TRIM is None
+                    or not os.path.exists("/proc/self/status"),
+                    reason="needs glibc's malloc_trim and /proc/self/status")
+def test_factor_peaks_near_the_factor_it_keeps():
+    # what the trim right after spd_factor frees is SuperLU's panel work
+    # arrays, held beside the finished L + U (21.8 MiB here): 6.9 MiB at
+    # SuperLU's built-in panel of 20 columns, about 1.9 MiB at 2
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS="1",
+               OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _PANEL_SCRATCH], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    before, factored, trimmed = json.loads(proc.stdout)
+    assert trimmed - before > 15.0
+    assert factored - trimmed < 4.0
 
 
 class _NoTrimLibrary:
