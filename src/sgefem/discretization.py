@@ -9,9 +9,9 @@ which acts on each component alone), the load parts F = F0 + iota^2 F2
 second derivatives at the error quadrature points.  A cell then only
 combines parts, solves and measures; the lambda cells of one iota share
 A, B, the pressure Gram matrix and the load, the solver's factors of A
-and the Gram matrix, and one conjugate gradient sequence of the
-lambda = infinity system, which every lambda replays as a shift (the
-inf-sup condition makes that sequence converge, see
+and the Gram matrix, and one solve, in which every lambda advances in
+lockstep as a shift of the conjugate gradients of the lambda = infinity
+system (the inf-sup condition makes them converge, see
 :mod:`sgefem.linalg`).  Each group is computed on first use, so a
 caller that needs only some of them (the verification checks) pays
 only for those.  :meth:`Discretization.solve` solves every cell of a
@@ -103,7 +103,7 @@ class Discretization:
         """The lambda-independent A = 2 mu (a0 + iota^2 a2),
         B = b0 + iota^2 b2, G = M_p + iota^2 K_p and load
         mu (F0 + iota^2 F2) of (mu, iota), with the solver's factors of
-        A and G and its lambda = infinity sequence, built on first use.
+        A and G, built on first use.
         A, B and G hold their parts' index arrays, so B keeps the zeros
         that b0 stores.  Each call combines the parts anew."""
         if not 0 < mu < math.inf:
@@ -122,30 +122,32 @@ class Discretization:
 
     def solve(self, mu, lams, iotas, tol=1e-10):
         """Each (lambda, iota) cell's (u, p), or its SolverBreakdown,
-        keyed (lam, iota).  The lambdas of an iota share its factors,
-        and only one iota's factors are alive at a time; the a- and
-        b-parts go once the last iota has combined them, before its A
-        is factored, and the factors after the last solve.  It only
-        drops them: each factorization hands the freed heap back to the
-        system before it starts (:func:`sgefem.linalg.spd_factor`)."""
+        keyed (lam, iota).  The lambdas of an iota share its factors
+        and the first cell's solve, and only one iota's factors are
+        alive at a time; the a- and b-parts go once the last iota has
+        combined them, before its A is factored, and the factors after
+        the last solve.  It only drops them: each factorization hands
+        the freed heap back to the system before it starts
+        (:func:`sgefem.linalg.spd_factor`)."""
         cells = {}
         for iota in iotas:
-            f = None    # free the old factors before the new A
+            # free the old factors, and their systems, before the new A
+            f = systems = system = None
             f = self.factors(mu, iota)
             if iota == iotas[-1]:
                 self.__dict__.pop("a_parts", None)
                 self.__dict__.pop("b_parts", None)
-            for lam in lams:
+            systems = [SaddleSystem(f, lam) for lam in lams]
+            for lam, system in zip(lams, systems):
                 try:
-                    cells[lam, iota] = linalg.solve_saddle(
-                        SaddleSystem(f, lam), tol=tol)[:2]
+                    cells[lam, iota] = linalg.solve_saddle(system, tol=tol)[:2]
                 except linalg.SolverBreakdown as exc:
                     # the frames of its traceback, and of the failure it
                     # wraps, would hold the factors
                     if exc.__cause__ is not None:
                         exc.__cause__.with_traceback(None)
                     cells[lam, iota] = exc.with_traceback(None)
-        f = None
+        f = systems = system = None
         return cells
 
     def load_norm(self, mu, iota):

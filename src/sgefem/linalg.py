@@ -20,18 +20,19 @@ preconditioned by G converge in a few steps; and every finite lambda
 only shifts the preconditioned operator, G^-1 (S_0 + G / lambda) =
 G^-1 S_0 + (1/lambda) I, which keeps its Krylov spaces and improves its
 conditioning.  So one sequence serves every lambda of a (mu, iota):
-:class:`SaddleFactors` factors A and G once and builds the projected
-conjugate gradients of the lambda = infinity system on demand, one
-solve with A per step, and :func:`projected_pcg` answers each lambda
-from it by the shifted-CG recurrences (Jegerlehner, hep-lat/9612014;
-Frommer, Computing 70 (2003)), with vector work only.  The solves with
-A per (mu, iota) are those of the lambda that needs the most steps,
-however many lambdas there are.  There is no second solver path: a
-failed factorization, or an iteration that misses the tolerance, raises
-:class:`SolverBreakdown`.
+:class:`SaddleFactors` factors A and G once, and :func:`shifted_pcg`
+runs the projected conjugate gradients of the lambda = infinity system
+once, one solve with A per step, while every lambda advances in
+lockstep by the shifted-CG recurrences (Jegerlehner, hep-lat/9612014;
+Frommer, Computing 70 (2003)), with vector work only and no stored
+step.  The solves with A per (mu, iota) are those of the lambda that
+needs the most steps, however many lambdas there are.  There is no
+second solver path: a failed factorization, or an iteration that
+misses the tolerance, raises :class:`SolverBreakdown`.
 """
 
 import ctypes
+import weakref
 from functools import cached_property
 
 import numpy as np
@@ -40,15 +41,15 @@ from scipy.sparse.linalg import splu
 # unused: bound only for the linalg.fallback target of perfbench/tracer.py
 from scipy.sparse.linalg import minres  # noqa: F401
 
-#: iteration cap of :func:`projected_pcg`; the inf-sup bound keeps the
+#: iteration cap of :func:`shifted_pcg`; the inf-sup bound keeps the
 #: count near 10 on every mesh, iota and lambda of the studies
 MAX_ITER = 50
 #: backward error at which the iteration has reached the roundoff floor
 BACKWARD_FLOOR = 1e-16
-#: iterations without a new smallest backward error after which
-#: :func:`projected_pcg` stops: CG decreases the error in the Schur
-#: complement's norm, so the residual may rise for a step before the
-#: floor is reached
+#: iterations without a new smallest backward error after which a
+#: lambda of :func:`shifted_pcg` stops: CG decreases the error in the
+#: Schur complement's norm, so the residual may rise for a step before
+#: the floor is reached
 STALL_STEPS = 3
 #: SuperLU's options for :func:`spd_factor`: the natural column order,
 #: diagonal pivots only, and panels of 2 columns in place of SuperLU's
@@ -130,11 +131,8 @@ class SaddleFactors:
     """The lambda-independent part of the saddle systems of one
     (mu, iota): A, B, the pressure Gram matrix G, the mean-constraint
     vector m and the load rhs_u; the factors of A and G, each built on
-    first use; and the projected conjugate gradients of the
-    lambda = infinity system (C = 0), extended on demand by
-    :meth:`step` and replayed for every lambda by :func:`projected_pcg`.
-    The sequence is held here and refers to nothing that refers back,
-    so it is freed with the factors.
+    first use; and weak references (so they are freed by refcount with
+    their last system) to the systems on them not solved yet.
 
     ``abs_sums`` holds the lambda-independent parts of the bordered
     matrix's infinity norm: the row sums of |A| plus the column sums of
@@ -152,9 +150,7 @@ class SaddleFactors:
         self.abs_sums = (_row_sums(A) + np.bincount(
             B.indices, np.abs(B.data), minlength=n_u), _row_sums(B),
             np.abs(m))
-        # steps 0, 1, ... of the sequence: alpha_k, beta_k, z_k and
-        # y_k = A^-1 B^T z_k, and r_{k+1} . z_{k+1}
-        self._steps = []
+        self.unsolved = []
 
     @cached_property
     def solve_a(self):
@@ -178,50 +174,15 @@ class SaddleFactors:
         left in, it swamps the roundoff of r @ precondition(r)."""
         return r - ((self.m @ r) / (self.m @ self.m)) * self.m
 
-    @cached_property
-    def start(self):
-        """(u_0, r_0 . z_0) at p = 0, where every lambda starts:
-        u_0 = A^-1 rhs_u, and the residual r_0 = B u_0 (up to a multiple
-        of m) with its preconditioned z_0, from which the sequence
-        continues; r_0 . z_0 = 0 when the zero-mean pressures are {0}."""
-        u0 = self.solve_a(self.rhs_u)
-        r = self.drop_mean_row(self.B @ u0)
-        z = self.precondition(r)
-        rz = r @ z
-        # what the next step reads: r_k, z_k, r_k . z_k, the direction
-        # d_k, and beta_{k-1} and w_{k-1} = A^-1 B^T d_{k-1}
-        self._state = (r, z, rz, z, 0.0, None)
-        return u0, rz
-
-    def step(self, k):
-        """(alpha_k, beta_k, z_k, y_k, r_{k+1} . z_{k+1}) of step k of the
-        lambda = infinity sequence, taking the steps up to k not taken
-        yet, one solve with A each.  The direction is
-        d_k = z_k + beta_{k-1} d_{k-1}, so y_k = w_k - beta_{k-1} w_{k-1}
-        with w = A^-1 B^T d needs no solve of its own."""
-        self.start      # sets the running state of step 0
-        while len(self._steps) <= k:
-            r, z, rz, d, beta_prev, w_prev = self._state
-            w = self.solve_a(self.B.T @ d)
-            q = self.B @ w
-            alpha = rz / (d @ q)
-            y = w if w_prev is None else w - beta_prev * w_prev
-            r = self.drop_mean_row(r - alpha * q)
-            z_next = self.precondition(r)
-            rz_next = r @ z_next
-            beta = rz_next / rz
-            self._steps.append((alpha, beta, z, y, rz_next))
-            self._state = (r, z_next, rz_next, z_next + beta * d, beta, w)
-        return self._steps[k]
-
 
 class SaddleSystem:
     """The saddle-point problem of one lambda over the free DoFs: A, B,
-    m and rhs_u, the factors and the lambda = infinity sequence come
-    from ``factors`` (a :class:`SaddleFactors`, shared by the lambda
-    cells of one (mu, iota)); the pressure block is C = G / lambda, a
-    shift of 1 / lambda of that sequence.  C is scipy's ``G / lam`` on
-    G's index arrays.  lambda = inf, the incompressible limit, is C = 0."""
+    m, rhs_u and the factors come from ``factors`` (a
+    :class:`SaddleFactors`, shared by the lambda cells of one
+    (mu, iota)); the pressure block is C = G / lambda, a shift of
+    1 / lambda of the lambda = infinity system.  C is scipy's
+    ``G / lam`` on G's index arrays.  lambda = inf, the incompressible
+    limit, is C = 0.  ``result`` is None until :func:`solve_saddle`."""
 
     def __init__(self, factors, lam):
         if not lam > 0:
@@ -231,6 +192,8 @@ class SaddleSystem:
         self.shift = 1.0 / lam
         self.C = sparse.csr_matrix((G.data * self.shift, G.indices,
                                     G.indptr), shape=G.shape)
+        self.result = None
+        factors.unsolved.append(weakref.ref(self))
 
     def block_matrix(self):
         """The bordered (n_u + n_p + 1) sparse matrix, which the solver
@@ -273,27 +236,16 @@ class SaddleSystem:
         return xi, num / (self.norm_inf * x_norm + np.linalg.norm(f.rhs_u))
 
 
-def projected_pcg(system):
-    """Conjugate gradients on (B A^-1 B^T + C) p = B A^-1 rhs_u over the
-    zero-mean pressures, preconditioned by the system's projected G.
-
-    The iterates come from the lambda = infinity sequence of the
-    system's factors by the shifted-CG recurrences with shift
-    sigma = 1/lambda: the residual of step k is zeta_k times the base
-    residual, and the direction d and w = A^-1 B^T d are updated from
-    the stored z_k and y_k, so the iterate (u, p) with
-    u = A^-1 (rhs_u - B^T p) costs vector work only, and the sequence
-    is extended (one solve with A per step) only past its end.  The
-    iteration stops at the roundoff floor of the full system's backward
-    error: when it reaches ``BACKWARD_FLOOR``, has not decreased for
-    ``STALL_STEPS`` iterations, or ``MAX_ITER`` iterations have run.
-    Returns (u, p, xi, iterations, backward error) of the iterate with
-    the smallest backward error, iterations counting up to that iterate.
-    """
-    f = system.factors
+def _shifted_cg(system, u, rz):
+    """One lambda of :func:`shifted_pcg`: a generator that yields True
+    while it needs the next step (alpha_k, beta_k, z_k, y_k,
+    r_{k+1} . z_{k+1}) of the lambda = infinity sequence, which is sent
+    to it, and False once it has set ``system.result``.  With shift
+    sigma = 1/lambda, the residual of step k is zeta_k times the base
+    residual, and d and w = A^-1 B^T d follow from z_k and y_k, so the
+    iterate (u, p), u = A^-1 (rhs_u - B^T p), costs vector work only."""
     sigma = system.shift
-    u, rz = f.start
-    p = np.zeros(f.n_p)
+    p = np.zeros(system.factors.n_p)
     xi, err = system.backward_error(u, p)
     best = (u, p, xi, 0, err)
     # zeta_{k-1}, zeta_k, alpha_{k-1}, beta_{k-1} with zeta_{-1} = 1
@@ -306,7 +258,7 @@ def projected_pcg(system):
         if not (rz > 0 and best[4] > BACKWARD_FLOOR
                 and stalled < STALL_STEPS):
             break
-        alpha, beta, z, y, rz = f.step(it - 1)
+        alpha, beta, z, y, rz = yield True
         if d is None:
             d, w = z, y
         else:
@@ -327,16 +279,58 @@ def projected_pcg(system):
             stalled += 1
         zeta_prev, zeta = zeta, zeta_next
         alpha_prev, beta_prev = alpha, beta
-    return best
+    system.result = best
+    yield False
+
+
+def shifted_pcg(systems):
+    """Conjugate gradients on (B A^-1 B^T + C) p = B A^-1 rhs_u over the
+    zero-mean pressures, preconditioned by the projected G, for systems
+    on one factors object, as one family.
+
+    The lambda = infinity sequence (C = 0) starts at p = 0, where
+    u_0 = A^-1 rhs_u, and takes a step, one solve with A, while a
+    lambda still needs it; as d_k = z_k + beta_{k-1} d_{k-1},
+    y_k = w_k - beta_{k-1} w_{k-1} with w = A^-1 B^T d needs no solve
+    of its own.  A lambda stops at the roundoff floor of the full
+    system's backward error: when it reaches ``BACKWARD_FLOOR``, has
+    not decreased for ``STALL_STEPS`` iterations, or ``MAX_ITER``
+    iterations have run.  Sets, and returns, each system's ``result``:
+    (u, p, xi, iterations, backward error) of the iterate with the
+    smallest backward error, iterations counting up to that iterate.
+    """
+    f = systems[0].factors
+    u = f.solve_a(f.rhs_u)
+    r = f.drop_mean_row(f.B @ u)
+    z = f.precondition(r)
+    rz = r @ z
+    running = [_shifted_cg(system, u, rz) for system in systems]
+    # step k, the direction d_k, beta_{k-1} and w_{k-1}
+    step, d, beta, w_prev = None, z, 0.0, None
+    while True:
+        running = [cg for cg in running if cg.send(step)]
+        if not running:
+            return [system.result for system in systems]
+        w = f.solve_a(f.B.T @ d)
+        q = f.B @ w
+        alpha = rz / (d @ q)
+        y = w if w_prev is None else w - beta * w_prev
+        r = f.drop_mean_row(r - alpha * q)
+        z_next = f.precondition(r)
+        rz_next = r @ z_next
+        beta = rz_next / rz
+        step = (alpha, beta, z, y, rz_next)
+        z, rz, d, w_prev = z_next, rz_next, z_next + beta * d, w
 
 
 def solve_saddle(system, tol=1e-10):
     """Solve the bordered saddle system to a backward error <= tol.
 
-    Returns (u, p, xi).  The returned p satisfies the zero-mean
-    constraint to 1e-12 * ||p||.  Raises :class:`SolverBreakdown` when
-    a factorization fails or the projected conjugate gradients miss the
-    tolerance.
+    Returns (u, p, xi).  The first call solves, as one family, every
+    live unsolved system on its factors, each keeping its ``result``.
+    The returned p satisfies the zero-mean constraint to 1e-12 * ||p||.
+    Raises :class:`SolverBreakdown` when a factorization fails or the
+    projected conjugate gradients miss the tolerance.
     """
     if not 1e-14 < tol < 1e-6:
         raise ValueError("tol must lie in (1e-14, 1e-6)")
@@ -344,11 +338,15 @@ def solve_saddle(system, tol=1e-10):
     if np.linalg.norm(f.rhs_u) == 0.0:
         return (np.zeros(f.n_u), np.zeros(f.n_p), 0.0)
 
-    try:
-        u, p, xi, iterations, err = projected_pcg(system)
-    except (RuntimeError, MemoryError) as exc:
-        raise SolverBreakdown("factorization failed: %s" % exc,
-                              np.inf, 0) from exc
+    if system.result is None:
+        family = [s for s in (ref() for ref in f.unsolved) if s is not None]
+        try:
+            shifted_pcg(family)
+        except (RuntimeError, MemoryError) as exc:
+            raise SolverBreakdown("factorization failed: %s" % exc,
+                                  np.inf, 0) from exc
+        f.unsolved = []
+    u, p, xi, iterations, err = system.result
     if not err <= tol:
         raise SolverBreakdown("projected CG missed the tolerance %.1e"
                               % tol, err, iterations)

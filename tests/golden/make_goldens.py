@@ -1,6 +1,6 @@
 """Write the golden outputs that tests/test_acceptance.py compares.
 
-    PYTHONPATH=src python tests/golden/make_goldens.py
+    PYTHONPATH=src python tests/golden/make_goldens.py [--check]
 
 Run from the root of a checkout, on one BLAS thread (set here, before
 numpy is loaded).  Each file is the output of one command line:
@@ -15,13 +15,17 @@ numpy is loaded).  Each file is the output of one command line:
 A golden file moves only by rerunning this script; each value it moves
 is listed, with both numbers, in CHANGES.md.  The script prints each
 line it changes to stderr, as "FILE:LINE: old -> new", which gives that
-list.
+list.  The commands write into a temporary directory, whose files are
+then copied here; with ``--check`` nothing is copied, and the script
+exits with 1 if it would change a line.
 """
 
 import contextlib
+import io
 import itertools
 import os
 import sys
+import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 
@@ -50,8 +54,7 @@ def changed_lines(name, old, new):
             yield "%s:%d: %s -> %s" % (name, line, a, b)
 
 
-def _read(name):
-    path = os.path.join(HERE, name)
+def _read(path):
     if not os.path.exists(path):
         return ""
     with open(path) as fh:
@@ -59,25 +62,37 @@ def _read(name):
 
 
 def main():
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.stderr.write("usage: make_goldens.py [--check]\n")
+        return 2
+    check = sys.argv[1:] == ["--check"]
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                 "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     from sgefem.cli import main as cli
 
-    for name, argv in COMMANDS.items():
-        names = [name, STDOUT[name]] if name in STDOUT else [name]
-        old = [_read(written) for written in names]
-        stdout = os.path.join(HERE, STDOUT[name]) if name in STDOUT \
-            else os.devnull
-        with open(stdout, "w") as fh, contextlib.redirect_stdout(fh):
-            code = cli(argv + ["--out", os.path.join(HERE, name)])
-        if code != 0:
-            sys.stderr.write("%s exited with %d\n" % (" ".join(argv), code))
-            return 1
-        for written, text in zip(names, old):
-            for change in changed_lines(written, text, _read(written)):
-                sys.stderr.write(change + "\n")
-    return 0
+    changed = False
+    with tempfile.TemporaryDirectory() as scratch:
+        for name, args in COMMANDS.items():
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                code = cli(args + ["--out", os.path.join(scratch, name)])
+            if code != 0:
+                sys.stderr.write("%s exited with %d\n"
+                                 % (" ".join(args), code))
+                return 1
+            texts = {name: _read(os.path.join(scratch, name))}
+            if name in STDOUT:
+                texts[STDOUT[name]] = stdout.getvalue()
+            for written, text in texts.items():
+                golden = os.path.join(HERE, written)
+                for change in changed_lines(written, _read(golden), text):
+                    sys.stderr.write(change + "\n")
+                    changed = True
+                if not check:
+                    with open(golden, "w") as fh:
+                        fh.write(text)
+    return 1 if check and changed else 0
 
 
 if __name__ == "__main__":

@@ -414,6 +414,47 @@ def test_study_holds_one_iotas_factors_at_a_time(monkeypatch):
     assert seen == [0] * (3 * 3 + 3 * 3)
 
 
+def test_study_frees_an_iotas_factors_before_the_next_a_is_factored(
+        monkeypatch):
+    # the lambda cells' systems hold their factors, and the factors hold
+    # the systems only weakly: refcounting alone, with no system left
+    # bound, frees an iota's L + U before the next iota's matrices are
+    # combined and its A is factored, and the last iota's before the
+    # errors build the exact tables
+    import sgefem.discretization
+    import sgefem.linalg
+
+    factors, seen = [], []
+
+    def checking(name, function):
+        def checked(*args):
+            seen.append((name, [r() is not None for r in factors]))
+            return function(*args)
+        return checked
+
+    def recording(*args):
+        f = checking("factors", make)(*args)
+        factors.append(weakref.ref(f))
+        return f
+
+    make = sgefem.discretization.SaddleFactors
+    monkeypatch.setattr(sgefem.discretization, "SaddleFactors", recording)
+    monkeypatch.setattr(sgefem.linalg, "spd_factor",
+                        checking("factor", sgefem.linalg.spd_factor))
+    monkeypatch.setattr(sgefem.discretization, "exact_tables", checking(
+        "exact", sgefem.discretization.exact_tables))
+    gc.disable()
+    try:
+        _study_rows(StudyConfig("example1", [1.0, 1e4, 1e8], [1.0, 1e-8],
+                                [4]))
+    finally:
+        gc.enable()
+    # each iota's factors, then its A and G factored; then the tables
+    assert seen == [("factors", []), ("factor", [True]), ("factor", [True]),
+                    ("factors", [False]), ("factor", [False, True]),
+                    ("factor", [False, True]), ("exact", [False, False])]
+
+
 def test_breakdown_in_the_middle_of_a_mesh_flags_only_its_row(monkeypatch):
     import sgefem.linalg
 

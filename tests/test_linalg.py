@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from oracles import bordered_lu_solve, min_generalized_eig
 from sgefem.cli import DEFAULT_IOTAS
 from sgefem.discretization import Discretization
 from sgefem.linalg import (SaddleFactors, SaddleSystem, SolverBreakdown,
-                           projected_pcg, solve_saddle, spd_factor)
+                           shifted_pcg, solve_saddle, spd_factor)
 from sgefem.mesh import Mesh, build_uniform_unit_square
 
 GRID_IOTAS = (1.0, 1e-2, 1e-8)
@@ -31,7 +32,7 @@ def example2_system(n=2, mu=1.0, lam=1.0, iota=1e-2):
 
 def with_load(sys_, rhs_u, lam):
     """The system of ``sys_`` (built with ``lam``) with the load
-    ``rhs_u``, on factors and a lambda = infinity sequence of its own."""
+    ``rhs_u``, on factors of its own."""
     f = sys_.factors
     return SaddleSystem(SaddleFactors(f.A, f.B, f.G, f.m, rhs_u), lam)
 
@@ -134,7 +135,7 @@ def test_breakdown_signaled_for_singular_system():
 def test_pcg_miss_is_a_breakdown_carrying_its_record(monkeypatch):
     sys_ = example2_system(n=8, lam=1e4)
     monkeypatch.setattr(sgefem.linalg, "MAX_ITER", 1)
-    _, _, _, iterations, err = projected_pcg(sys_)
+    _, _, _, iterations, err = shifted_pcg([sys_])[0]
     assert err > 1e-10
     with pytest.raises(SolverBreakdown) as exc:
         solve_saddle(sys_, tol=1e-10)
@@ -155,8 +156,9 @@ def test_pcg_matches_bordered_lu_oracle(example, n, mu, u_rtol):
     disc = Discretization(build_uniform_unit_square(n), example)
     for iota in GRID_IOTAS:
         f = disc.factors(mu, iota)
-        for lam in GRID_LAMBDAS:
-            sys_ = SaddleSystem(f, lam)
+        # the first solve solves the three lambdas as one family
+        systems = [SaddleSystem(f, lam) for lam in GRID_LAMBDAS]
+        for lam, sys_ in zip(GRID_LAMBDAS, systems):
             u, p, xi = solve_saddle(sys_)
             u_ref, p_ref, _, err_ref = bordered_lu_solve(sys_)
             assert np.linalg.norm(u - u_ref) \
@@ -169,8 +171,8 @@ def test_factors_preconditioning_with_c_give_the_same_iterates():
     sys_ = example2_system(n=8, lam=1e4)
     f = sys_.factors
     bare = SaddleSystem(SaddleFactors(f.A, f.B, sys_.C, f.m, f.rhs_u), 1.0)
-    u, _, _, iterations, err = projected_pcg(bare)
-    u_ref, _, _, iterations_ref, _ = projected_pcg(sys_)
+    u, _, _, iterations, err = shifted_pcg([bare])[0]
+    u_ref, _, _, iterations_ref, _ = shifted_pcg([sys_])[0]
     # bare takes C = G / lambda for its preconditioner, at shift 1, and
     # scaling the preconditioner by lambda and the shift by 1 / lambda
     # together leaves CG unchanged
@@ -187,13 +189,15 @@ def test_solve_drops_a_drifted_mean(monkeypatch):
     u0, p0, _ = solve_saddle(sys_)
     assert abs(m @ p0) <= 1e-12 * np.linalg.norm(p0)
 
-    def drifting(system):
-        u, p, xi, iterations, err = projected_pcg(system)
-        return u, p + 1e-3 * np.linalg.norm(p) * system.factors.m, xi, \
-            iterations, err
+    def drifting(systems):
+        for system in systems:
+            u, p, xi, iterations, err = shifted_pcg([system])[0]
+            system.result = (u, p + 1e-3 * np.linalg.norm(p) * m, xi,
+                             iterations, err)
 
-    monkeypatch.setattr(sgefem.linalg, "projected_pcg", drifting)
-    u, p, _ = solve_saddle(sys_)
+    monkeypatch.setattr(sgefem.linalg, "shifted_pcg", drifting)
+    # a new system: sys_ keeps the result of its first solve
+    u, p, _ = solve_saddle(SaddleSystem(sys_.factors, 1.0))
     assert np.array_equal(u, u0)
     assert abs(m @ p) <= 1e-12 * np.linalg.norm(p)
     assert np.max(np.abs(p - p0)) <= 1e-12 * np.max(np.abs(p0))
@@ -201,7 +205,7 @@ def test_solve_drops_a_drifted_mean(monkeypatch):
 
 def test_pcg_continues_past_a_rise_of_the_backward_error():
     sys_ = example2_system(n=8, lam=1e4)
-    _, _, _, iterations_ref, err_ref = projected_pcg(sys_)
+    _, _, _, iterations_ref, err_ref = shifted_pcg([sys_])[0]
     assert iterations_ref >= 3
     true_error = sys_.backward_error
     calls = []
@@ -213,7 +217,7 @@ def test_pcg_continues_past_a_rise_of_the_backward_error():
         return xi, 1e3 * err if len(calls) == 3 else err
 
     sys_.backward_error = rising_once
-    _, _, _, iterations, err = projected_pcg(sys_)
+    _, _, _, iterations, err = shifted_pcg([sys_])[0]
     assert (iterations, err) == (iterations_ref, err_ref)
 
 
@@ -240,7 +244,7 @@ def test_pcg_starts_converged_when_mean_zero_space_is_trivial():
     # n = 2 has one pressure unknown, so the only zero-mean pressure is 0
     sys_ = example2_system(n=2)
     assert sys_.factors.n_p == 1
-    u, p, _, iterations, err = projected_pcg(sys_)
+    u, p, _, iterations, err = shifted_pcg([sys_])[0]
     assert iterations == 0 and np.all(p == 0.0)
     assert err <= 1e-15
 
@@ -253,8 +257,9 @@ def test_pcg_iterations_robust_in_h_iota_lambda():
         disc = Discretization(build_uniform_unit_square(n), "example1")
         for iota in GRID_IOTAS:
             f = disc.factors(1.0, iota)
-            for lam in GRID_LAMBDAS:
-                _, _, _, iterations, err = projected_pcg(SaddleSystem(f, lam))
+            family = shifted_pcg([SaddleSystem(f, lam)
+                                  for lam in GRID_LAMBDAS])
+            for lam, (_, _, _, iterations, err) in zip(GRID_LAMBDAS, family):
                 assert err <= 1e-15, (n, iota, lam)
                 worst[n, iota, lam] = iterations
     assert max(worst.values()) <= 12, worst
@@ -278,8 +283,8 @@ def test_a_factored_once_per_iota_and_released(monkeypatch):
     monkeypatch.setattr(sgefem.discretization, "SaddleFactors", recording)
     disc = Discretization(build_uniform_unit_square(4), "example1")
     n_u = disc.vmap.n_u
-    # refcounting alone must free the factors and the lambda = infinity
-    # sequence they hold: a reference cycle through them keeps them
+    # refcounting alone must free the factors: a reference cycle
+    # between them and their systems keeps them
     gc.disable()
     try:
         cells = disc.solve(1.0, (1.0, 1e4, 1e8), (1.0, 1e-8))
@@ -374,15 +379,57 @@ def test_a_solves_per_iota_do_not_depend_on_the_lambdas(monkeypatch):
         disc = Discretization(build_uniform_unit_square(8), "example1")
         f = disc.factors(1.0, iota)
         solves.clear()
-        for lam in lams:
-            solve_saddle(SaddleSystem(f, lam))
+        # the first solve solves the lambdas alive as one family
+        for sys_ in [SaddleSystem(f, lam) for lam in lams]:
+            solve_saddle(sys_)
         return solves.count(disc.vmap.n_u)
 
     for iota in GRID_IOTAS:
         alone = [a_solves([lam], iota) for lam in GRID_LAMBDAS]
         together = a_solves(GRID_LAMBDAS, iota)
-        # the lambdas replay one sequence, as long as the longest needs
+        # the lambdas share one sequence, as long as the longest needs
         assert together == max(alone) == alone[-1], (iota, alone, together)
+
+
+@pytest.mark.parametrize("mu", [0.01, 1.0, 100.0])
+@pytest.mark.parametrize("example", ["example1", "example2"])
+def test_a_lambda_solved_alone_or_in_a_family_changes_no_bit(example, mu):
+    # each lambda reads the same steps of the lambda = infinity sequence,
+    # whichever lambdas run beside it and in whatever order
+    disc = Discretization(build_uniform_unit_square(8), example)
+    for iota in GRID_IOTAS:
+        f = disc.factors(mu, iota)
+        together = shifted_pcg([SaddleSystem(f, lam) for lam in GRID_LAMBDAS])
+        alone = [shifted_pcg([SaddleSystem(f, lam)])[0]
+                 for lam in GRID_LAMBDAS]
+        backward = shifted_pcg([SaddleSystem(f, lam)
+                                for lam in GRID_LAMBDAS[::-1]])[::-1]
+        for lam, want, *got in zip(GRID_LAMBDAS, together, alone,
+                                   backward):
+            for u, p, xi, iterations, err in got:
+                assert np.array_equal(u, want[0]), (iota, lam)
+                assert np.array_equal(p, want[1]), (iota, lam)
+                assert (xi, iterations, err) == want[2:], (iota, lam)
+
+
+def test_solve_holds_no_vector_per_step():
+    # example1 at lambda = 1e4, iota = 1, n = 32 takes 9 steps; with A
+    # and G factored, the solve's numpy arrays peak at a fixed number of
+    # n_u-vectors (9.6 here), which would grow by one per step if each
+    # step's A^-1 B^T z_k were kept
+    disc = Discretization(build_uniform_unit_square(32), "example1")
+    f = disc.factors(1.0, 1.0)
+    f.solve_a                           # factors A
+    f.precondition(np.zeros(f.n_p))     # and G
+    sys_ = SaddleSystem(f, 1e4)
+    tracemalloc.start()
+    try:
+        solve_saddle(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sys_.result[3] == 9
+    assert peak < 12 * f.n_u * 8
 
 
 def test_lambda_order_changes_no_bit():
@@ -391,10 +438,9 @@ def test_lambda_order_changes_no_bit():
         out = {}
         for iota in GRID_IOTAS:
             f = disc.factors(1.0, iota)
-            for lam in lams:
-                sys_ = SaddleSystem(f, lam)
-                iterations = projected_pcg(sys_)[3]
-                out[iota, lam] = solve_saddle(sys_) + (iterations,)
+            systems = [SaddleSystem(f, lam) for lam in lams]
+            for lam, sys_ in zip(lams, systems):
+                out[iota, lam] = solve_saddle(sys_) + (sys_.result[3],)
         return out
 
     up, down = sweep(GRID_LAMBDAS), sweep(GRID_LAMBDAS[::-1])
@@ -519,6 +565,13 @@ def test_factor_peaks_near_the_factor_it_keeps():
     before, factored, trimmed = json.loads(proc.stdout)
     assert trimmed - before > 15.0
     assert factored - trimmed < 4.0
+
+
+def test_panel_width_is_within_superlus_built_in_width():
+    # SuperLU sizes some of its arrays by its built-in panel of 20
+    # columns, and a wider panel overruns them
+    width = sgefem.linalg.SUPERLU_OPTIONS["PanelSize"]
+    assert isinstance(width, int) and 1 <= width <= 20
 
 
 class _NoTrimLibrary:
