@@ -62,21 +62,20 @@ def _check_lists(lists):
 class StudyConfig:
     """Validated parameter grid for a convergence study."""
 
-    def __init__(self, example, lams, iotas, ns, mu=1.0, tol=1e-10,
-                 out=None, threads=None):
+    def __init__(self, example, lams, iotas, ns, mu=1.0, out=None,
+                 threads=None):
         if example not in _EXAMPLES:
             raise ConfigError("example must be one of %s" % (_EXAMPLES,))
         _check_lists([("lambda", lams), ("iota", iotas), ("n", ns)])
         if not 0 < mu < math.inf:
             raise ConfigError("mu must be positive and finite")
-        if not 1e-14 < tol < 1e-6:
-            raise ConfigError("tol must lie in (1e-14, 1e-6)")
+        if not all(lam / mu > 0 for lam in lams):  # 1e-300 / 1e300 is 0
+            raise ConfigError("lambda / mu must be positive")
         self.example = example
         self.lams = [float(l) for l in lams]
         self.iotas = [float(i) for i in iotas]
         self.ns = [int(n) for n in ns]
         self.mu = float(mu)
-        self.tol = float(tol)
         self.out = out
         self.threads = None if threads is None else int(threads)
 
@@ -120,8 +119,7 @@ def load_config_file(path):
     return values
 
 
-_CONFIG_KEYS = ("example", "lambda", "iota", "n", "mu", "tol", "out",
-                "threads")
+_CONFIG_KEYS = ("example", "lambda", "iota", "n", "mu", "out", "threads")
 
 
 def _merge_config(args):
@@ -152,7 +150,6 @@ def _merge_config(args):
                    list(DEFAULT_IOTAS.get(example, ()))),
         ns=pick(args.n, "n", _ints, list(DEFAULT_NS)),
         mu=pick(args.mu, "mu", float, 1.0),
-        tol=pick(args.tol, "tol", float, 1e-10),
         out=pick(args.out, "out", str),
         threads=pick(args.threads, "threads", int))
 
@@ -217,7 +214,7 @@ def _mesh_rows(config, n):
     from .mesh import build_uniform_unit_square
 
     disc = Discretization(build_uniform_unit_square(n), config.example)
-    cells = disc.solve(config.mu, config.lams, config.iotas, tol=config.tol)
+    cells = disc.solve(config.mu, config.lams, config.iotas)
     sizes = (disc.mesh.h, disc.vmap.n_u, disc.qmap.n_p)
     rows = {}
     for (lam, iota), cell in cells.items():
@@ -310,7 +307,7 @@ def run_solve(config):
     path = "solution.csv" if config.out is None else config.out
     _check_writable(path)
     disc = Discretization(build_uniform_unit_square(n), config.example)
-    cell = disc.solve(config.mu, [lam], [iota], tol=config.tol)[lam, iota]
+    cell = disc.solve(config.mu, [lam], [iota])[lam, iota]
     if isinstance(cell, Exception):
         sys.stderr.write("solver breakdown: %s\n" % cell)
         return 2
@@ -358,10 +355,6 @@ def _build_parser():
                        help="comma-separated mesh subdivisions")
         output(p)
         p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--tol", type=float,
-                       help="solver tolerance on the normwise backward "
-                            "error ||Sx - b|| / (||S|| ||x|| + ||b||) of "
-                            "the bordered system (default 1e-10)")
         p.add_argument("--mu", type=float, help="shear modulus (default 1)")
 
     study(sub.add_parser("convergence", help="run a convergence study"))

@@ -5,20 +5,20 @@ enters only the pressure block, so one mesh carries everything the
 (iota, lambda) cells of a study need: the nodal coefficients of its
 shape classes, the DoF maps, the matrix parts (the scalar ones of G_V,
 which acts on each component alone), the load parts F = F0 + iota^2 F2
-(for mu = 1), the parts of ||f||^2, and the exact field's gradient and
-second derivatives at the error quadrature points.  A cell then only
-combines parts, solves and measures; the lambda cells of one iota share
-A, B, the pressure Gram matrix and the load, the solver's factors of A
-and the Gram matrix, and one solve, in which every lambda advances in
-lockstep as a shift of the conjugate gradients of the lambda = infinity
-system (the inf-sup condition makes them converge, see
-:mod:`sgefem.linalg`).  Each group is computed on first use, so a
-caller that needs only some of them (the verification checks) pays
-only for those.  :meth:`Discretization.solve` solves every cell of a
-mesh holding one iota's factors at a time: it drops the a- and b-parts
-once the last iota has combined them and the factors after the last
-solve, so the errors measured afterwards build the exact tables beside
-no factor.
+(for mu = 1, the unit), the parts of ||f||^2, and the exact field's
+gradient and second derivatives at the error quadrature points.  A cell
+then only combines parts, solves (at lambda / mu) and measures; the
+lambda cells of one iota share A, B, the pressure Gram matrix and the
+load, the solver's factors of A and the Gram matrix, and one solve, in
+which every lambda advances in lockstep as a shift of the conjugate
+gradients of the lambda = infinity system (the inf-sup condition makes
+them converge, see :mod:`sgefem.linalg`).  Each group is computed on
+first use, so a caller that needs only some of them (the verification
+checks) pays only for those.  :meth:`Discretization.solve` solves every
+cell of a mesh holding one iota's factors at a time: it drops the a-
+and b-parts once the last iota has combined them and the factors after
+the last solve, so the errors measured afterwards build the exact
+tables beside no factor.
 """
 
 import math
@@ -99,15 +99,12 @@ class Discretization:
         :func:`sgefem.manufactured.exact_tables`), from one jets pass."""
         return exact_tables(self.mesh, field_by_name(self.example))
 
-    def factors(self, mu, iota):
-        """The lambda-independent A = 2 mu (a0 + iota^2 a2),
-        B = b0 + iota^2 b2, G = M_p + iota^2 K_p and load
-        mu (F0 + iota^2 F2) of (mu, iota), with the solver's factors of
-        A and G, built on first use.
-        A, B and G hold their parts' index arrays, so B keeps the zeros
-        that b0 stores.  Each call combines the parts anew."""
-        if not 0 < mu < math.inf:
-            raise ValueError("the method needs a finite mu > 0")
+    def factors(self, iota):
+        """The lambda-independent A = 2 (a0 + iota^2 a2), B = b0 + iota^2 b2,
+        G = M_p + iota^2 K_p and load F0 + iota^2 F2 of iota at mu = 1,
+        with the solver's factors of A and G, built on first use.  A, B
+        and G hold their parts' index arrays, so B keeps the zeros that
+        b0 stores.  Each call combines the parts anew."""
         if not math.isfinite(iota):
             raise ValueError("the method needs a finite iota")
         i2 = iota ** 2
@@ -116,31 +113,35 @@ class Discretization:
         mp, kp = self.pressure_parts
         (F0, F2), _ = self.load
         return SaddleFactors(
-            combine_parts(a0, a2, i2, 2.0 * mu), combine_parts(b0, b2, i2),
-            combine_parts(mp, kp, i2), self.mean_constraint,
-            mu * (F0 + i2 * F2))
+            combine_parts(a0, a2, i2, 2.0), combine_parts(b0, b2, i2),
+            combine_parts(mp, kp, i2), self.mean_constraint, F0 + i2 * F2)
 
-    def solve(self, mu, lams, iotas, tol=1e-10):
+    def solve(self, mu, lams, iotas):
         """Each (lambda, iota) cell's (u, p), or its SolverBreakdown,
-        keyed (lam, iota).  The lambdas of an iota share its factors
-        and the first cell's solve, and only one iota's factors are
-        alive at a time; the a- and b-parts go once the last iota has
-        combined them, before its A is factored, and the factors after
-        the last solve.  It only drops them: each factorization hands
-        the freed heap back to the system before it starts
+        keyed (lam, iota).  mu is the unit: divided by mu, the rows of u
+        are those of mu = 1 in p / mu, with lambda / mu in the pressure
+        block, so each cell is solved at lambda / mu and its p scaled by
+        mu.  The lambdas of an iota share its factors and the first
+        cell's solve, and only one iota's factors are alive at a time;
+        the a- and b-parts go once the last iota has combined them,
+        before its A is factored, and the factors after the last solve.
+        It only drops them: each factorization starts on a trimmed heap
         (:func:`sgefem.linalg.spd_factor`)."""
+        if not 0 < mu < math.inf:
+            raise ValueError("the method needs a finite mu > 0")
         cells = {}
         for iota in iotas:
             # free the old factors, and their systems, before the new A
             f = systems = system = None
-            f = self.factors(mu, iota)
+            f = self.factors(iota)
             if iota == iotas[-1]:
                 self.__dict__.pop("a_parts", None)
                 self.__dict__.pop("b_parts", None)
-            systems = [SaddleSystem(f, lam) for lam in lams]
+            systems = [SaddleSystem(f, lam / mu) for lam in lams]
             for lam, system in zip(lams, systems):
                 try:
-                    cells[lam, iota] = linalg.solve_saddle(system, tol=tol)[:2]
+                    u, p, _ = linalg.solve_saddle(system)
+                    cells[lam, iota] = u, mu * p
                 except linalg.SolverBreakdown as exc:
                     # the frames of its traceback, and of the failure it
                     # wraps, would hold the factors
@@ -162,6 +163,10 @@ class Discretization:
         :func:`sgefem.manufactured.error_norms` with this mesh's exact
         tables, and (p^T (M_p + iota^2 K_p) p)^{1/2} as lambda div u = 0."""
         mp, kp = self.pressure_parts
-        e_p = math.sqrt(p @ (combine_parts(mp, kp, iota ** 2) @ p))
+        # at p / 2^e, mu's scale of p cannot over- or underflow the square
+        _, e = math.frexp(abs(p).max(initial=0.0))
+        p = p * math.ldexp(1.0, -e)
+        q = p @ (combine_parts(mp, kp, iota ** 2) @ p)
+        e_p = math.ldexp(math.sqrt(q), e)
         return error_norms(self.mesh, self.coeff, self.vmap, u, self.exact,
                            iota) + (e_p,)

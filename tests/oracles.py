@@ -27,12 +27,13 @@ table of the displacement map (which its scalar nodes replaced), the
 displacement error seminorms with the per-point derivative maps (which
 one table of the nodal functions' derivatives per shape class
 replaced), the P1 pressure norm by quadrature (which the pressure Gram
-matrix replaced), and the per-triangle loop over the edges of the mesh
-(which one stable argsort replaced).  The dense packed jet sums every
-product term over every stored row, where the package's jets store only
-their support and skip the terms outside it.  The nested dissection
-recursion cuts one part at a time, where the package cuts every part of
-a level at once.
+matrix replaced), the per-triangle loop over the edges of the mesh
+(which one stable argsort replaced), and the saddle blocks of a shear
+modulus mu (which solving the mu = 1 blocks at lambda / mu replaced).
+The dense packed jet sums every product term over every stored row,
+where the package's jets store only their support and skip the terms
+outside it.  The nested dissection recursion cuts one part at a time,
+where the package cuts every part of a level at once.
 """
 
 import numpy as np
@@ -43,10 +44,11 @@ from scipy.special import roots_jacobi, roots_legendre
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import norm as sparse_norm, splu
 
-from sgefem.assembly import DEGREE_LOAD, chunks, modal_rule
+from sgefem.assembly import DEGREE_LOAD, chunks, combine_parts, modal_rule
 from sgefem.discretization import Discretization
 from sgefem.element import (MODAL_EXPONENTS, batched_scalar_coeff,
                             batched_scalar_dof_matrices, modal_tables)
+from sgefem.linalg import SaddleFactors
 from sgefem.manufactured import monomials
 from sgefem.quadrature import edge_rule, rule_for_degree
 from sgefem.verify import _infsup_parts
@@ -661,6 +663,22 @@ def loop_weak_continuity(mesh, flip_edge=None):
         m = max(float(np.max(np.abs(v))) for v in jumps.values())
         worst = max(worst, m / (scale * mesh.edge_length[e]))
     return worst
+
+
+def mu_scaled_factors(disc, mu, iota):
+    """The saddle blocks of ``disc`` at (mu, iota):
+    A = 2 mu (a0 + iota^2 a2), B, G and the load mu (F0 + iota^2 F2),
+    whose solution is (u, p) where the mu = 1 blocks at lambda / mu give
+    (u, p / mu)."""
+    i2 = iota ** 2
+    a0, a2 = disc.a_parts
+    b0, b2 = disc.b_parts
+    mp, kp = disc.pressure_parts
+    (F0, F2), _ = disc.load
+    return SaddleFactors(
+        combine_parts(a0, a2, i2, 2.0 * mu), combine_parts(b0, b2, i2),
+        combine_parts(mp, kp, i2), disc.mean_constraint,
+        mu * (F0 + i2 * F2))
 
 
 def bordered_lu_solve(system, tol=1e-10):

@@ -253,8 +253,10 @@ def test_study_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     tables = []
     for threads in ("1", "2"):
         out = tmp_path / ("threads%s.csv" % threads)
+        # the child fails on a RuntimeWarning, as pytest does (pyproject)
         env = dict(os.environ, PYTHONPATH=path, OMP_NUM_THREADS=threads,
-                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                   PYTHONWARNINGS="error::RuntimeWarning")
         proc = subprocess.run(
             [sys.executable, "-m", "sgefem.cli", "convergence", "--example",
              "example1", "--iota", "1,1e-8", "--n", "4,8", "--out",
@@ -341,9 +343,9 @@ def _check_saddle_and_energy():
     from sgefem.linalg import SaddleSystem, solve_saddle
     from sgefem.mesh import build_uniform_unit_square
 
-    mu, lam, iota = 1.0, 1e4, 1e-2
+    lam, iota = 1e4, 1e-2
     f = Discretization(build_uniform_unit_square(2),
-                       "example2").factors(mu, iota)
+                       "example2").factors(iota)
     system = SaddleSystem(f, lam)
     u, p, xi = solve_saddle(system)
 

@@ -285,7 +285,7 @@ def test_fans_put_interior_vertices_in_12_and_18_triangles():
 
 def test_fans_a_and_g_symmetric_bit_for_bit():
     d = fans()
-    for M in (d.factors(1.0, 0.1).A,
+    for M in (d.factors(0.1).A,
               combine_parts(*d.norm_gram_parts, 0.01)):
         diff = (M - M.T).tocoo()
         assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
@@ -405,7 +405,7 @@ def test_class_assembly_is_the_per_triangle_assembly_at_n16():
 
 
 def test_a_and_g_are_the_sums_of_their_parts_on_one_pattern():
-    # A = 2 mu (a0 + iota^2 a2), B = b0 + iota^2 b2 and
+    # A = 2 (a0 + iota^2 a2), B = b0 + iota^2 b2 and
     # G = M_p + iota^2 K_p hold their parts' index arrays; A and G equal
     # scipy's sums bit for bit, and so does B without the zeros that b0
     # stores and scipy's sum drops
@@ -415,12 +415,12 @@ def test_a_and_g_are_the_sums_of_their_parts_on_one_pattern():
         b0, b2 = d.b_parts
         mp, kp = d.pressure_parts
         for iota in (1.0, 1e-1, 1e-6, 1e-8):
-            f = d.factors(1.3, iota)
+            f = d.factors(iota)
             i2 = iota ** 2
             for got, first in ((f.A, a0), (f.B, b0), (f.G, mp)):
                 assert np.shares_memory(got.indices, first.indices)
                 assert np.shares_memory(got.indptr, first.indptr)
-            assert_same_csr(f.A, 2.0 * 1.3 * (a0 + i2 * a2))
+            assert_same_csr(f.A, 2.0 * (a0 + i2 * a2))
             assert_same_csr(f.G, mp + i2 * kp)
             assert np.array_equal(f.B.data, b0.data + i2 * b2.data)
             got, expect = f.B.tocoo(), (b0 + i2 * b2).tocoo()
@@ -450,7 +450,7 @@ def test_combined_matrices_read_as_scipys_sums(kind):
     X = rng.standard_normal((d.vmap.n_u, 3))
     for iota in (1.0, 1e-1, 1e-6, 1e-8):
         i2 = iota ** 2
-        f = d.factors(1.0, iota)
+        f = d.factors(iota)
         B, G = f.B, f.G
         sB, sG = b0 + i2 * b2, mp + i2 * kp
         assert B.nnz == b0.nnz
@@ -485,7 +485,7 @@ def test_factoring_a_leaves_its_parts_unchanged():
     d = setup(8)
     a0, _ = d.a_parts
     before = [x.tobytes() for x in (a0.data, a0.indices, a0.indptr)]
-    spd_factor(d.factors(1.0, 1e-2).A)
+    spd_factor(d.factors(1e-2).A)
     assert [x.tobytes() for x in (a0.data, a0.indices, a0.indptr)] == before
 
 
@@ -505,7 +505,7 @@ def test_parts_of_one_call_share_their_pattern():
 
 def test_a_symmetric_and_positive():
     d = setup(3)
-    A = d.factors(1.0, 0.1).A
+    A = d.factors(0.1).A
     diff = (A - A.T).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
     rng = np.random.default_rng(3)
@@ -516,17 +516,17 @@ def test_a_symmetric_and_positive():
 
 def test_a_iota_linearity():
     d = setup(2)
-    A0 = d.factors(1.0, 0.0).A.toarray()
-    A1 = d.factors(1.0, 1.0).A.toarray()
-    Ai = d.factors(1.0, 0.37).A.toarray()
+    A0 = d.factors(0.0).A.toarray()
+    A1 = d.factors(1.0).A.toarray()
+    Ai = d.factors(0.37).A.toarray()
     recon = (1 - 0.37 ** 2) * A0 + 0.37 ** 2 * A1
     assert np.max(np.abs(Ai - recon)) < 1e-14 * np.max(np.abs(A1))
 
 
 def test_b_iota_split_is_exact():
     d = setup(2)
-    b0 = d.factors(1.0, 0.0).B.toarray()
-    bi = d.factors(1.0, 0.2).B.toarray()
+    b0 = d.factors(0.0).B.toarray()
+    bi = d.factors(0.2).B.toarray()
     p0, p2 = d.b_parts
     assert np.max(np.abs(b0 - p0.toarray())) == 0.0
     recon = p0.toarray() + 0.04 * p2.toarray()
@@ -534,14 +534,14 @@ def test_b_iota_split_is_exact():
 
 
 def test_b_full_row_rank():
-    B = setup(4).factors(1.0, 0.01).B.toarray()
+    B = setup(4).factors(0.01).B.toarray()
     sv = np.linalg.svd(B, compute_uv=False)
     assert sv[-1] > 1e-10
 
 
 def test_c_scaling_and_spd():
     d = setup(3)
-    f = d.factors(1.0, 0.1)
+    f = d.factors(0.1)
     C1 = SaddleSystem(f, 2.0).C
     C2 = SaddleSystem(f, 4.0).C
     assert np.max(np.abs((C1 - 2.0 * C2).toarray())) < 1e-18
@@ -554,7 +554,7 @@ def test_c_scaling_and_spd():
 
 def test_c_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
-        SaddleSystem(setup(2).factors(1.0, 0.1), 0.0)
+        SaddleSystem(setup(2).factors(0.1), 0.0)
 
 
 def test_pressure_mass_against_closed_form():
@@ -640,7 +640,7 @@ def test_norm_grams_shapes_and_gq_matches_lambda_c():
     iota = 0.05
     GV, GQ = norm_grams(d, iota)
     lam = 7.0
-    C = SaddleSystem(d.factors(1.0, iota), lam).C
+    C = SaddleSystem(d.factors(iota), lam).C
     assert np.max(np.abs((GQ - lam * C).toarray())) \
         < 1e-14 * np.max(np.abs(GQ.toarray()))
     rng = np.random.default_rng(5)
@@ -650,18 +650,17 @@ def test_norm_grams_shapes_and_gq_matches_lambda_c():
 
 
 def test_coercivity_constant_against_korn_bound():
-    # min eigenvalue of A x = theta (2 mu G_V) x stays above 1 - 1/sqrt(2)
+    # min eigenvalue of A x = theta (2 G_V) x stays above 1 - 1/sqrt(2)
     d = setup(4)
-    mu = 1.0
     for iota in (1.0, 1e-2):
-        A = d.factors(mu, iota).A.toarray()
+        A = d.factors(iota).A.toarray()
         GV = norm_grams(d, iota)[0].toarray()
-        theta = eigh(A, 2.0 * mu * GV, eigvals_only=True)[0]
+        theta = eigh(A, 2.0 * GV, eigvals_only=True)[0]
         assert theta >= 1.0 - 1.0 / np.sqrt(2.0) - 1e-9
 
 
 def test_block_system_symmetric_bit_for_bit():
-    system = SaddleSystem(setup(3).factors(1.0, 0.1), 100.0)
+    system = SaddleSystem(setup(3).factors(0.1), 100.0)
     A, C = system.factors.A, system.C
     for M in (A, C):
         diff = (M - M.T).tocoo()

@@ -45,8 +45,9 @@ def test_traced_pass_sees_the_solver(tmp_path):
     argv = ["convergence", "--example", "example1", "--lambda",
             ",".join(lams), "--iota", ",".join(iotas), "--n", "4",
             "--out", str(tmp_path / "table.csv")]
+    # the child fails on a RuntimeWarning, as pytest does (pyproject)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+               MKL_NUM_THREADS="1", PYTHONWARNINGS="error::RuntimeWarning")
     done = subprocess.run(
         [sys.executable, str(PERFBENCH / "worker.py"), repr(time.monotonic()),
          "traced", str(record)] + argv,
@@ -78,8 +79,9 @@ def test_traced_verify_pass_sees_the_norm_grams(tmp_path):
     record = tmp_path / "record.json"
     argv = ["verify", "--n", "2,3", "--iota", "1",
             "--out", str(tmp_path / "report.csv")]
+    # the child fails on a RuntimeWarning, as pytest does (pyproject)
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
+               MKL_NUM_THREADS="1", PYTHONWARNINGS="error::RuntimeWarning")
     done = subprocess.run(
         [sys.executable, str(PERFBENCH / "worker.py"), repr(time.monotonic()),
          "traced", str(record)] + argv,

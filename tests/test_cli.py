@@ -34,8 +34,8 @@ def test_study_config_validation():
         StudyConfig("example1", [1.0], [0.0], [4])
     with pytest.raises(ConfigError, match="distinct"):
         StudyConfig("example1", [1.0], [1.0], [4, 4])
-    with pytest.raises(ConfigError, match="tol"):
-        StudyConfig("example1", [1.0], [1.0], [4], tol=1e-4)
+    with pytest.raises(ConfigError, match="lambda / mu"):
+        StudyConfig("example1", [1e-300], [1.0], [4], mu=1e300)
 
 
 def test_config_file_parsing(tmp_path):
@@ -79,7 +79,6 @@ def test_command_line_overrides_config_file(tmp_path):
         iota = None
         n = None
         mu = None
-        tol = None
         out = None
         threads = None
         config = str(cfg)
@@ -97,11 +96,12 @@ def test_unknown_config_key_rejected(tmp_path):
 
     class Args:
         example = None
-        lam = iota = n = mu = tol = out = threads = None
+        lam = iota = n = mu = out = threads = None
         config = str(cfg)
 
-    # meshes are named by n alone, so a large key is unknown too
-    for text in ("tolerance = 1e-9\n", "large = yes\n"):
+    # meshes are named by n alone, so a large key is unknown too, and
+    # the solver has no tolerance to set
+    for text in ("tolerance = 1e-9\n", "large = yes\n", "tol = 1e-9\n"):
         cfg.write_text(text)
         with pytest.raises(ConfigError, match="unknown config keys"):
             _merge_config(Args())
@@ -110,7 +110,7 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_default_grid():
     class Args:
         example = "example1"
-        lam = iota = n = mu = tol = out = threads = None
+        lam = iota = n = mu = out = threads = None
         config = None
 
     config = _merge_config(Args())
@@ -128,7 +128,7 @@ def test_bad_flag_exits_3(capsys):
 @pytest.mark.parametrize("args, config_text, message", [
     (["convergence", "--n", "1"], None, "at least 2"),
     (["convergence", "--mu", "0"], None, "mu must be positive"),
-    (["convergence", "--tol", "0"], None, "tol must lie"),
+    (["convergence"], "tol = 1e-9\n", "unknown config keys: tol"),
     (["convergence", "--threads", "0"], None, "threads must be at least 1"),
     (["verify", "--n", "2", "--threads", "0"], None,
      "threads must be at least 1"),
@@ -162,14 +162,17 @@ def test_bad_flag_exits_3(capsys):
     (["convergence"], "mu = inf\n", "mu must be positive and finite"),
     (["solve", "--n", "2", "--lambda", "1", "--iota", "1e-6", "--mu",
       "inf"], None, "mu must be positive and finite"),
-], ids=["n", "mu", "tol", "threads", "verify-threads", "lambda-empty",
-        "iota-empty", "config-mu", "config-mu-text", "config-threads-float",
-        "n-repeated", "lambda-repeated", "iota-repeated",
-        "lambda-nan", "config-n-repeated", "config-lambda-nan",
+    # each cell is solved at lambda / mu, which underflows to 0 here
+    (["convergence", "--mu", "1e300", "--lambda", "1e-300"], None,
+     "lambda / mu must be positive"),
+], ids=["n", "mu", "config-tol", "threads", "verify-threads",
+        "lambda-empty", "iota-empty", "config-mu", "config-mu-text",
+        "config-threads-float", "n-repeated", "lambda-repeated",
+        "iota-repeated", "lambda-nan", "config-n-repeated", "config-lambda-nan",
         "verify-n-empty", "verify-iota-empty", "verify-iota-negative",
         "verify-iota-zero", "verify-iota-above-1", "verify-iota-nan",
         "verify-n-repeated", "verify-seed-negative", "mu-inf", "mu-overflow",
-        "config-mu-inf", "solve-mu-inf"])
+        "config-mu-inf", "solve-mu-inf", "lambda-over-mu-underflow"])
 def test_bad_config_value_returns_3(tmp_path, capsys, args, config_text,
                                     message):
     # an explicit value is validated, never replaced by the default
@@ -239,7 +242,7 @@ def test_inherited_blas_variables_kept_without_threads_flag(tmp_path,
 def _force_breakdown(monkeypatch):
     import sgefem.linalg
 
-    def boom(system, tol=1e-10):
+    def boom(system):
         raise SolverBreakdown("forced", math.inf, 0)
 
     monkeypatch.setattr(sgefem.linalg, "solve_saddle", boom)
@@ -462,11 +465,11 @@ def test_breakdown_in_the_middle_of_a_mesh_flags_only_its_row(monkeypatch):
     clean = _study_rows(config)
     solve, failed = sgefem.linalg.solve_saddle, []
 
-    def failing_once(system, tol=1e-10):
+    def failing_once(system):
         if system.shift == 1.0 / 1e4 and not failed:
             failed.append(system)
             raise SolverBreakdown("forced", math.inf, 0)
-        return solve(system, tol=tol)
+        return solve(system)
 
     monkeypatch.setattr(sgefem.linalg, "solve_saddle", failing_once)
     broken = _study_rows(config)
@@ -515,14 +518,69 @@ def test_verify_reports_inf_sup_at_n16(tmp_path, capsys):
     ["verify", "--n", "2", "--tol", "7"],
     ["solve", "--lambda", "1", "--iota", "1", "--n", "2", "--large"],
     ["convergence", "--large"],
+    ["convergence", "--tol", "1e-9"],
 ], ids=["verify-config", "verify-mu", "verify-tol", "solve-large",
-        "convergence-large"])
+        "convergence-large", "convergence-tol"])
 def test_flag_the_subcommand_does_not_read_exits_3(argv, capsys):
     # a flag that would be ignored is refused by the parser
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 3
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_a_huge_mu_is_solved_without_a_warning(tmp_path):
+    # on the blocks of mu = 1e200 the backward error overflowed: a
+    # breakdown of every cell, with RuntimeWarnings
+    out = tmp_path / "table.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["convergence", "--example", "example1", "--n", "4",
+                    "--mu", "1e200", "--out", str(out)]) == 0
+    rows = out.read_text().strip().split("\n")[1:]
+    assert len(rows) == 9 and all(r.endswith(",ok") for r in rows)
+
+
+def test_a_power_of_two_mu_scales_p_and_e_u_exactly():
+    # at lambda = inf, lambda / mu does not move with mu, so against
+    # mu = 1, bit for bit, u is the same, p and 1 / E_u scale by mu and
+    # E_p is the same, also where p^T G_Q p of the unscaled p would
+    # overflow (mu = 2^900) or underflow (mu = 2^-900)
+    from sgefem.discretization import Discretization
+    from sgefem.mesh import build_uniform_unit_square
+
+    iotas = [1.0, 1e-8]
+
+    def cells(mu):
+        disc = Discretization(build_uniform_unit_square(4), "example1")
+        return disc.solve(mu, [math.inf], iotas)
+
+    def rows(mu):
+        return _study_rows(StudyConfig("example1", [math.inf], iotas,
+                                       [4, 8], mu=mu))
+
+    cells_1, rows_1 = cells(1.0), rows(1.0)
+    for k in (900, -900):
+        mu = math.ldexp(1.0, k)
+        for key, (u, p) in cells(mu).items():
+            assert np.array_equal(u, cells_1[key][0]), (k, key)
+            assert np.array_equal(p, np.ldexp(cells_1[key][1], k)), (k, key)
+        for key, (*sizes, e_u, e_p, status) in rows(mu).items():
+            assert status == "ok" and sizes == list(rows_1[key][:3])
+            assert e_p == rows_1[key][4], (k, key)
+            assert e_u == math.ldexp(rows_1[key][3], -k), (k, key)
+
+
+def test_readme_quotes_the_mu_cells():
+    # README's --mu paragraph quotes E_u and E_p at n = 4, lambda = 1e4,
+    # iota = 1 for mu = 1, 2 and 10
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = " ".join(readme.split())
+    for mu in ("1", "2", "10"):
+        config = StudyConfig("example1", [1e4], [1.0], [4], mu=float(mu))
+        row = format_table(config, _study_rows(config)).split("\n")[1]
+        e_u, e_p = row.split(",")[7:9]
+        assert e_u in text and e_p in text, (mu, e_u, e_p)
 
 
 def test_readme_names_exactly_the_options_of_the_parser():

@@ -249,7 +249,7 @@ def test_clockwise_triangles_are_named_and_zero_area_stays_singular():
     d = Discretization(Mesh(m.vertices, m.triangles[:, [0, 2, 1]]),
                        "example2")
     with pytest.raises(ValueError, match="clockwise"):
-        solve_saddle(SaddleSystem(d.factors(1.0, 1e-6), 1e4))
+        solve_saddle(SaddleSystem(d.factors(1e-6), 1e4))
     with np.errstate(divide="ignore", invalid="ignore"):
         flat = triangle_mesh([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     assert flat.area[0] == 0.0

@@ -480,7 +480,7 @@ def uniform_solve(example, iota):
     """The discretization of the uniform n = 16 mesh and its solution
     at (mu, lambda) = (1, 1e4)."""
     d = Discretization(build_uniform_unit_square(16), example)
-    u, p, _ = solve_saddle(SaddleSystem(d.factors(1.0, iota), 1e4))
+    u, p, _ = solve_saddle(SaddleSystem(d.factors(iota), 1e4))
     return d, u, p
 
 
@@ -582,7 +582,7 @@ def test_load_split_matches_direct_assembly():
                                ProblemParams(mu, 1.0, iota))
         F, G = assemble_load(d1.mesh, d1.coeff, d1.vmap,
                              lambda x: (force(x),))
-        split = d1.factors(mu, iota).rhs_u
+        split = mu * d1.factors(iota).rhs_u
         assert np.max(np.abs(split - F[0])) <= 1e-13 * np.max(np.abs(F[0]))
         assert d1.load_norm(mu, iota) == pytest.approx(math.sqrt(G[0, 0]),
                                                        rel=1e-13)

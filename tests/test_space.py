@@ -214,7 +214,7 @@ def test_numbering_is_the_recursive_dissection(kind, n):
 
 def test_dissection_guards_the_fill_of_a():
     # L+U of A at n = 32 (the minimum-degree ordering it replaced: 2.59M)
-    f = Discretization(build_uniform_unit_square(32), "example2").factors(
-        1.0, 1e-6)
+    f = Discretization(build_uniform_unit_square(32),
+                       "example2").factors(1e-6)
     lu = spd_factor(f.A)
     assert lu.L.nnz + lu.U.nnz <= 2_200_000
