@@ -40,8 +40,12 @@ pair's component block from its triangle's class kernel, sums the
 blocks of each run in triangle order by one reduceat and puts each sum
 at a CSR position given in closed form.  The result is deterministic,
 the block system is symmetric bit for bit, and the parts of one plan
-share one pattern, on which :func:`combine_parts` forms their
-iota-combinations.
+share one pattern.  :func:`assemble_a_parts` and
+:func:`assemble_b_parts` return the plan and the class kernels, from
+which :meth:`ScatterPlan.combine` forms each iota-combination without
+keeping the summed parts; the other assemblies return the summed
+parts, on which :func:`combine_parts` forms it.  Both give the same
+matrix bit for bit.
 """
 
 import functools
@@ -220,6 +224,12 @@ def kernel_b_parts(mesh, coeff, tris):
             (area * k2).reshape(Tc, 3, 20))
 
 
+def _index_type(bound):
+    """int32 when every index is below ``bound``, as scipy keeps its
+    CSR index arrays; int64 otherwise."""
+    return np.int32 if bound < 2 ** 31 else np.int64
+
+
 class ScatterPlan:
     """COO -> CSR map of one (row DoF map, column DoF map) pair, for
     element kernels given once per shape class.
@@ -237,11 +247,12 @@ class ScatterPlan:
     reduceat, which adds a run as a 1-D reduceat of its summands does.
     CSR row k_r r + c holds the runs f_r, ..., f_r + n_r - 1 of node r:
     entry (c, d) of run k is at k_r k_c f_r + c k_c n_r + k_c (k - f_r)
-    + d.  So each entry is the sum of a stable lexsort of the
-    per-triangle entries, bit for bit, (r, c) and (c, r) of a symmetric
-    assembly add the same summands in the same order, and all parts of
-    one plan share its ``indices`` and ``indptr`` (see
-    :func:`combine_parts`).
+    + d, which ``order`` gives per block of k_c entries.  So each entry
+    is the sum of a stable lexsort of the per-triangle entries, bit for
+    bit, (r, c) and (c, r) of a symmetric assembly add the same summands
+    in the same order, and all matrices of one plan share its
+    ``indices`` and ``indptr``.  Every index array is int32 where its
+    values fit.
     """
 
     def __init__(self, row_map, col_map, shape, classes):
@@ -251,13 +262,17 @@ class ScatterPlan:
         self.shape, n_cols = shape, shape[1] // cc
         mask = (rows[:, :, None] >= 0) & (cols[:, None, :] >= 0)
         key = (rows[:, :, None] * n_cols + cols[:, None, :])[mask]
+        # takes, starts and places among the sums are below these
+        small = _index_type(max(len(key), (classes.max(initial=0) + 1)
+                                * nr * nc, cr * len(key)))
         order = np.argsort(key, kind="stable")
         self.take = ((classes[:, None, None] * nr + np.arange(nr)[:, None])
-                     * nc + np.arange(nc))[mask][order]
+                     * nc + np.arange(nc))[mask][order].astype(small)
         key = key[order]
-        self.starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys >= 0
-        row, col = divmod(key[self.starts], n_cols)     # of each run
-        del key, order
+        starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys >= 0
+        row, col = divmod(key[starts], n_cols)          # of each run
+        self.starts = starts.astype(small)
+        del key, order, starts
 
         # block b (of k_c entries) of CSR row k_r r + c is run k = b -
         # (k_r - 1) f_r - c n_r: row c R + k of the sums, R = nruns
@@ -266,35 +281,59 @@ class ScatterPlan:
         shift = (np.arange(cr) * (nruns - runs[:, None])
                  - (cr - 1) * (np.cumsum(runs) - runs)[:, None])
         nb = np.repeat(runs, cr)                # blocks per CSR row
-        self.order = np.arange(cr * nruns) + np.repeat(shift.ravel(), nb)
+        order = np.arange(cr * nruns) + np.repeat(shift.ravel(), nb)
         # scipy keeps int32 indices when they fit; matching its choice
         # avoids a per-matrix copy and keeps the arrays shared
-        idx = np.int32 if max(shape[0], shape[1], cr * cc * nruns) < 2 ** 31 \
-            else np.int64
-        self.indices = (cc * col.astype(idx)[self.order % nruns, None]
+        idx = _index_type(max(shape[0], shape[1], cr * cc * nruns))
+        self.indices = (cc * col.astype(idx)[order % nruns, None]
                         + np.arange(cc, dtype=idx)).ravel()
         self.indptr = np.zeros(shape[0] + 1, dtype=idx)
         np.cumsum(cc * nb, out=self.indptr[1:])
+        self.order = order.astype(small)
 
-    def csr(self, kernels):
-        """The assembled matrix of the class kernels (K, nr k_r, nc k_c)."""
+    def _sums(self, kernels):
+        """The summed blocks (k_r, runs, k_c) of the class kernels
+        (K, nr k_r, nc k_c), in run order."""
         cr, cc = self.blocks
         K, rows, cols = kernels.shape
         blocks = kernels.reshape(K, rows // cr, cr, cols // cc, cc)
         blocks = blocks.transpose(2, 0, 1, 3, 4).reshape(cr, -1, cc)
-        sums = np.add.reduceat(np.take(blocks, self.take, axis=1),
+        return np.add.reduceat(np.take(blocks, self.take, axis=1),
                                self.starts, axis=1)
-        data = np.take(sums.reshape(-1, cc), self.order, axis=0)
+
+    def _matrix(self, sums):
+        data = np.take(sums.reshape(-1, self.blocks[1]), self.order, axis=0)
         return csr_matrix((data.ravel(), self.indices, self.indptr),
                           shape=self.shape)
+
+    def csr(self, kernels):
+        """The assembled matrix of the class kernels (K, nr k_r, nc k_c)."""
+        return self._matrix(self._sums(kernels))
+
+    def parts(self, kernels):
+        """The assembled matrix of each part's class kernels."""
+        return tuple(self.csr(k) for k in kernels)
+
+    def combine(self, kernels, iota2, scale=1.0):
+        """scale (first + iota2 second) of the parts whose class kernels
+        are ``kernels`` = (first, second).  It is the arithmetic of
+        :func:`combine_parts` on their :meth:`parts`, entry by entry, on
+        the sums before their one reorder, so the data are the same bit
+        for bit, but no summed part outlives the call."""
+        first, second = kernels
+        sums = self._sums(second)
+        sums *= iota2
+        sums += self._sums(first)
+        sums *= scale
+        return self._matrix(sums)
 
 
 def combine_parts(first, second, iota2, scale=1.0):
     """scale (first + iota2 second) of two parts of one pattern, such as
-    those of one :class:`ScatterPlan`, as a matrix that holds the first
-    part's ``indices`` and ``indptr``.  The data are those of scipy's
-    sum bit for bit; unlike it, an entry that cancels to zero stays
-    stored."""
+    the :meth:`ScatterPlan.parts` of one plan, as a matrix that holds the
+    first part's ``indices`` and ``indptr``.  The data are those of
+    scipy's sum bit for bit; unlike it, an entry that cancels to zero
+    stays stored."""
     if not (np.array_equal(first.indptr, second.indptr)
             and np.array_equal(first.indices, second.indices)):
         raise ValueError("the parts do not share one pattern")
@@ -303,29 +342,31 @@ def combine_parts(first, second, iota2, scale=1.0):
 
 
 def _assemble_pair(kernel, mesh, coeff, row_map, col_map, shape):
-    """Both parts of a kernel pair, computed once per shape class in
-    chunks of classes, through one scatter plan."""
+    """The scatter plan and the class kernels (2, K, rows, cols) of both
+    parts of a kernel pair, computed once per shape class in chunks of
+    classes."""
     reps = mesh.shape_rep
-    size = (len(reps),) + tuple(m.cell_nodes.shape[1] * m.components
-                                for m in (row_map, col_map))
-    parts = [np.empty(size) for _ in range(2)]
+    kernels = np.empty((2, len(reps)) + tuple(
+        m.cell_nodes.shape[1] * m.components for m in (row_map, col_map)))
     for batch in chunks(len(reps)):
-        parts[0][batch], parts[1][batch] = kernel(mesh, coeff[batch],
-                                                  reps[batch])
-    plan = ScatterPlan(row_map, col_map, shape, mesh.shape_of_triangle)
-    return plan.csr(parts[0]), plan.csr(parts[1])
+        kernels[0, batch], kernels[1, batch] = kernel(mesh, coeff[batch],
+                                                      reps[batch])
+    return ScatterPlan(row_map, col_map, shape, mesh.shape_of_triangle), \
+        kernels
 
 
 def assemble_a_parts(mesh, coeff, vmap):
-    """The two integrals of a_h without material factors:
-    (eps, eps) and (grad eps, grad eps).  a_h = 2 mu (first + iota^2 second).
-    """
+    """The scatter plan and class kernels of the two integrals of a_h
+    without material factors: (eps, eps) and (grad eps, grad eps).
+    a_h = 2 mu (first + iota^2 second), which
+    :meth:`ScatterPlan.combine` assembles."""
     n = vmap.n_u
     return _assemble_pair(kernel_a_parts, mesh, coeff, vmap, vmap, (n, n))
 
 
 def assemble_b_parts(mesh, coeff, vmap, qmap):
-    """(div v, q) and (grad div v, grad q); b_h = first + iota^2 second."""
+    """The scatter plan and class kernels of (div v, q) and
+    (grad div v, grad q); b_h = first + iota^2 second."""
     return _assemble_pair(kernel_b_parts, mesh, coeff, qmap, vmap,
                           (qmap.n_p, vmap.n_u))
 
@@ -346,8 +387,9 @@ def kernel_pressure_parts(mesh, coeff, tris):
 def assemble_pressure_parts(mesh, qmap):
     """P1 mass and stiffness matrices on the free pressure DoFs."""
     n, K = qmap.n_p, len(mesh.shape_rep)
-    return _assemble_pair(kernel_pressure_parts, mesh, np.empty((K, 0)),
-                          qmap, qmap, (n, n))
+    plan, kernels = _assemble_pair(kernel_pressure_parts, mesh,
+                                   np.empty((K, 0)), qmap, qmap, (n, n))
+    return plan.parts(kernels)
 
 
 def assemble_load(mesh, coeff, vmap, load):
@@ -395,8 +437,9 @@ def assemble_norm_gram_parts(mesh, coeff, vmap):
     on each component alone, so its Gram matrix is
     G_V = (g1 + iota^2 g2) kron I_2."""
     n = vmap.n_u // 2
-    return _assemble_pair(kernel_norm_gram_parts, mesh, coeff, vmap.scalar,
-                          vmap.scalar, (n, n))
+    plan, kernels = _assemble_pair(kernel_norm_gram_parts, mesh, coeff,
+                                   vmap.scalar, vmap.scalar, (n, n))
+    return plan.parts(kernels)
 
 
 def mean_constraint_vector(mesh, qmap):

@@ -69,8 +69,12 @@ class StudyConfig:
         _check_lists([("lambda", lams), ("iota", iotas), ("n", ns)])
         if not 0 < mu < math.inf:
             raise ConfigError("mu must be positive and finite")
-        if not all(lam / mu > 0 for lam in lams):  # 1e-300 / 1e300 is 0
-            raise ConfigError("lambda / mu must be positive")
+        # each cell is solved at lambda / mu, whose reciprocal scales its
+        # pressure block: 1e-300 / 1e300 is 0, and 1 / 1e-310 overflows
+        if not all(lam / mu > 0 and 1.0 / (lam / mu) < math.inf
+                   for lam in lams):
+            raise ConfigError("lambda / mu must be positive, with a finite "
+                              "reciprocal")
         self.example = example
         self.lams = [float(l) for l in lams]
         self.iotas = [float(i) for i in iotas]

@@ -3,22 +3,30 @@
 Every matrix of the method splits as part0 + iota^2 part2 and lambda
 enters only the pressure block, so one mesh carries everything the
 (iota, lambda) cells of a study need: the nodal coefficients of its
-shape classes, the DoF maps, the matrix parts (the scalar ones of G_V,
-which acts on each component alone), the load parts F = F0 + iota^2 F2
-(for mu = 1, the unit), the parts of ||f||^2, and the exact field's
-gradient and second derivatives at the error quadrature points.  A cell
-then only combines parts, solves (at lambda / mu) and measures; the
-lambda cells of one iota share A, B, the pressure Gram matrix and the
-load, the solver's factors of A and the Gram matrix, and one solve, in
-which every lambda advances in lockstep as a shift of the conjugate
-gradients of the lambda = infinity system (the inf-sup condition makes
-them converge, see :mod:`sgefem.linalg`).  Each group is computed on
-first use, so a caller that needs only some of them (the verification
-checks) pays only for those.  :meth:`Discretization.solve` solves every
-cell of a mesh holding one iota's factors at a time: it drops the a-
-and b-parts once the last iota has combined them and the factors after
-the last solve, so the errors measured afterwards build the exact
-tables beside no factor.
+shape classes, the DoF maps, the scatter plans and class kernels of the
+a- and b-parts, the summed parts of the pressure Gram matrix and of G_V
+(whose scalar parts act on each component alone), the load parts F =
+F0 + iota^2 F2 (for mu = 1, the unit), the parts of ||f||^2, and the
+exact field's gradient and second derivatives at the error quadrature
+points.  A cell then only combines parts, solves (at lambda / mu) and
+measures; the lambda cells of one iota share A, B, the pressure Gram
+matrix and the load, the solver's factors of A and the Gram matrix, and
+one solve, in which every lambda advances in lockstep as a shift of the
+conjugate gradients of the lambda = infinity system (the inf-sup
+condition makes them converge, see :mod:`sgefem.linalg`).  Each group
+is computed on first use, so a caller that needs only some of them (the
+verification checks) pays only for those.
+
+Each iota sums the a- and b-parts anew through their plans
+(:meth:`sgefem.assembly.ScatterPlan.combine`), so no summed a- or
+b-part is alive when an iota's A is factored: a uniform mesh has two
+shape classes, and its plans are about a quarter the size of the
+summed parts they replace (a mesh with no repeated shape keeps one
+kernel pair per triangle, 6.4 KB for the a-parts, which outweighs
+them).  :meth:`Discretization.solve` solves every cell of a mesh
+holding one iota's factors at a time: it drops the plans once the last
+iota has combined them and the factors after the last solve, so the
+errors measured afterwards build the exact tables beside no factor.
 """
 
 import math
@@ -64,12 +72,14 @@ class Discretization:
 
     @cached_property
     def a_parts(self):
-        """(eps, eps) and (grad eps, grad eps)."""
+        """The scatter plan and class kernels of (eps, eps) and
+        (grad eps, grad eps)."""
         return assemble_a_parts(self.mesh, self.coeff, self.vmap)
 
     @cached_property
     def b_parts(self):
-        """(div v, q) and (grad div v, grad q)."""
+        """The scatter plan and class kernels of (div v, q) and
+        (grad div v, grad q)."""
         return assemble_b_parts(self.mesh, self.coeff, self.vmap, self.qmap)
 
     @cached_property
@@ -102,18 +112,19 @@ class Discretization:
     def factors(self, iota):
         """The lambda-independent A = 2 (a0 + iota^2 a2), B = b0 + iota^2 b2,
         G = M_p + iota^2 K_p and load F0 + iota^2 F2 of iota at mu = 1,
-        with the solver's factors of A and G, built on first use.  A, B
-        and G hold their parts' index arrays, so B keeps the zeros that
-        b0 stores.  Each call combines the parts anew."""
+        with the solver's factors of A and G, built on first use.  A and
+        B are summed through their plans and hold the plans' index
+        arrays, and G its parts', so B keeps the zeros that b0 stores.
+        Each call combines the parts anew."""
         if not math.isfinite(iota):
             raise ValueError("the method needs a finite iota")
         i2 = iota ** 2
-        a0, a2 = self.a_parts
-        b0, b2 = self.b_parts
+        plan_a, a = self.a_parts
+        plan_b, b = self.b_parts
         mp, kp = self.pressure_parts
         (F0, F2), _ = self.load
         return SaddleFactors(
-            combine_parts(a0, a2, i2, 2.0), combine_parts(b0, b2, i2),
+            plan_a.combine(a, i2, 2.0), plan_b.combine(b, i2),
             combine_parts(mp, kp, i2), self.mean_constraint, F0 + i2 * F2)
 
     def solve(self, mu, lams, iotas):
@@ -123,8 +134,9 @@ class Discretization:
         block, so each cell is solved at lambda / mu and its p scaled by
         mu.  The lambdas of an iota share its factors and the first
         cell's solve, and only one iota's factors are alive at a time;
-        the a- and b-parts go once the last iota has combined them,
-        before its A is factored, and the factors after the last solve.
+        the plans of the a- and b-parts go once the last iota has
+        combined them, before its A is factored, and the factors after
+        the last solve.
         It only drops them: each factorization starts on a trimmed heap
         (:func:`sgefem.linalg.spd_factor`)."""
         if not 0 < mu < math.inf:

@@ -189,9 +189,11 @@ class SaddleSystem:
     def __init__(self, factors, lam):
         if not lam > 0:
             raise ValueError("the mixed form needs lambda > 0")
+        self.shift = 1.0 / lam
+        if not self.shift < np.inf:     # 1 / 1e-310 overflows
+            raise ValueError("the mixed form needs a finite 1 / lambda")
         G = factors.G
         self.factors = factors
-        self.shift = 1.0 / lam
         self.C = sparse.csr_matrix((G.data * self.shift, G.indices,
                                     G.indptr), shape=G.shape)
         self.result = None

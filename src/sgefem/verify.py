@@ -219,7 +219,8 @@ def _infsup_parts(disc):
         raise ValueError("inf-sup estimation needs at least two pressure "
                          "unknowns (n >= 3)")
     Z = null_space(disc.mean_constraint[None, :])
-    return disc.b_parts, disc.norm_gram_parts, disc.pressure_parts, Z
+    plan, kernels = disc.b_parts
+    return plan.parts(kernels), disc.norm_gram_parts, disc.pressure_parts, Z
 
 
 def _infsup_from_parts(parts, iota):

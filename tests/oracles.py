@@ -671,12 +671,12 @@ def mu_scaled_factors(disc, mu, iota):
     whose solution is (u, p) where the mu = 1 blocks at lambda / mu give
     (u, p / mu)."""
     i2 = iota ** 2
-    a0, a2 = disc.a_parts
-    b0, b2 = disc.b_parts
+    plan_a, a = disc.a_parts
+    plan_b, b = disc.b_parts
     mp, kp = disc.pressure_parts
     (F0, F2), _ = disc.load
     return SaddleFactors(
-        combine_parts(a0, a2, i2, 2.0 * mu), combine_parts(b0, b2, i2),
+        plan_a.combine(a, i2, 2.0 * mu), plan_b.combine(b, i2),
         combine_parts(mp, kp, i2), disc.mean_constraint,
         mu * (F0 + i2 * F2))
 

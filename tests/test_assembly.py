@@ -275,6 +275,12 @@ PLAN_MESHES = {"uniform": lambda: setup(4), "jittered": jittered,
                "flipped": lambda: Discretization(flipped(4)), "fans": fans}
 
 
+def summed(parts):
+    """The summed parts of a (plan, class kernels) pair."""
+    plan, kernels = parts
+    return plan.parts(kernels)
+
+
 def test_fans_put_interior_vertices_in_12_and_18_triangles():
     # the run of a free vertex's diagonal pair adds one summand per
     # triangle of the vertex
@@ -292,34 +298,39 @@ def test_fans_a_and_g_symmetric_bit_for_bit():
 
 
 def test_scatter_plan_holds_one_index_per_pair_and_per_run():
-    # 8 B per entity pair and per run, 12 B per stored entry (its column
+    # 4 B per entity pair and per run, 8 B per stored entry (its column
     # and its place among the sums) and the row pointers: the indices of
-    # the plan's gathers and sums do not grow with the component blocks
+    # the plan's gathers and sums are int32 and do not grow with the
+    # component blocks
     d = setup(16)
     v = d.vmap
     plan = ScatterPlan(v, v, (v.n_u, v.n_u), d.mesh.shape_of_triangle)
     pairs = ((v.cell_nodes >= 0).sum(axis=1) ** 2).sum()
-    stored = d.a_parts[0].nnz
+    stored = plan.indices.size
     held = sum(x.nbytes for x in vars(plan).values()
                if isinstance(x, np.ndarray))
-    assert held <= (8 * (pairs + stored // 4) + 12 * stored
+    assert held <= (4 * (pairs + stored // 4) + 8 * stored
                     + plan.indptr.nbytes)
 
 
 def test_scatter_plan_matches_lexsort_accumulation():
-    # the plan gathers each triangle's entries from its class kernel
+    # the plan gathers each triangle's entries from its class kernel; a
+    # combination of two parts is combine_parts of their matrices bit
+    # for bit
     rng = np.random.default_rng(7)
     for make in PLAN_MESHES.values():
         d = make()
         classes = d.mesh.shape_of_triangle
         for rows, cols, shape in plan_cases(d):
-            kernels = rng.standard_normal((len(d.mesh.shape_rep),
+            kernels = rng.standard_normal((2, len(d.mesh.shape_rep),
                                            cell_dofs(rows).shape[1],
                                            cell_dofs(cols).shape[1]))
-            assert_same_csr(
-                ScatterPlan(rows, cols, shape, classes).csr(kernels),
-                lexsort_csr(kernels[classes], cell_dofs(rows),
-                            cell_dofs(cols), shape))
+            plan = ScatterPlan(rows, cols, shape, classes)
+            first, second = plan.parts(kernels)
+            assert_same_csr(first, lexsort_csr(
+                kernels[0][classes], cell_dofs(rows), cell_dofs(cols), shape))
+            assert_same_csr(plan.combine(kernels, 0.3, 2.0),
+                            combine_parts(first, second, 0.3, 2.0))
 
 
 @pytest.mark.parametrize("kind", sorted(PLAN_MESHES))
@@ -346,9 +357,9 @@ def test_assembled_parts_are_the_lexsort_sums_of_their_kernels():
     tris = np.arange(d.mesh.num_triangles)
     (v, _, shape_v), (q, _, shape_b), _, (s, _, shape_s) = plan_cases(d)
     for parts, kernels, rows, cols, shape in (
-            (d.a_parts, kernel_a_parts, v, v, shape_v),
+            (summed(d.a_parts), kernel_a_parts, v, v, shape_v),
             (d.norm_gram_parts, kernel_norm_gram_parts, s, s, shape_s),
-            (d.b_parts, kernel_b_parts, q, v, shape_b)):
+            (summed(d.b_parts), kernel_b_parts, q, v, shape_b)):
         for got, k in zip(parts, batch_kernels(kernels, d, tris),
                           strict=True):
             assert_same_csr(got, lexsort_csr(k, cell_dofs(rows),
@@ -389,8 +400,8 @@ def test_class_assembly_is_the_per_triangle_assembly_at_n16():
     assert len(d.mesh.shape_rep) == 2
     ref = per_triangle_parts(d)
     assert np.array_equal(d.coeff[d.mesh.shape_of_triangle], ref["coeff"])
-    got = {"a": d.a_parts, "b": d.b_parts, "norm_gram": d.norm_gram_parts,
-           "pressure": d.pressure_parts}
+    got = {"a": summed(d.a_parts), "b": summed(d.b_parts),
+           "norm_gram": d.norm_gram_parts, "pressure": d.pressure_parts}
     for name, second_to_roundoff in (("a", True), ("b", False),
                                      ("norm_gram", True),
                                      ("pressure", False)):
@@ -407,12 +418,13 @@ def test_class_assembly_is_the_per_triangle_assembly_at_n16():
 def test_a_and_g_are_the_sums_of_their_parts_on_one_pattern():
     # A = 2 (a0 + iota^2 a2), B = b0 + iota^2 b2 and
     # G = M_p + iota^2 K_p hold their parts' index arrays; A and G equal
-    # scipy's sums bit for bit, and so does B without the zeros that b0
-    # stores and scipy's sum drops
-    for n in (4, 16):
-        d = setup(n)
-        a0, a2 = d.a_parts
-        b0, b2 = d.b_parts
+    # scipy's sums of the once-summed parts bit for bit, and so does B
+    # without the zeros that b0 stores and scipy's sum drops, though
+    # each iota sums A and B anew through their plans
+    for make in (*PLAN_MESHES.values(), lambda: setup(16)):
+        d = Discretization(make().mesh, "example2")
+        a0, a2 = summed(d.a_parts)
+        b0, b2 = summed(d.b_parts)
         mp, kp = d.pressure_parts
         for iota in (1.0, 1e-1, 1e-6, 1e-8):
             f = d.factors(iota)
@@ -443,7 +455,7 @@ def test_combined_matrices_read_as_scipys_sums(kind):
     # zeros that B keeps move them by a few ulps; the bordered matrix's
     # infinity norm, which the displacement rows set, stays
     d = Discretization(PLAN_MESHES[kind]().mesh, "example2")
-    (b0, b2), (mp, kp) = d.b_parts, d.pressure_parts
+    (b0, b2), (mp, kp) = summed(d.b_parts), d.pressure_parts
     rng = np.random.default_rng(7)
     u = rng.standard_normal(d.vmap.n_u)
     p = rng.standard_normal(d.qmap.n_p)
@@ -482,23 +494,27 @@ def test_combined_matrices_read_as_scipys_sums(kind):
 
 
 def test_factoring_a_leaves_its_parts_unchanged():
+    # A holds its plan's index arrays; the plan and kernels are reused
+    # by every later iota
     d = setup(8)
-    a0, _ = d.a_parts
-    before = [x.tobytes() for x in (a0.data, a0.indices, a0.indptr)]
+    plan, kernels = d.a_parts
+    held = [kernels] + [x for x in vars(plan).values()
+                        if isinstance(x, np.ndarray)]
+    before = [x.tobytes() for x in held]
     spd_factor(d.factors(1e-2).A)
-    assert [x.tobytes() for x in (a0.data, a0.indices, a0.indptr)] == before
+    assert [x.tobytes() for x in held] == before
 
 
 def test_combine_parts_rejects_two_patterns():
     d = setup(4)
     with pytest.raises(ValueError, match="one pattern"):
-        combine_parts(d.a_parts[0], d.norm_gram_parts[0], 1.0)
+        combine_parts(summed(d.a_parts)[0], d.norm_gram_parts[0], 1.0)
 
 
 def test_parts_of_one_call_share_their_pattern():
     d = jittered()
-    for first, second in (d.a_parts, d.b_parts, d.pressure_parts,
-                          d.norm_gram_parts):
+    for first, second in (summed(d.a_parts), summed(d.b_parts),
+                          d.pressure_parts, d.norm_gram_parts):
         assert np.shares_memory(first.indices, second.indices)
         assert np.shares_memory(first.indptr, second.indptr)
 
@@ -527,7 +543,7 @@ def test_b_iota_split_is_exact():
     d = setup(2)
     b0 = d.factors(0.0).B.toarray()
     bi = d.factors(0.2).B.toarray()
-    p0, p2 = d.b_parts
+    p0, p2 = summed(d.b_parts)
     assert np.max(np.abs(b0 - p0.toarray())) == 0.0
     recon = p0.toarray() + 0.04 * p2.toarray()
     assert np.max(np.abs(bi - recon)) < 1e-15 * np.max(np.abs(bi))
@@ -555,6 +571,12 @@ def test_c_scaling_and_spd():
 def test_c_rejects_nonpositive_lambda():
     with pytest.raises(ValueError):
         SaddleSystem(setup(2).factors(0.1), 0.0)
+
+
+def test_c_rejects_a_lambda_whose_reciprocal_overflows():
+    # 1 / 1e-310 is inf: C = G / lambda would not be finite
+    with pytest.raises(ValueError, match="finite 1 / lambda"):
+        SaddleSystem(setup(2).factors(0.1), 1e-310)
 
 
 def test_pressure_mass_against_closed_form():

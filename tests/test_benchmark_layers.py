@@ -71,6 +71,13 @@ def test_traced_pass_sees_the_solver(tmp_path):
     # traced point count unnoticed
     assert metrics["manufactured.jet_calls"] == 2
     assert metrics["manufactured.jet_points"] == 2 * 32 * 33
+    # one a-parts and one b-parts assembly per mesh: each iota sums the
+    # parts through their plans, which is no traced assembly call
+    meshes = [s["mesh"] for s in result["spans"] if s["name"] == "mesh.build"]
+    assert len(meshes) == 1
+    for name in ("assembly.a_parts", "assembly.b_parts"):
+        assert [s["mesh"] for s in result["spans"]
+                if s["name"] == name] == meshes, name
 
 
 def test_traced_verify_pass_sees_the_norm_grams(tmp_path):

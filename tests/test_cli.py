@@ -165,6 +165,11 @@ def test_bad_flag_exits_3(capsys):
     # each cell is solved at lambda / mu, which underflows to 0 here
     (["convergence", "--mu", "1e300", "--lambda", "1e-300"], None,
      "lambda / mu must be positive"),
+    # ... and its reciprocal, the shift of the pressure block, overflows
+    (["convergence", "--example", "example1", "--n", "4", "--lambda",
+      "1e-310", "--iota", "1"], None, "with a finite reciprocal"),
+    (["convergence", "--mu", "1e10", "--lambda", "1e-300"], None,
+     "with a finite reciprocal"),
 ], ids=["n", "mu", "config-tol", "threads", "verify-threads",
         "lambda-empty", "iota-empty", "config-mu", "config-mu-text",
         "config-threads-float", "n-repeated", "lambda-repeated",
@@ -172,7 +177,8 @@ def test_bad_flag_exits_3(capsys):
         "verify-n-empty", "verify-iota-empty", "verify-iota-negative",
         "verify-iota-zero", "verify-iota-above-1", "verify-iota-nan",
         "verify-n-repeated", "verify-seed-negative", "mu-inf", "mu-overflow",
-        "config-mu-inf", "solve-mu-inf", "lambda-over-mu-underflow"])
+        "config-mu-inf", "solve-mu-inf", "lambda-over-mu-underflow",
+        "lambda-reciprocal-overflow", "lambda-over-mu-reciprocal-overflow"])
 def test_bad_config_value_returns_3(tmp_path, capsys, args, config_text,
                                     message):
     # an explicit value is validated, never replaced by the default
@@ -304,17 +310,20 @@ def _small_study(ns=(4,)):
 
 
 def test_study_frees_the_parts_before_the_last_iotas_factor(monkeypatch):
-    # the a- and b-parts are read only while an iota combines them: when
-    # the last iota's A is factored, their data arrays are dead
+    # each iota sums the a- and b-parts anew through their scatter
+    # plans, so no summed a- or b-part (a plan's matrix with the n_u
+    # columns of A and B) is alive when any iota's A is factored; the
+    # plans themselves are dead when the last iota's A is
     import sgefem.discretization
     import sgefem.linalg
+    from sgefem.assembly import ScatterPlan
 
-    parts, a_shape, alive = [], [], []
+    parts, plans, a_shape, alive = [], [], [], []
 
     def recording(assemble):
         def wrapper(*args):
             result = assemble(*args)
-            parts.extend(weakref.ref(M.data) for M in result)
+            plans.append(weakref.ref(result[0]))
             a_shape.append(result[0].shape)
             return result
         return wrapper
@@ -322,20 +331,31 @@ def test_study_frees_the_parts_before_the_last_iotas_factor(monkeypatch):
     for name in ("assemble_a_parts", "assemble_b_parts"):
         monkeypatch.setattr(sgefem.discretization, name,
                             recording(getattr(sgefem.discretization, name)))
+    csr = ScatterPlan.csr
+
+    def summing(plan, kernels):
+        M = csr(plan, kernels)
+        parts.append((M.shape[1], weakref.ref(M.data)))
+        return M
+
+    monkeypatch.setattr(ScatterPlan, "csr", summing)
     factor = sgefem.linalg.spd_factor
 
     def checking(M):
         if M.shape == a_shape[0]:
-            alive.append(sum(r() is not None for r in parts))
+            alive.append((sum(r() is not None for cols, r in parts
+                              if cols == M.shape[1]),
+                          sum(r() is not None for r in plans)))
         return factor(M)
 
     monkeypatch.setattr(sgefem.linalg, "spd_factor", checking)
     gc.disable()        # refcounting alone must free them
     try:
-        _study_rows(_small_study())
+        _study_rows(StudyConfig("example1", [1.0, 1e4, 1e8],
+                                [1.0, 1e-1, 1e-8], [4]))
     finally:
         gc.enable()
-    assert alive == [4, 0]
+    assert alive == [(0, 2), (0, 2), (0, 0)]
 
 
 def test_study_trims_the_heap_before_every_factorization(monkeypatch):
@@ -391,21 +411,27 @@ def test_study_holds_one_iotas_factors_at_a_time(monkeypatch):
     # are combined, and before the errors combine the pressure Gram
     import sgefem.discretization
 
+    from sgefem.assembly import ScatterPlan
+
     factors, seen = [], []
     make = sgefem.discretization.SaddleFactors
-    combine = sgefem.discretization.combine_parts
 
     def recording(*args):
         f = make(*args)
         factors.append(weakref.ref(f))
         return f
 
-    def counting(*args):
-        seen.append(sum(r() is not None for r in factors))
-        return combine(*args)
+    def counting(combine):
+        def wrapper(*args):
+            seen.append(sum(r() is not None for r in factors))
+            return combine(*args)
+        return wrapper
 
     monkeypatch.setattr(sgefem.discretization, "SaddleFactors", recording)
-    monkeypatch.setattr(sgefem.discretization, "combine_parts", counting)
+    monkeypatch.setattr(sgefem.discretization, "combine_parts",
+                        counting(sgefem.discretization.combine_parts))
+    monkeypatch.setattr(ScatterPlan, "combine",
+                        counting(ScatterPlan.combine))
     gc.disable()
     try:
         _study_rows(StudyConfig("example1", [1.0, 1e4, 1e8],
